@@ -11,10 +11,8 @@ surface models with several singular points.
 
 from .cyclo import (
     CycNum,
-    canonicalize,
     integer_sqrt_embed,
     rational,
-    recognize_rational,
     zeta,
 )
 from .groups import (
@@ -23,7 +21,6 @@ from .groups import (
     GroupValidationError,
     alternating_group,
     build_binary_polyhedral,
-    conjugacy_structure,
     cyclic_group,
     dihedral_group,
     group_from_cayley,
@@ -73,10 +70,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CycNum",
-    "canonicalize",
     "zeta",
     "rational",
-    "recognize_rational",
     "integer_sqrt_embed",
     "FiniteGroup",
     "ConjugacyStructure",
@@ -84,7 +79,6 @@ __all__ = [
     "build_binary_polyhedral",
     "group_from_cayley",
     "group_from_generators",
-    "conjugacy_structure",
     "cyclic_group",
     "dihedral_group",
     "symmetric_group",

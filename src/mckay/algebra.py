@@ -2,9 +2,10 @@
 
 An algebra is a labeled basis with a degree per label (0, 1 or 2 here), a
 distinguished unit in degree 0 and point class in degree 2, and a sparse
-structure-constant table.  Products of linear combinations, the degree-one
-Gram pairing and the axiom checks (associativity, commutativity, grading,
-unit law) all run in exact cyclotomic arithmetic.
+structure-constant table: a basis pair missing from it multiplies to zero.
+Products of linear combinations, the degree-one Gram pairing and the axiom
+checks (associativity, commutativity, grading, unit law) all run in exact
+cyclotomic arithmetic.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ class GradedAlgebra:
         """Assemble an algebra from its degree-one products.
 
         ``products`` maps unordered label pairs (degree-one basis elements)
-        to lists of (label, coefficient) terms.  The unit row, symmetry and
-        the vanishing of every product of total degree above two are filled
-        in automatically.
+        to lists of (label, coefficient) terms.  The unit row and symmetry
+        are filled in automatically; every other pair is left out and
+        multiplies to zero.
         """
         labels = tuple(labels)
         degrees = tuple(degrees)
@@ -73,10 +74,6 @@ class GradedAlgebra:
             structure[(i, j)] = cooked
             if (j, i) not in products or i == j:
                 structure[(j, i)] = cooked
-        for i in range(n):
-            for j in range(n):
-                if (i, j) not in structure:
-                    structure[(i, j)] = ()
         return cls(labels=labels, degrees=degrees, structure=structure, unit=0, point=point)
 
     # -- basics -------------------------------------------------------------
@@ -93,7 +90,7 @@ class GradedAlgebra:
         return tuple(i for i, d in enumerate(self.degrees) if d == 1)
 
     def product(self, i: int, j: int):
-        return self.structure[(i, j)]
+        return self.structure.get((i, j), ())
 
     def mult_vec(self, u: dict, v: dict) -> dict:
         """Product of two linear combinations {basis index: coefficient}."""
@@ -102,7 +99,7 @@ class GradedAlgebra:
             if ci.is_zero():
                 continue
             for j, cj in v.items():
-                terms = self.structure[(i, j)]
+                terms = self.structure.get((i, j))
                 if not terms or cj.is_zero():
                     continue
                 scale = ci * cj
@@ -132,7 +129,7 @@ class GradedAlgebra:
             row = []
             for j in ones:
                 coeff = zero
-                for k, c in self.structure[(i, j)]:
+                for k, c in self.product(i, j):
                     if k == self.point:
                         coeff = coeff + c
                     elif not c.is_zero():
@@ -157,15 +154,15 @@ class GradedAlgebra:
         n = self.dim
         for i in range(n):
             for j in range(i + 1, n):
-                a = {k: c for k, c in self.structure[(i, j)]}
-                b = {k: c for k, c in self.structure[(j, i)]}
+                a = dict(self.product(i, j))
+                b = dict(self.product(j, i))
                 if set(a) != set(b) or any(a[k] != b[k] for k in a):
                     return (self.labels[i], self.labels[j])
         return None
 
     def check_unital(self):
         for i in range(self.dim):
-            terms = dict(self.structure[(0, i)])
+            terms = dict(self.product(0, i))
             if set(terms) != {i} or terms[i] != 1:
                 return self.labels[i]
         return None
@@ -173,22 +170,22 @@ class GradedAlgebra:
     def check_associative(self):
         """Exhaustive associativity over basis triples; None or a witness."""
         n = self.dim
-        S = self.structure
+        S = self.structure.get
         zero = rational(0)
         for i in range(n):
             for j in range(n):
-                pij = S[(i, j)]
+                pij = S((i, j), ())
                 for k in range(n):
-                    pjk = S[(j, k)]
+                    pjk = S((j, k), ())
                     if not pij and not pjk:
                         continue
                     lhs: dict = {}
                     for t, c in pij:
-                        for u, d in S[(t, k)]:
+                        for u, d in S((t, k), ()):
                             lhs[u] = lhs.get(u, zero) + c * d
                     rhs: dict = {}
                     for t, c in pjk:
-                        for u, d in S[(i, t)]:
+                        for u, d in S((i, t), ()):
                             rhs[u] = rhs.get(u, zero) + c * d
                     keys = set(lhs) | set(rhs)
                     if any(lhs.get(t, zero) != rhs.get(t, zero) for t in keys):

@@ -1,20 +1,17 @@
 """Cached construction pipelines for the verification corpus.
 
 Groups, tables and correspondence data are immutable, so they are built
-once per (label, seed) and shared by the CLI, the corpus runner and the
-test suite.
+once per (label, seed) by :func:`mckay.correspondence.build_local` and
+shared by the CLI, the corpus runner and the test suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import GradedAlgebra
-from .chartab import CharacterTable, McKayGraph, character_table, mckay_graph
-from .correspondence import CorrespondenceMap, phi_local
+from .chartab import CharacterTable, character_table, mckay_graph  # noqa: F401 (re-exported)
+from .correspondence import Bundle, build_local
 from .groups import (
-    ADE_SUITE,
     FiniteGroup,
     alternating_group,
     build_binary_polyhedral,
@@ -22,8 +19,6 @@ from .groups import (
     dihedral_group,
     symmetric_group,
 )
-from .orbifold import invariant_subalgebra, local_orbifold_algebra
-from .resolution import local_resolution_algebra
 
 __all__ = [
     "Bundle",
@@ -39,17 +34,6 @@ __all__ = [
 EXTRA_GROUPS = ("S3", "S4", "A4", "Dih8", "Q8", "Z6")
 
 
-@dataclass(frozen=True, eq=False)
-class Bundle:
-    group: FiniteGroup
-    table: CharacterTable
-    graph: McKayGraph
-    resolution: GradedAlgebra
-    orbifold: GradedAlgebra
-    invariant: GradedAlgebra
-    cmap: CorrespondenceMap
-
-
 @lru_cache(maxsize=None)
 def ade_group(label: str) -> FiniteGroup:
     return build_binary_polyhedral(label)
@@ -58,19 +42,7 @@ def ade_group(label: str) -> FiniteGroup:
 @lru_cache(maxsize=None)
 def ade_bundle(label: str, seed: int = 0) -> Bundle:
     group = ade_group(label)
-    table = character_table(group, seed=seed)
-    graph = mckay_graph(table)
-    orb = local_orbifold_algebra(group)
-    cmap = phi_local(group, table=table, seed=seed)
-    return Bundle(
-        group=group,
-        table=table,
-        graph=graph,
-        resolution=local_resolution_algebra(graph),
-        orbifold=orb,
-        invariant=invariant_subalgebra(orb, group),
-        cmap=cmap,
-    )
+    return build_local(group, character_table(group, seed=seed))
 
 
 @lru_cache(maxsize=None)
@@ -96,7 +68,3 @@ def extra_table(name: str, seed: int = 0) -> CharacterTable:
 def clear_caches() -> None:
     for fn in (ade_group, ade_bundle, extra_group, extra_table):
         fn.cache_clear()
-
-
-def full_suite_labels() -> tuple[str, ...]:
-    return ADE_SUITE

@@ -454,7 +454,6 @@ class McKayGraph:
     dims: tuple[int, ...]
     trivial_vertex: int
     affine_label: str
-    finite_label: str
 
     @property
     def size(self) -> int:
@@ -486,7 +485,6 @@ def mckay_graph(table: CharacterTable) -> McKayGraph:
         dims=table.degrees,
         trivial_vertex=0,
         affine_label=label,
-        finite_label=label,
     )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .algebra import GradedAlgebra
-from .chartab import CharacterTable, character_table, mckay_graph
+from .chartab import CharacterTable, McKayGraph, character_table, mckay_graph
 from .cyclo import CycNum, integer_sqrt_embed, rational, zeta
 from .groups import FiniteGroup
 from .orbifold import class_label, invariant_subalgebra, local_orbifold_algebra
@@ -26,6 +26,8 @@ __all__ = [
     "CheckResult",
     "VerificationReport",
     "CorrespondenceMap",
+    "Bundle",
+    "build_local",
     "branch_sqrt",
     "phi_local",
     "verify_local",
@@ -149,31 +151,61 @@ def branch_sqrt(table: CharacterTable, class_index: int) -> CycNum:
     return _element_branch(table.group, rep)
 
 
-def phi_local(
-    group: FiniteGroup, table: CharacterTable | None = None, seed: int = 0
-) -> CorrespondenceMap:
-    """Build the scaled correspondence matrix for one SL2 subgroup."""
-    if table is None:
-        table = character_table(group, seed=seed)
+@dataclass(frozen=True, eq=False)
+class Bundle:
+    """The local data of one SL2 subgroup; ``cmap`` maps ``resolution`` to
+    ``invariant`` and shares them, so each object exists once."""
+
+    group: FiniteGroup
+    table: CharacterTable
+    graph: McKayGraph
+    resolution: GradedAlgebra
+    orbifold: GradedAlgebra
+    invariant: GradedAlgebra
+    cmap: CorrespondenceMap
+
+
+def build_local(group: FiniteGroup, table: CharacterTable) -> Bundle:
+    """Build the McKay graph, both rings and the scaled correspondence matrix
+    of one SL2 subgroup, each exactly once."""
     graph = mckay_graph(table)
-    source = local_resolution_algebra(graph)
-    target = invariant_subalgebra(local_orbifold_algebra(group), group)
+    resolution = local_resolution_algebra(graph)
+    orbifold = local_orbifold_algebra(group)
+    invariant = invariant_subalgebra(orbifold, group)
     m = table.size
     conductor = 2 * table.conj.exponent
     rows = []
     for c in range(1, m):
         s = branch_sqrt(table, c)
         rows.append(tuple((s * table.rows[r][c]).lift(conductor) for r in range(1, m)))
-    return CorrespondenceMap(
+    cmap = CorrespondenceMap(
         group=group,
         table=table,
-        source=source,
-        target=target,
+        source=resolution,
+        target=invariant,
         matrix=tuple(rows),
         row_labels=tuple(class_label(c) for c in range(1, m)),
         col_labels=tuple(exceptional_label(r) for r in range(1, m)),
         scale=group.order,
     )
+    return Bundle(
+        group=group,
+        table=table,
+        graph=graph,
+        resolution=resolution,
+        orbifold=orbifold,
+        invariant=invariant,
+        cmap=cmap,
+    )
+
+
+def phi_local(
+    group: FiniteGroup, table: CharacterTable | None = None, seed: int = 0
+) -> CorrespondenceMap:
+    """Build the scaled correspondence matrix for one SL2 subgroup."""
+    if table is None:
+        table = character_table(group, seed=seed)
+    return build_local(group, table).cmap
 
 
 def char_minor_determinant(table: CharacterTable) -> CycNum:
@@ -241,10 +273,8 @@ def _check_multiplicativity(cmap: CorrespondenceMap) -> CheckResult:
 
 
 def _check_additive(cmap: CorrespondenceMap) -> CheckResult:
-    matrix = [list(row) for row in cmap.matrix]
-    det = linalg.determinant(matrix)
-    rk = linalg.rank(matrix)
-    n = len(matrix)
+    det, rk = linalg.determinant_and_rank([list(row) for row in cmap.matrix])
+    n = len(cmap.matrix)
     ok = (not det.is_zero()) and rk == n
     return CheckResult(
         "additive-rank",

@@ -18,10 +18,8 @@ from math import gcd, lcm
 
 __all__ = [
     "CycNum",
-    "canonicalize",
     "zeta",
     "rational",
-    "recognize_rational",
     "integer_sqrt_embed",
     "euler_phi",
     "cyclotomic_polynomial",
@@ -432,11 +430,6 @@ def _solve_columns(cols: list[list[Fraction]], rhs: list[Fraction]) -> list[Frac
     return sol
 
 
-def canonicalize(conductor: int, coeffs) -> CycNum:
-    """Canonical representative of sum coeffs[e] * zeta_N^e at conductor N."""
-    return CycNum(conductor, coeffs)
-
-
 def zeta(n: int, k: int = 1) -> CycNum:
     """The root of unity zeta_n^k."""
     return CycNum(n, {k % n: 1})
@@ -445,11 +438,6 @@ def zeta(n: int, k: int = 1) -> CycNum:
 def rational(q) -> CycNum:
     """A rational number embedded at conductor 1."""
     return CycNum(1, (Fraction(q),))
-
-
-def recognize_rational(a: CycNum) -> Fraction | None:
-    """The rational value of a, or None (canonical support beyond exponent 0)."""
-    return a.as_rational()
 
 
 def _legendre(t: int, p: int) -> int:

@@ -24,7 +24,6 @@ __all__ = [
     "build_binary_polyhedral",
     "group_from_cayley",
     "group_from_generators",
-    "conjugacy_structure",
     "cyclic_group",
     "dihedral_group",
     "symmetric_group",
@@ -192,11 +191,6 @@ class FiniteGroup:
                 )
             data.append(found)
         return tuple(data)
-
-
-def conjugacy_structure(group: FiniteGroup) -> ConjugacyStructure:
-    """Conjugacy classes by orbit enumeration under conjugation."""
-    return group.conjugacy
 
 
 # -- matrix closure ---------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .cyclo import CycNum, rational
 
-__all__ = ["matmul", "transpose", "determinant", "rank", "scaled"]
+__all__ = ["matmul", "transpose", "determinant", "determinant_and_rank", "rank"]
 
 
 def transpose(m):
@@ -27,10 +27,6 @@ def matmul(a, b):
             row.append(acc)
         out.append(row)
     return out
-
-
-def scaled(c, m):
-    return [[c * v for v in row] for row in m]
 
 
 def _eliminate(matrix):
@@ -61,20 +57,22 @@ def _eliminate(matrix):
     return rows, r, sign
 
 
-def determinant(matrix) -> CycNum:
+def determinant_and_rank(matrix) -> tuple[CycNum, int]:
+    """Determinant and rank of a square matrix from a single elimination."""
     n = len(matrix)
     if n == 0:
-        return rational(1)
+        return rational(1), 0
     rows, pivots, sign = _eliminate(matrix)
     if pivots < n:
-        return rational(0)
+        return rational(0), pivots
     det = rational(sign)
-    col = 0
     for r in range(n):
-        while rows[r][col].is_zero():
-            col += 1
-        det = det * rows[r][col]
-    return det
+        det = det * rows[r][r]  # full rank: row r pivots in column r
+    return det, pivots
+
+
+def determinant(matrix) -> CycNum:
+    return determinant_and_rank(matrix)[0]
 
 
 def rank(matrix) -> int:

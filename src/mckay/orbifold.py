@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from weakref import WeakKeyDictionary
 
 from .algebra import GradedAlgebra
 from .groups import FiniteGroup
@@ -38,21 +39,28 @@ class ObstructionEntry:
     c: int
 
 
-def _element_age(group: FiniteGroup, element: int) -> Fraction:
-    r, k = group.rotation_data[element]
-    if r == 1:
-        return Fraction(0)
-    # eigenvalue exponents k and r-k, each weighted by 1/r
-    value = Fraction(k, r) + Fraction(r - k, r)
-    if value not in (Fraction(0), Fraction(1)):
-        raise OrbifoldError(f"age {value} outside the SL2 surface range")
-    return value
+# per group, the age of every element; weak keys so dropped groups are freed
+_AGES: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _element_ages(group: FiniteGroup) -> tuple[Fraction, ...]:
+    """Age of every element, derived once per group from its rotation data."""
+    ages = _AGES.get(group)
+    if ages is None:
+        values = []
+        for r, k in group.rotation_data:
+            # eigenvalue exponents k and r-k, each weighted by 1/r
+            value = Fraction(0) if r == 1 else Fraction(k, r) + Fraction(r - k, r)
+            if value not in (Fraction(0), Fraction(1)):
+                raise OrbifoldError(f"age {value} outside the SL2 surface range")
+            values.append(value)
+        ages = _AGES[group] = tuple(values)
+    return ages
 
 
 def age(group: FiniteGroup, class_index: int) -> Fraction:
     """Age of a conjugacy class from the eigenvalue weights of its representative."""
-    rep = group.conjugacy.representatives[class_index]
-    return _element_age(group, rep)
+    return _element_ages(group)[group.conjugacy.representatives[class_index]]
 
 
 def obstruction_class(group: FiniteGroup, g: int, h: int) -> ObstructionEntry:
@@ -62,12 +70,8 @@ def obstruction_class(group: FiniteGroup, g: int, h: int) -> ObstructionEntry:
     The joint fixed locus is the whole surface for (id, id) and an isolated
     point otherwise.
     """
-    gh = group.cayley[g][h]
-    total = (
-        _element_age(group, g)
-        + _element_age(group, h)
-        + _element_age(group, group.inverse[gh])
-    )
+    ages = _element_ages(group)
+    total = ages[g] + ages[h] + ages[group.inverse[group.cayley[g][h]]]
     fixed_dim = 2 if g == 0 and h == 0 else 0
     rank = total + fixed_dim - 2
     if rank.denominator != 1 or rank < 0:

@@ -173,7 +173,6 @@ def test_mckay_d4_star():
 def test_mckay_matches_construction_and_null_vector(label):
     graph = ade_bundle(label).graph
     assert graph.affine_label == label
-    assert graph.finite_label == label
     dims = graph.dims
     for v in range(graph.size):
         assert sum(graph.adjacency[v][w] * dims[w] for w in range(graph.size)) == 2 * dims[v]

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from mckay.catalog import EXTRA_GROUPS
 from mckay.cli import main
+from mckay.groups import ADE_SUITE
 
 
 def run(capsys, *argv):
@@ -76,6 +78,7 @@ def test_mckay_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["graph"]["affine"] == "A3"
+    assert payload["graph"]["finite"] == "A3"
     assert len(payload["graph"]["vertices"]) == 4
 
 
@@ -155,6 +158,19 @@ def test_bad_surface_config_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "global", "--config", str(path))
     assert code == 2
     assert "not symmetric" in err
+
+
+def test_corpus_command(capsys):
+    code, out, _ = run(capsys, "corpus", "--jobs", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pass"] is True
+    assert payload["manifest"]["inputs"] == list(ADE_SUITE + EXTRA_GROUPS)
+    assert len(payload["manifest"]["inputs"]) == 26
+    # --jobs is accepted and has no effect
+    code, out2, _ = run(capsys, "corpus", "--jobs", "2")
+    assert code == 0
+    assert strip_volatile(json.loads(out2)) == strip_volatile(payload)
 
 
 def test_byte_determinism_same_seed(capsys):

@@ -1,9 +1,11 @@
 """The scaled correspondence matrix and its exact verification."""
 
 import dataclasses
+import sys
 
 import pytest
 
+from mckay import catalog, correspondence
 from mckay.catalog import EXTRA_GROUPS, ade_bundle, extra_table
 from mckay.correspondence import (
     branch_sqrt,
@@ -99,6 +101,39 @@ def test_phi_block_shape_and_conductor(label):
             assert conductor % v.conductor == 0
 
 
+@pytest.mark.parametrize("label", ADE_SUITE)
+def test_bundle_map_shares_the_rings(label):
+    bundle = ade_bundle(label)
+    assert bundle.cmap.source is bundle.resolution
+    assert bundle.cmap.target is bundle.invariant
+    assert bundle.cmap.group is bundle.group and bundle.cmap.table is bundle.table
+
+
+def test_bundle_builds_each_object_once(monkeypatch):
+    builders = (
+        "mckay_graph",
+        "local_orbifold_algebra",
+        "invariant_subalgebra",
+        "local_resolution_algebra",
+    )
+    calls = dict.fromkeys(builders, 0)
+    modules = [m for n, m in sys.modules.items() if n.startswith("mckay.")]
+    for name in calls:
+        original = getattr(correspondence, name)
+
+        def counted(*args, _fn=original, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        # patch every module that holds the function, so no caller escapes the count
+        for mod in modules:
+            if vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+    catalog.clear_caches()
+    ade_bundle("D4")
+    assert calls == dict.fromkeys(calls, 1)
+
+
 @pytest.mark.parametrize("label", ("A1", "A2", "A3", "D4", "E6"))
 def test_scaling_coherence(label):
     cmap = ade_bundle(label).cmap
@@ -191,6 +226,16 @@ def test_tampered_resolution_constant_fails():
     failing = report.check("multiplicativity")
     assert not failing.passed
     assert failing.witness["left"] == "E1" and failing.witness["right"] == "E1"
+
+
+def test_singular_matrix_fails_additive_rank():
+    cmap = ade_bundle("A2").cmap
+    singular = (cmap.matrix[0], cmap.matrix[0])
+    report = verify_correspondence(dataclasses.replace(cmap, matrix=singular))
+    failing = report.check("additive-rank")
+    assert not failing.passed
+    assert failing.witness == {"determinant": rational(0).to_json(), "rank": 1, "size": 2}
+    assert failing.detail == {"determinant": rational(0).to_json(), "rank": 1}
 
 
 def test_untampered_control_passes():

@@ -11,7 +11,6 @@ from mckay.groups import (
     GroupValidationError,
     alternating_group,
     build_binary_polyhedral,
-    conjugacy_structure,
     cyclic_group,
     dihedral_group,
     group_from_cayley,
@@ -111,7 +110,7 @@ def test_matrix_group_invariants(label):
 @pytest.mark.parametrize("label", ADE_SUITE)
 def test_conjugacy_structure_invariants(label):
     g = build_binary_polyhedral(label)
-    conj = conjugacy_structure(g)
+    conj = g.conjugacy
     assert conj.classes[0] == (0,)
     assert sum(conj.sizes) == g.order
     for c, cls in enumerate(conj.classes):

@@ -119,7 +119,6 @@ def test_multiplicity_above_one_rejected():
         dims=(1, 1, 1),
         trivial_vertex=0,
         affine_label="A2",
-        finite_label="A2",
     )
     with pytest.raises(AdjacencyError):
         local_resolution_algebra(fake)
