@@ -1,9 +1,11 @@
 """Command-line interface: inspection, local/global verification, corpus runs.
 
 Exit codes: 0 all checks passed, 1 a verification check failed, 2 usage or
-input error.  All randomness (modular eigenspace splitting) flows from the
-single --seed flag; reports are byte-identical across runs up to the
-recorded seed and timings.
+input error, 3 internal inconsistency (a character table, eigenspace split or
+orbifold ring that contradicts itself, or exact arithmetic that fails its own
+check), which is a fault of the program and not of the input.  All
+randomness (modular eigenspace splitting) flows from the single --seed flag;
+reports are byte-identical across runs up to the recorded seed and timings.
 """
 
 from __future__ import annotations
@@ -12,12 +14,18 @@ import argparse
 import json
 import sys
 import time
+from math import lcm
 
 from . import __version__
 from .catalog import EXTRA_GROUPS, ade_bundle, extra_group, extra_table
-from .chartab import CharacterTableError, character_table
+from .chartab import (
+    CharacterTableError,
+    EigenSplitError,
+    TableConsistencyError,
+    character_table,
+)
 from .correspondence import minor_report, verify_correspondence
-from .cyclo import CycNum
+from .cyclo import MAX_CONDUCTOR, CycNum
 from .groups import (
     ADE_SUITE,
     FiniteGroup,
@@ -25,9 +33,16 @@ from .groups import (
     group_from_cayley,
     group_from_generators,
 )
+from .orbifold import OrbifoldError
 from .surface import SurfaceConfigError, load_surface, verify_global
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
+
+# Raised when the program contradicts itself, whatever the input; checked
+# before the user errors, since EigenSplitError and TableConsistencyError are
+# CharacterTableErrors.
+_INTERNAL = (EigenSplitError, TableConsistencyError, OrbifoldError, ArithmeticError)
 
 
 def _dump(payload: dict, out_path: str | None) -> None:
@@ -47,10 +62,26 @@ def _load_group_file(path: str) -> FiniteGroup:
     if "cayley" in data:
         return group_from_cayley(data["cayley"], name=str(path))
     if "generators" in data:
-        mats = [
-            [[CycNum.from_json(entry) for entry in row] for row in matrix]
-            for matrix in data["generators"]
-        ]
+        mats = []
+        conductor = 1
+        for i, matrix in enumerate(data["generators"]):
+            mat = []
+            for r, row in enumerate(matrix):
+                entries = []
+                for c, entry in enumerate(row):
+                    try:
+                        entries.append(CycNum.from_json(entry))
+                    except ValueError as exc:
+                        raise GroupError(f"{path}: generators[{i}][{r}][{c}]: {exc}") from exc
+                    conductor = lcm(conductor, entries[-1].conductor)
+                mat.append(entries)
+            mats.append(mat)
+        # the closure works at the common conductor of all entries
+        if conductor > MAX_CONDUCTOR:
+            raise GroupError(
+                f"{path}: generator entries span conductor {conductor}, "
+                f"above the limit {MAX_CONDUCTOR}"
+            )
         return group_from_generators(mats, name=str(path))
     raise GroupError("group file needs a 'cayley' table or 'generators' matrices")
 
@@ -347,6 +378,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
+    except _INTERNAL as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     except (GroupError, CharacterTableError, SurfaceConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -1,12 +1,17 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-A value is stored as a vector of rational coefficients on the power basis
+A value is stored as integer numerators on the power basis
 {1, z, ..., z^(phi(N)-1)} of the N-th cyclotomic field, reduced modulo the
-N-th cyclotomic polynomial.  The representation is canonical per conductor:
-two values at the same conductor are equal iff their coefficient vectors
-are, and cross-conductor equality is decided after lifting both operands to
-the least common conductor.  All arithmetic is exact; nothing is ever
-rounded.
+N-th cyclotomic polynomial, over one positive common denominator.  The
+numerators and the denominator share no common factor, so the
+representation is canonical per conductor: two values at the same conductor
+are equal iff their numerators and denominators are.  Cross-conductor
+equality is decided after lifting both operands to the least common
+conductor.  Character values, branch roots and structure constants are
+cyclotomic integers, so the denominator is almost always 1 and arithmetic
+runs on plain Python ints.  Inverses come from the norm: the product of the
+other Galois conjugates divided by a rational number.  All arithmetic is
+exact; nothing is ever rounded.
 """
 
 from __future__ import annotations
@@ -15,9 +20,11 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add, neg, sub
 
 __all__ = [
     "CycNum",
+    "MAX_CONDUCTOR",
     "zeta",
     "rational",
     "integer_sqrt_embed",
@@ -26,8 +33,13 @@ __all__ = [
     "prime_factors",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+# Largest conductor accepted from serialized input (CycNum.from_json), so a
+# group file cannot make the parser and the products it feeds work in a
+# field of unbounded degree.  A corpus run forms conductors up to 120, the
+# A15-D20 scaling types up to 72, and the E7/E8 generator files use 8 and
+# 20.  At this bound parsing takes milliseconds and a dense product well
+# under a second.
+MAX_CONDUCTOR = 1024
 
 
 @lru_cache(maxsize=None)
@@ -54,106 +66,217 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _int_poly_div(num: list[int], den: tuple[int, ...]) -> list[int]:
     # den must be monic; division is exact for cyclotomic factors
     num = list(num)
     dd = len(den) - 1
+    taps = [(j, c) for j, c in enumerate(den) if c]
     out = [0] * (len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
         if c:
             out[i - dd] = c
-            for j in range(dd + 1):
-                num[i - dd + j] -= c * den[j]
+            for j, t in taps:
+                num[i - dd + j] -= c * t
     if any(num[:dd]):
         raise ArithmeticError("non-exact polynomial division")
     return out
 
 
+def _spread(poly, step: int) -> list[int]:
+    """poly(x^step)."""
+    out = [0] * ((len(poly) - 1) * step + 1)
+    out[::step] = poly
+    return out
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, ascending degree, monic."""
+    """Integer coefficients of Phi_n, ascending degree, monic.
+
+    Phi_n(x) = Phi_r(x^(n/r)) for the radical r of n, and for squarefree
+    n = m*p with p prime, Phi_n(x) = Phi_m(x^p) / Phi_m(x); so the cost is
+    linear in n, with no factor for the number of divisors.
+    """
     if n < 1:
         raise ValueError("conductor must be a positive integer")
     if n == 1:
         return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in _divisors(n):
-        if d < n:
-            poly = _int_poly_div(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+    primes = prime_factors(n)
+    radical = 1
+    for p in primes:
+        radical *= p
+    if radical != n:
+        return tuple(_spread(cyclotomic_polynomial(radical), n // radical))
+    base = cyclotomic_polynomial(n // primes[-1])
+    return tuple(_int_poly_div(_spread(base, primes[-1]), base))
 
 
-def _reduce_mod_phi(vals: list[Fraction], n: int) -> tuple[Fraction, ...]:
+# -- integer kernel -------------------------------------------------------------
+#
+# Numerator vectors are tuples of ints.  Per-conductor data is built on first
+# use and cached, so importing the module does no work.
+
+
+@lru_cache(maxsize=None)
+def _taps(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(n), the pairs (j, -c_j) for the nonzero low coefficients of Phi_n).
+
+    x^d = -sum_j c_j x^j modulo Phi_n, so reducing a term c*x^i adds
+    c * (-c_j) at i - d + j for each tap.
+    """
     phi = cyclotomic_polynomial(n)
     d = len(phi) - 1
-    for i in range(len(vals) - 1, d - 1, -1):
+    return d, tuple((j, -c) for j, c in enumerate(phi[:d]) if c)
+
+
+@lru_cache(maxsize=None)
+def _galois_steps(n: int) -> tuple[tuple[int, int], ...]:
+    """Generators g of (Z/n)^* with their relative orders h.
+
+    Starting from S = {1}, each step replaces S by the union of the cosets
+    g^i * S, i < h, where h is the least power with g^h in S; the last S is
+    the whole group.
+    """
+    seen = {1}
+    steps = []
+    for g in range(2, n):
+        if g in seen or gcd(g, n) != 1:
+            continue
+        h, x = 1, g
+        while x not in seen:
+            x = x * g % n
+            h += 1
+        seen = {s * pow(g, i, n) % n for s in seen for i in range(h)}
+        steps.append((g, h))
+    return tuple(steps)
+
+
+def _reduce(vals: list[int], n: int) -> tuple[int, ...]:
+    """Reduce an integer polynomial (ascending, consumed) modulo Phi_n."""
+    d, taps = _taps(n)
+    size = len(vals)
+    if size <= d:
+        return tuple(vals) + (0,) * (d - size)
+    for i in range(size - 1, d - 1, -1):
         c = vals[i]
         if c:
-            vals[i] = _ZERO
-            for j in range(d):
-                if phi[j]:
-                    vals[i - d + j] -= c * phi[j]
-    if len(vals) < d:
-        vals = vals + [_ZERO] * (d - len(vals))
-    return tuple(vals[:d])
+            base = i - d
+            for j, t in taps:
+                vals[base + j] += c * t
+    del vals[d:]
+    return tuple(vals)
+
+
+def _mul_num(a: tuple[int, ...], b: tuple[int, ...], n: int) -> tuple[int, ...]:
+    nonzero = [(j, y) for j, y in enumerate(b) if y]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in nonzero:
+                out[i + j] += x * y
+    return _reduce(out, n)
+
+
+def _galois_num(num: tuple[int, ...], k: int, n: int) -> tuple[int, ...]:
+    dense = [0] * n
+    for i, c in enumerate(num):
+        if c:
+            dense[i * k % n] += c
+    return _reduce(dense, n)
+
+
+def _conjugate_product(c: tuple[int, ...], g: int, t: int, n: int) -> tuple[int, ...]:
+    """prod_{i=1..t} sigma_g^i(c), by doubling: Q_2s = Q_s * sigma_g^s(Q_s)
+    and Q_(s+1) = sigma_g(c * Q_s)."""
+    q = _galois_num(c, g, n)
+    s = 1
+    for bit in bin(t)[3:]:
+        q = _mul_num(q, _galois_num(q, pow(g, s, n), n), n)
+        s *= 2
+        if bit == "1":
+            q = _galois_num(_mul_num(c, q, n), g, n)
+            s += 1
+    return q
+
+
+def _new(conductor: int, num: tuple[int, ...], den: int) -> "CycNum":
+    self = object.__new__(CycNum)
+    self.conductor = conductor
+    self.num = num
+    self.den = den
+    return self
+
+
+def _normal(conductor: int, num: tuple[int, ...], den: int) -> "CycNum":
+    """A CycNum from numerators over a positive denominator, gcd removed."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(x // g for x in num)
+            den //= g
+    return _new(conductor, num, den)
+
+
+def _frac_str(p: int, q: int) -> str:
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 class CycNum:
     """An exact element of the cyclotomic field Q(zeta_N).
 
-    Instances are immutable and safe to share between workers.  They are
-    deliberately unhashable (mathematical equality crosses conductors); use
-    :meth:`key` when a dictionary key for the stored representation is
-    needed.
+    ``num`` holds phi(N) integer numerators on the power basis and ``den``
+    the positive common denominator, with ``gcd(den, *num) == 1``; ``coeffs``
+    gives the same coefficients as Fractions.  Instances are immutable and
+    safe to share between workers.  They are deliberately unhashable
+    (mathematical equality crosses conductors); use :meth:`key` when a
+    dictionary key for the stored representation is needed.
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor: int, coeffs):
         if not isinstance(conductor, int) or conductor < 1:
             raise ValueError("conductor must be a positive integer")
-        if isinstance(coeffs, dict):
-            dense = [_ZERO] * conductor
-            for e, v in coeffs.items():
-                dense[e % conductor] += Fraction(v)
-        else:
-            dense = [Fraction(v) for v in coeffs]
+        # exponents are read modulo N: Phi_N divides x^N - 1
+        items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
+        terms = [(e % conductor, v if type(v) is int else Fraction(v)) for e, v in items]
+        den = lcm(*(v.denominator for _, v in terms))
+        dense = [0] * conductor
+        for e, v in terms:
+            dense[e] += v.numerator * (den // v.denominator)
+        reduced = _normal(conductor, _reduce(dense, conductor), den)
         self.conductor = conductor
-        self.coeffs = _reduce_mod_phi(dense, conductor)
+        self.num = reduced.num
+        self.den = reduced.den
 
-    @classmethod
-    def _make(cls, conductor: int, reduced: tuple[Fraction, ...]) -> "CycNum":
-        self = object.__new__(cls)
-        self.conductor = conductor
-        self.coeffs = reduced
-        return self
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational power-basis coefficients."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
+
+    def _terms(self):
+        """(index, numerator, denominator) in lowest terms, nonzero terms only."""
+        den = self.den
+        for i, x in enumerate(self.num):
+            if x:
+                g = gcd(x, den)
+                yield i, x // g, den // g
 
     # -- basic predicates -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def as_rational(self) -> Fraction | None:
         """The rational value, or None if the element is irrational."""
-        if any(self.coeffs[1:]):
+        if any(self.num[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- conductor handling -----------------------------------------------
 
@@ -164,12 +287,7 @@ class CycNum:
             return self
         if m % n:
             raise ValueError(f"cannot lift conductor {n} to non-multiple {m}")
-        step = m // n
-        dense = [_ZERO] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                dense[i * step] = c
-        return CycNum._make(m, _reduce_mod_phi(dense, m))
+        return _normal(m, _reduce(_spread(self.num, m // n), m), self.den)
 
     def _common(self, other: "CycNum") -> tuple["CycNum", "CycNum"]:
         if self.conductor == other.conductor:
@@ -178,19 +296,32 @@ class CycNum:
         return self.lift(m), other.lift(m)
 
     def _express_at(self, m: int) -> "CycNum | None":
-        """Rewrite at the divisor m of the conductor, or None if impossible."""
+        """Rewrite at m = conductor / p for a prime p, or None if impossible."""
         n = self.conductor
-        step = n // m
-        dm = euler_phi(m)
-        cols = []
-        for j in range(dm):
-            dense = [_ZERO] * (j * step + 1)
-            dense[j * step] = _ONE
-            cols.append(list(_reduce_mod_phi(dense, n)))
-        sol = _solve_columns(cols, list(self.coeffs))
-        if sol is None:
+        p = n // m
+        num = self.num
+        if m % p == 0:
+            # Phi_n(x) = Phi_m(x^p), so the power basis at n is
+            # {x^r * (x^p)^j : r < p, j < phi(m)} and Q(zeta_m) is the span
+            # of the exponents divisible by p.
+            if any(num[i] for i in range(len(num)) if i % p):
+                return None
+            return _normal(m, num[::p], self.den)
+        # p prime to m: zeta_n = zeta_m^u * zeta_p^v, so the value is
+        # sum_t A_t zeta_p^t with A_t in Q(zeta_m).  Since zeta_p^1..^(p-1)
+        # are a basis over Q(zeta_m) and sum_t zeta_p^t = 0, the value lies
+        # in Q(zeta_m) iff A_1 = ... = A_(p-1), and then it is A_0 - A_1.
+        u = pow(p, -1, m)
+        v = pow(m, -1, p)
+        parts = [[0] * m for _ in range(p)]
+        for i, c in enumerate(num):
+            if c:
+                parts[v * i % p][u * i % m] += c
+        reduced = [_reduce(part, m) for part in parts]
+        first = reduced[1]
+        if any(r != first for r in reduced[2:]):
             return None
-        return CycNum._make(m, _reduce_mod_phi(sol, m))
+        return _normal(m, tuple(map(sub, reduced[0], first)), self.den)
 
     def lowered(self) -> "CycNum":
         """The canonical representative at the minimal conductor."""
@@ -213,27 +344,35 @@ class CycNum:
         if isinstance(value, CycNum):
             return value
         if isinstance(value, (int, Fraction)):
-            return CycNum._make(1, (Fraction(value),))
+            q = Fraction(value)
+            return _new(1, (q.numerator,), q.denominator)
         return None
+
+    def _combine(self, other, op) -> "CycNum":
+        a, b = self._common(other)
+        da, db = a.den, b.den
+        if da == db:
+            return _normal(a.conductor, tuple(map(op, a.num, b.num)), da)
+        den = da // gcd(da, db) * db
+        fa, fb = den // da, den // db
+        return _normal(a.conductor, tuple(op(x * fa, y * fb) for x, y in zip(a.num, b.num)), den)
 
     def __add__(self, other):
         other = CycNum._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._common(other)
-        return CycNum._make(a.conductor, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum._make(self.conductor, tuple(-x for x in self.coeffs))
+        return _new(self.conductor, tuple(map(neg, self.num)), self.den)
 
     def __sub__(self, other):
         other = CycNum._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._common(other)
-        return CycNum._make(a.conductor, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         other = CycNum._coerce(other)
@@ -244,37 +383,40 @@ class CycNum:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             s = Fraction(other)
-            return CycNum._make(self.conductor, tuple(c * s for c in self.coeffs))
+            p = s.numerator
+            return _normal(self.conductor, tuple(x * p for x in self.num), self.den * s.denominator)
         if not isinstance(other, CycNum):
             return NotImplemented
         a, b = self._common(other)
-        la, lb = a.coeffs, b.coeffs
-        out = [_ZERO] * (len(la) + len(lb) - 1)
-        for i, x in enumerate(la):
-            if x:
-                for j, y in enumerate(lb):
-                    if y:
-                        out[i + j] += x * y
-        return CycNum._make(a.conductor, _reduce_mod_phi(out, a.conductor))
+        return _normal(a.conductor, _mul_num(a.num, b.num, a.conductor), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
+        """1 / a as (product of the conjugates sigma_k(a), k != 1) / N(a).
+
+        N(a) = a * prod_k sigma_k(a) is fixed by the whole Galois group, so
+        it is rational, and it is nonzero for a != 0.  The product runs over
+        the cosets of a chain of subgroups (``_galois_steps``), with
+        O(log h) products per step.  N(a) is recomputed as a * conj and
+        checked to be a nonzero rational: a failure raises ArithmeticError
+        instead of returning a wrong inverse.
+        """
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
         n = self.conductor
-        d = len(self.coeffs)
-        cols = []
-        cur = list(self.coeffs)
-        for _ in range(d):
-            cols.append(cur)
-            shifted = [_ZERO] + cur
-            cur = list(_reduce_mod_phi(shifted, n))
-        rhs = [_ONE] + [_ZERO] * (d - 1)
-        sol = _solve_columns(cols, rhs)
-        if sol is None:  # impossible in a field; guards the solver
-            raise ArithmeticError("inversion failed")
-        return CycNum._make(n, tuple(sol))
+        num = self.num
+        # conj runs over the subgroup so far minus 1, and a * conj over all of it
+        conj = (1,) + (0,) * (len(num) - 1)
+        for g, h in _galois_steps(n):
+            q = _conjugate_product(_mul_num(num, conj, n), g, h - 1, n)
+            conj = _mul_num(conj, q, n)
+        norm = _mul_num(num, conj, n)
+        if any(norm[1:]) or not norm[0]:
+            raise ArithmeticError(f"norm of {self!r} is not a nonzero rational")
+        # a = num / den, so 1/a = den * conj / N(num)
+        scale = self.den if norm[0] > 0 else -self.den
+        return _normal(n, tuple(x * scale for x in conj), abs(norm[0]))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -298,7 +440,7 @@ class CycNum:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = CycNum._make(1, (_ONE,))
+        result = _new(1, (1,), 1)
         base = self
         e = exponent
         while e:
@@ -315,11 +457,7 @@ class CycNum:
             return self
         if gcd(k, n) != 1:
             raise ValueError(f"{k} is not prime to the conductor {n}")
-        dense = [_ZERO] * n
-        for i, c in enumerate(self.coeffs):
-            if c:
-                dense[(i * k) % n] += c
-        return CycNum._make(n, _reduce_mod_phi(dense, n))
+        return _normal(n, _galois_num(self.num, k % n, n), self.den)
 
     def conj(self) -> "CycNum":
         """Complex conjugate (zeta -> zeta^(N-1))."""
@@ -332,51 +470,69 @@ class CycNum:
         if other is None:
             return NotImplemented
         a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     __hash__ = None  # mathematical equality crosses conductors
 
     def key(self) -> tuple:
         """Hashable key for the stored (conductor-specific) representation."""
-        return (self.conductor, tuple((c.numerator, c.denominator) for c in self.coeffs))
+        den = self.den
+        if den == 1:
+            return (self.conductor, tuple((x, 1) for x in self.num))
+        pairs = []
+        for x in self.num:
+            g = gcd(x, den)
+            pairs.append((x // g, den // g))
+        return (self.conductor, tuple(pairs))
 
     # -- output -------------------------------------------------------------
 
     def complex_value(self) -> complex:
         n = self.conductor
+        den = self.den
         return sum(
-            (float(c) * cmath.exp(2j * cmath.pi * i / n) for i, c in enumerate(self.coeffs) if c),
+            (x / den * cmath.exp(2j * cmath.pi * i / n) for i, x in enumerate(self.num) if x),
             complex(0),
         )
 
     def to_json(self) -> dict:
-        coeffs = {}
-        for i, c in enumerate(self.coeffs):
-            if c:
-                coeffs[str(i)] = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+        coeffs = {str(i): _frac_str(p, q) for i, p, q in self._terms()}
         return {"conductor": self.conductor, "coeffs": coeffs}
 
     @staticmethod
     def from_json(data: dict) -> "CycNum":
-        conductor = data["conductor"]
+        """Parse ``{"conductor": N, "coeffs": {"k": "p/q"}}``.
+
+        Raises ValueError on malformed input and on conductors above
+        MAX_CONDUCTOR.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("a serialized cyclotomic number must be an object")
+        conductor = data.get("conductor")
         if not isinstance(conductor, int) or conductor < 1:
             raise ValueError("conductor must be a positive integer")
-        coeffs = {int(k): Fraction(v) for k, v in data.get("coeffs", {}).items()}
+        if conductor > MAX_CONDUCTOR:
+            raise ValueError(f"conductor {conductor} exceeds the limit {MAX_CONDUCTOR}")
+        raw = data.get("coeffs", {})
+        if not isinstance(raw, dict):
+            raise ValueError("coeffs must be an object")
+        try:
+            coeffs = {int(k): Fraction(v) for k, v in raw.items()}
+        except (TypeError, ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"bad coefficient: {exc}") from exc
         return CycNum(conductor, coeffs)
 
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
+        for i, p, q in self._terms():
             if i == 0:
-                term = str(c)
+                term = _frac_str(p, q)
             else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
+                mag = "" if abs(p) == 1 and q == 1 else f"{_frac_str(abs(p), q)}*"
                 base = f"z{self.conductor}" if i == 1 else f"z{self.conductor}^{i}"
-                term = (("-" if c < 0 else "") + mag + base)
+                term = ("-" if p < 0 else "") + mag + base
             if parts and not term.startswith("-"):
                 parts.append("+ " + term)
             elif parts:
@@ -386,48 +542,8 @@ class CycNum:
         return " ".join(parts)
 
     def __repr__(self) -> str:
-        body = {i: str(c) for i, c in enumerate(self.coeffs) if c}
+        body = {i: _frac_str(p, q) for i, p, q in self._terms()}
         return f"CycNum({self.conductor}, {body})"
-
-
-def _solve_columns(cols: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve sum_j x_j * cols[j] = rhs exactly; None if inconsistent."""
-    ncols = len(cols)
-    nrows = len(rhs)
-    aug = [[cols[j][i] if i < len(cols[j]) else _ZERO for j in range(ncols)] + [rhs[i]]
-           for i in range(nrows)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if aug[r][col]), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if aug[r][ncols]:
-            return None
-    sol = [_ZERO] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][ncols]
-    # columns without pivots stay zero; verify consistency
-    for i in range(nrows):
-        acc = _ZERO
-        for j in range(ncols):
-            if sol[j] and i < len(cols[j]):
-                acc += sol[j] * cols[j][i]
-        if acc != rhs[i]:
-            return None
-    return sol
 
 
 def zeta(n: int, k: int = 1) -> CycNum:

@@ -1,12 +1,18 @@
 """Command-line surface: exit codes, formats, determinism."""
 
 import json
+import time
 
 import pytest
 
+from mckay import cli
 from mckay.catalog import EXTRA_GROUPS
+from mckay.chartab import EigenSplitError, TableConsistencyError
 from mckay.cli import main
-from mckay.groups import ADE_SUITE
+from mckay.cyclo import MAX_CONDUCTOR
+from mckay.groups import ADE_SUITE, GroupError
+from mckay.orbifold import OrbifoldError
+from mckay.surface import SurfaceConfigError
 
 
 def run(capsys, *argv):
@@ -190,3 +196,81 @@ def test_determinism_across_seeds(capsys):
     a = strip_volatile(json.loads(out1))
     b = strip_volatile(json.loads(out2))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+# -- exit codes: user errors (2) against internal inconsistencies (3) -----------
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        TableConsistencyError("row orthogonality fails at (0, 1)"),
+        EigenSplitError("eigenspace dimensions do not add up"),
+        OrbifoldError("age 3 outside the SL2 surface range"),
+        ArithmeticError("norm is not a nonzero rational"),
+        ZeroDivisionError("division by zero in cyclotomic field"),
+    ],
+)
+def test_internal_inconsistency_exits_3(monkeypatch, capsys, exc):
+    def broken(table):
+        raise exc
+
+    monkeypatch.setattr(cli, "minor_report", broken)
+    code, out, err = run(capsys, "minor", "--type", "A2")
+    assert code == cli.INTERNAL_ERROR == 3
+    assert out == ""
+    assert err.startswith("internal error:") and str(exc) in err
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        GroupError("generator matrix has determinant != 1"),
+        SurfaceConfigError("points[0].type", "must be an ADE label string"),
+        OSError("disk unreadable"),
+    ],
+)
+def test_user_error_exits_2(monkeypatch, capsys, exc):
+    def broken(table):
+        raise exc
+
+    monkeypatch.setattr(cli, "minor_report", broken)
+    code, out, err = run(capsys, "minor", "--type", "A2")
+    assert code == cli.USAGE_ERROR == 2
+    assert out == ""
+    assert err.startswith("error:") and str(exc) in err
+
+
+def test_bad_json_group_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"cayley": [[0, 1], [1, 0]')
+    code, _, err = run(capsys, "minor", "--group", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_group_file_conductor_above_bound_exits_2(tmp_path, capsys):
+    big = {"conductor": MAX_CONDUCTOR + 1, "coeffs": {"1": "1"}}
+    one = {"conductor": 1, "coeffs": {"0": "1"}}
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps({"generators": [[[big, one], [one, big]]]}))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "minor", "--group", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert str(path) in err and "generators[0][0][0]" in err
+    assert str(MAX_CONDUCTOR) in err
+
+
+def test_group_file_common_conductor_above_bound_exits_2(tmp_path, capsys):
+    # each entry is within the bound, but the closure would work at 1019 * 1021
+    a = {"conductor": 1019, "coeffs": {"1": "1"}}
+    b = {"conductor": 1021, "coeffs": {"1": "1"}}
+    zero = {"conductor": 1, "coeffs": {}}
+    path = tmp_path / "coprime.json"
+    path.write_text(json.dumps({"generators": [[[a, zero], [zero, b]]]}))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "minor", "--group", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert str(path) in err and str(1019 * 1021) in err

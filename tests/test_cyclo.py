@@ -1,13 +1,17 @@
 """Exact cyclotomic arithmetic: canonical forms, field axioms, square roots."""
 
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mckay.cyclo import (
+    MAX_CONDUCTOR,
     CycNum,
     cyclotomic_polynomial,
+    euler_phi,
     integer_sqrt_embed,
     rational,
     zeta,
@@ -207,3 +211,208 @@ def test_division_roundtrip(a, b):
             a / b
     else:
         assert (a / b) * b == a
+
+
+# -- the integer kernel against the Fraction arithmetic --------------------------
+#
+# The oracle is the reference Fraction arithmetic: dense Fraction vectors,
+# products by schoolbook convolution, then reduction modulo Phi_N.  The
+# kernel under test stores int numerators over one common denominator.
+
+
+def ref_reduce(vals: list, n: int) -> tuple:
+    phi = cyclotomic_polynomial(n)
+    d = len(phi) - 1
+    vals = [Fraction(v) for v in vals]
+    for i in range(len(vals) - 1, d - 1, -1):
+        c = vals[i]
+        if c:
+            vals[i] = Fraction(0)
+            for j in range(d):
+                vals[i - d + j] -= c * phi[j]
+    vals += [Fraction(0)] * (d - len(vals))
+    return tuple(vals[:d])
+
+
+def ref_mul(a: tuple, b: tuple, n: int) -> tuple:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_reduce(out, n)
+
+
+def ref_key(n: int, coeffs: tuple) -> tuple:
+    return (n, tuple((c.numerator, c.denominator) for c in coeffs))
+
+
+def ref_json(n: int, coeffs: tuple) -> dict:
+    return {"conductor": n, "coeffs": {str(i): str(c) for i, c in enumerate(coeffs) if c}}
+
+
+def ref_str(n: int, coeffs: tuple) -> str:
+    parts = []
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        if i == 0:
+            term = str(c)
+        else:
+            mag = "" if abs(c) == 1 else f"{abs(c)}*"
+            term = ("-" if c < 0 else "") + mag + (f"z{n}" if i == 1 else f"z{n}^{i}")
+        if parts and not term.startswith("-"):
+            parts.append("+ " + term)
+        elif parts:
+            parts.append("- " + term[1:])
+        else:
+            parts.append(term)
+    return " ".join(parts) or "0"
+
+
+KERNEL_CONDUCTORS = st.one_of(st.sampled_from((42, 72, 84, 120)), st.integers(1, 120))
+
+
+@st.composite
+def dense_pairs(draw):
+    """A conductor and two dense Fraction vectors of length <= N."""
+    n = draw(KERNEL_CONDUCTORS)
+
+    def vector():
+        size = draw(st.integers(min_value=1, max_value=n))
+        integral = draw(st.booleans())
+        out = []
+        for _ in range(size):
+            num = draw(st.integers(min_value=-30, max_value=30))
+            den = 1 if integral else draw(st.integers(min_value=1, max_value=12))
+            out.append(Fraction(num, den) if draw(st.integers(0, 3)) else Fraction(0))
+        return out
+
+    return n, vector(), vector()
+
+
+def assert_canonical(x: CycNum):
+    assert x.den > 0
+    assert gcd(x.den, *x.num) == 1
+    assert len(x.num) == euler_phi(x.conductor)
+    assert all(type(v) is int for v in x.num)
+
+
+def assert_matches(x: CycNum, n: int, coeffs: tuple):
+    assert_canonical(x)
+    assert x.conductor == n
+    assert x.coeffs == coeffs
+    assert x.key() == ref_key(n, coeffs)
+    assert x.to_json() == ref_json(n, coeffs)
+    assert str(x) == ref_str(n, coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_pairs())
+def test_kernel_matches_fraction_oracle(case):
+    n, va, vb = case
+    a, b = CycNum(n, va), CycNum(n, vb)
+    ra, rb = ref_reduce(va, n), ref_reduce(vb, n)
+    assert_matches(a, n, ra)
+    assert_matches(b, n, rb)
+    assert_matches(a + b, n, tuple(x + y for x, y in zip(ra, rb)))
+    assert_matches(a - b, n, tuple(x - y for x, y in zip(ra, rb)))
+    assert_matches(-a, n, tuple(-x for x in ra))
+    assert_matches(a * b, n, ref_mul(ra, rb, n))
+    assert_matches(a * Fraction(-3, 4), n, tuple(x * Fraction(-3, 4) for x in ra))
+    assert_matches(a.conj(), n, ref_reduce(_conj_dense(ra, n), n))
+
+
+def _conj_dense(coeffs: tuple, n: int) -> list:
+    out = [Fraction(0)] * n
+    for i, c in enumerate(coeffs):
+        out[(n - i) % n] += c
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_pairs())
+def test_inverse_through_the_norm(case):
+    n, va, _ = case
+    a = CycNum(n, va)
+    if a.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        return
+    inv = a.inverse()
+    assert_canonical(inv)
+    assert a * inv == 1
+    assert inv * a == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_pairs(), st.integers(min_value=2, max_value=3))
+def test_inverse_commutes_with_lift(case, k):
+    n, va, _ = case
+    a = CycNum(n, va)
+    if a.is_zero():
+        return
+    lifted = a.lift(n * k)
+    assert_canonical(lifted)
+    assert lifted.inverse() == a.inverse()
+
+
+def test_zero_inverse_raises():
+    for n in (1, 2, 42, 120):
+        with pytest.raises(ZeroDivisionError):
+            CycNum(n, {}).inverse()
+
+
+def test_inverse_rejects_a_non_rational_norm(monkeypatch):
+    # a kernel fault that spoils the norm must raise, never return a value
+    import mckay.cyclo as cyclo
+
+    monkeypatch.setattr(cyclo, "_galois_steps", lambda n: ())
+    with pytest.raises(ArithmeticError):
+        zeta(5).inverse()
+
+
+def test_cyclotomic_polynomial_matches_division_of_x_n_minus_1():
+    # Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d, by long division
+    for n in list(range(1, 121)) + [210, 240, 360]:
+        poly = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d:
+                continue
+            den = cyclotomic_polynomial(d)
+            quot = [0] * (len(poly) - len(den) + 1)
+            for i in range(len(quot) - 1, -1, -1):
+                c = poly[i + len(den) - 1]
+                quot[i] = c
+                if c:
+                    for j, t in enumerate(den):
+                        poly[i + j] -= c * t
+            assert not any(poly)
+            poly = quot
+        assert tuple(poly) == cyclotomic_polynomial(n)
+
+
+def test_from_json_rejects_conductor_above_bound():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=str(MAX_CONDUCTOR)):
+        CycNum.from_json({"conductor": MAX_CONDUCTOR + 1, "coeffs": {"1": "1"}})
+    assert time.perf_counter() - start < 0.5
+    edge = CycNum.from_json({"conductor": MAX_CONDUCTOR, "coeffs": {"1": "1"}})
+    assert edge == zeta(MAX_CONDUCTOR)
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        [],
+        {"coeffs": {"0": "1"}},
+        {"conductor": "4"},
+        {"conductor": 4, "coeffs": ["1"]},
+        {"conductor": 4, "coeffs": {"x": "1"}},
+        {"conductor": 4, "coeffs": {"0": "1/0"}},
+        {"conductor": 4, "coeffs": {"0": None}},
+        {"conductor": 4, "coeffs": {"0": float("inf")}},
+    ],
+)
+def test_from_json_rejects_malformed_input(blob):
+    with pytest.raises(ValueError):
+        CycNum.from_json(blob)
