@@ -242,6 +242,13 @@ def ref_mul(a: tuple, b: tuple, n: int) -> tuple:
     return ref_reduce(out, n)
 
 
+def ref_conj(coeffs: tuple, n: int) -> tuple:
+    out = [Fraction(0)] * n
+    for i, c in enumerate(coeffs):
+        out[(n - i) % n] += c
+    return ref_reduce(out, n)
+
+
 def ref_key(n: int, coeffs: tuple) -> tuple:
     return (n, tuple((c.numerator, c.denominator) for c in coeffs))
 
@@ -319,14 +326,7 @@ def test_kernel_matches_fraction_oracle(case):
     assert_matches(-a, n, tuple(-x for x in ra))
     assert_matches(a * b, n, ref_mul(ra, rb, n))
     assert_matches(a * Fraction(-3, 4), n, tuple(x * Fraction(-3, 4) for x in ra))
-    assert_matches(a.conj(), n, ref_reduce(_conj_dense(ra, n), n))
-
-
-def _conj_dense(coeffs: tuple, n: int) -> list:
-    out = [Fraction(0)] * n
-    for i, c in enumerate(coeffs):
-        out[(n - i) % n] += c
-    return out
+    assert_matches(a.conj(), n, ref_conj(ra, n))
 
 
 @settings(max_examples=60, deadline=None)
