@@ -55,16 +55,33 @@ def _dump(payload: dict, out_path: str | None) -> None:
 
 
 def _load_group_file(path: str) -> FiniteGroup:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    """Load a group file; every rejection of its content names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        return _parse_group_file(data, str(path))
+    except ValueError as exc:  # a GroupError, or undecodable text or JSON
+        raise GroupError(f"{path}: {exc}") from exc
+
+
+def _parse_group_file(data, name: str) -> FiniteGroup:
     if not isinstance(data, dict):
         raise GroupError("group file must contain a JSON object")
     if "cayley" in data:
-        return group_from_cayley(data["cayley"], name=str(path))
+        return group_from_cayley(data["cayley"], name=name)
     if "generators" in data:
+        gens = data["generators"]
+        if not isinstance(gens, list):
+            raise GroupError("generators must be a list of 2x2 matrices")
         mats = []
         conductor = 1
-        for i, matrix in enumerate(data["generators"]):
+        for i, matrix in enumerate(gens):
+            if not (
+                isinstance(matrix, list)
+                and len(matrix) == 2
+                and all(isinstance(row, list) and len(row) == 2 for row in matrix)
+            ):
+                raise GroupError(f"generators[{i}] is not a 2x2 list of lists")
             mat = []
             for r, row in enumerate(matrix):
                 entries = []
@@ -72,17 +89,17 @@ def _load_group_file(path: str) -> FiniteGroup:
                     try:
                         entries.append(CycNum.from_json(entry))
                     except ValueError as exc:
-                        raise GroupError(f"{path}: generators[{i}][{r}][{c}]: {exc}") from exc
+                        raise GroupError(f"generators[{i}][{r}][{c}]: {exc}") from exc
                     conductor = lcm(conductor, entries[-1].conductor)
                 mat.append(entries)
             mats.append(mat)
         # the closure works at the common conductor of all entries
         if conductor > MAX_CONDUCTOR:
             raise GroupError(
-                f"{path}: generator entries span conductor {conductor}, "
+                f"generator entries span conductor {conductor}, "
                 f"above the limit {MAX_CONDUCTOR}"
             )
-        return group_from_generators(mats, name=str(path))
+        return group_from_generators(mats, name=name)
     raise GroupError("group file needs a 'cayley' table or 'generators' matrices")
 
 

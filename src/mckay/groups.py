@@ -3,16 +3,17 @@
 Matrix groups are enumerated by breadth-first closure from hard-coded
 generator matrices (identity first, deterministic order), after which the
 full Cayley table is assembled from left-translation permutations.  Groups
-ingested from raw Cayley tables are validated exhaustively before use.
+ingested from raw Cayley tables are validated exhaustively before use, at
+every order; associativity costs O(n^2 log n) by Light's test.
 """
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
+from operator import itemgetter
 
 from .cyclo import CycNum, rational, zeta
 
@@ -328,53 +329,92 @@ def build_binary_polyhedral(label: str) -> FiniteGroup:
 # -- Cayley-table ingestion ---------------------------------------------------
 
 
-def _check_associativity(table, sample: int | None, seed: int):
-    """Return a witness triple (a, b, c) violating associativity, or None.
+def _associativity_witness(table, identity: int):
+    """Return a triple (a, b, c) with (ab)c != a(bc), or None if there is none.
 
-    The exhaustive check compares left-translation rows: row(ab) must equal
-    row(a) o row(b), which covers every triple.  ``sample`` switches to
-    seeded random triples for very large tables.
+    ``table`` is a Latin square with two-sided identity ``identity``.  This is
+    Light's test (Clifford & Preston, The Algebraic Theory of Semigroups I,
+    1961, section 1.2): b passes when row(ab) = row(a) o row(b) for every a,
+    i.e. (ab)c = a(bc) for every a and c.  Elements b = 0, 1, ... outside the
+    closure of the generators found so far are tested; a passing b becomes a
+    generator, and the closure grows from the identity by right
+    multiplication with the generators.
+
+    Proof sketch.  If b and b' pass, so does bb': (x(bb'))y = ((xb)b')y =
+    (xb)(b'y) = x(b(b'y)) = x((bb')y).  The closure H of passing generators is
+    therefore a set of passing elements closed under products, hence a group;
+    when it is the whole table every b passes and the table is associative.
+    The cosets aH partition the Latin square ((ah)H = a(hH) = aH), so |H|
+    divides n and each new generator at least doubles the closure.  At most
+    floor(log2 n) + 1 elements are tested, at O(n^2) each: O(n^2 log n) in
+    all, at every order.
     """
     n = len(table)
-    if sample is None:
+    rows = [tuple(row) for row in table]
+    closure = {identity}
+    members = [identity]
+    generators = []
+    for b in range(n):
+        if b in closure:
+            continue
+        # n >= 2 here (b is not the identity), so this returns tuples
+        compose_b = itemgetter(*rows[b])
         for a in range(n):
-            ra = table[a]
-            for b in range(n):
-                rb = table[b]
-                composed = [ra[x] for x in rb]
-                if composed != list(table[ra[b]]):
-                    for c in range(n):
-                        if composed[c] != table[ra[b]][c]:
-                            return (a, b, c)
-        return None
-    rng = random.Random(seed)
-    for _ in range(sample):
-        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-        if table[table[a][b]][c] != table[a][table[b][c]]:
-            return (a, b, c)
+            row_a = rows[a]
+            composed = compose_b(row_a)
+            row_ab = rows[row_a[b]]
+            if composed != row_ab:
+                c = next(c for c in range(n) if composed[c] != row_ab[c])
+                return (a, b, c)
+        generators.append(b)
+        # every member so far must also be multiplied by the new generator
+        i = 0
+        while i < len(members):
+            row_x = rows[members[i]]
+            for g in generators:
+                y = row_x[g]
+                if y not in closure:
+                    closure.add(y)
+                    members.append(y)
+            i += 1
     return None
 
 
-def group_from_cayley(table, name: str = "G", seed: int = 0) -> FiniteGroup:
+def group_from_cayley(table, name: str = "G") -> FiniteGroup:
     """Validate a raw Cayley table and wrap it as a FiniteGroup.
 
-    Checks: square shape over valid indices, invertible rows and columns,
-    an identity element, and associativity (exhaustive up to order 512,
-    seeded random triples beyond).  If the identity is not at index 0 the
-    elements are relabeled by the transposition swapping it to 0.
+    Checks: a list of row lists whose entries are ints in range(n), a square
+    shape, invertible rows and columns, an identity element, and
+    associativity by Light's test (exhaustive at every order, O(n^2 log n);
+    see :func:`_associativity_witness`).  If the identity is not at index 0
+    the elements are relabeled by the transposition swapping it to 0.
+    Rejections raise GroupValidationError with a witness: the position of a
+    bad row or entry, or a triple (a, b, c) with (ab)c != a(bc).
     """
-    table = [list(row) for row in table]
+    if not isinstance(table, (list, tuple)):
+        raise GroupValidationError("table must be a list of rows")
     n = len(table)
     if n == 0:
         raise GroupValidationError("empty table")
-    full = set(range(n))
     for i, row in enumerate(table):
+        if not isinstance(row, (list, tuple)):
+            raise GroupValidationError(f"row {i} is not a list", witness=("row", i))
         if len(row) != n:
             raise GroupValidationError(f"row {i} has length {len(row)}, expected {n}")
+        # type first: 0.0 and True compare equal to 0 and 1
+        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
+            j = next(j for j, e in enumerate(row) if type(e) is not int or not 0 <= e < n)
+            raise GroupValidationError(
+                f"entry [{i}][{j}] = {row[j]!r} is not an element index in range({n})",
+                witness=("entry", i, j),
+            )
+    table = [tuple(row) for row in table]
+    full = set(range(n))
+    for i, row in enumerate(table):
         if set(row) != full:
             raise GroupValidationError("non-invertible rows", witness=("row", i))
-    for j in range(n):
-        if {table[i][j] for i in range(n)} != full:
+    for j, column in enumerate(zip(*table)):
+        if set(column) != full:
             raise GroupValidationError("non-invertible rows", witness=("column", j))
     identity = None
     for e in range(n):
@@ -383,7 +423,7 @@ def group_from_cayley(table, name: str = "G", seed: int = 0) -> FiniteGroup:
             break
     if identity is None:
         raise GroupValidationError("no identity element")
-    witness = _check_associativity(table, None if n <= 512 else 8 * n, seed)
+    witness = _associativity_witness(table, identity)
     if witness is not None:
         raise GroupValidationError(
             f"table is not associative at {witness}", witness=witness

@@ -274,3 +274,39 @@ def test_group_file_common_conductor_above_bound_exits_2(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert str(path) in err and str(1019 * 1021) in err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"cayley": 5},
+        {"generators": 5},
+        {"cayley": [5]},
+        {"generators": [[1, 2]]},
+        {"cayley": [[0, 1], [1, 0.0]]},
+        [1, 2],
+        {},
+    ],
+)
+def test_malformed_group_file_exits_2_naming_the_file(tmp_path, capsys, body):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(body))
+    code, out, err = run(capsys, "minor", "--group", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: ")
+
+
+def test_large_non_associative_loop_exits_2_with_witness(tmp_path, capsys):
+    # Z_520 with the intercalate at rows/cols {1, 261} swapped: a Latin loop
+    n = 520
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    for r, c in ((1, 1), (261, 1)):
+        table[r][c], table[r][261] = table[r][261], table[r][c]
+    path = tmp_path / "loop520.json"
+    path.write_text(json.dumps({"cayley": table}))
+    code, _, err = run(capsys, "minor", "--group", str(path))
+    assert code == 2
+    assert err.startswith(f"error: {path}: table is not associative at (")
+    a, b, c = (int(x) for x in err.split("(")[1].split(")")[0].split(","))
+    assert table[table[a][b]][c] != table[a][table[b][c]]

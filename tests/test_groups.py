@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mckay.cyclo import rational, zeta
 from mckay.groups import (
@@ -153,6 +154,170 @@ def test_cayley_non_associative_rejected():
     a, b, c = witness
     t = NONASSOCIATIVE_LOOP
     assert t[t[a][b]][c] != t[a][t[b][c]]
+
+
+def brute_force_witness(table):
+    """First (a, b, c) with (ab)c != a(bc), by the plain triple loop."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return (a, b, c)
+    return None
+
+
+def is_violation(table, witness):
+    a, b, c = witness
+    return table[table[a][b]][c] != table[a][table[b][c]]
+
+
+def swap_intercalate(table, rows, cols):
+    """Swap the 2x2 block at ``rows`` x ``cols``; it must be an intercalate."""
+    (r1, r2), (c1, c2) = rows, cols
+    assert table[r1][c1] == table[r2][c2] and table[r1][c2] == table[r2][c1]
+    table[r1][c1], table[r1][c2] = table[r1][c2], table[r1][c1]
+    table[r2][c1], table[r2][c2] = table[r2][c2], table[r2][c1]
+
+
+def test_cayley_large_non_associative_loop_rejected():
+    # Z_520 with one intercalate off the identity swapped: a Latin loop whose
+    # violating triples are few, so a sampled check would likely miss them
+    n = 520
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    swap_intercalate(table, (1, 261), (1, 261))
+    with pytest.raises(GroupValidationError) as err:
+        group_from_cayley(table)
+    assert "not associative" in str(err.value)
+    assert is_violation(table, err.value.witness)
+
+
+def test_cayley_closure_grows_from_the_identity():
+    # Z3 x {0, 1} with (a, 1)(b, 1) = (2a + 2b, 0): exactly the Z3 half is
+    # middle-associative.  Index 0 is (0, 1) and the identity (0, 0) sits at
+    # index 2, so a closure grown from index 0 would be the failing coset and
+    # every failing element would be skipped.
+    table = [
+        [2, 4, 0, 5, 3, 1],
+        [4, 3, 1, 2, 5, 0],
+        [0, 1, 2, 3, 4, 5],
+        [5, 2, 3, 1, 0, 4],
+        [3, 5, 4, 0, 1, 2],
+        [1, 0, 5, 4, 2, 3],
+    ]
+    assert brute_force_witness(table) is not None
+    with pytest.raises(GroupValidationError) as err:
+        group_from_cayley(table)
+    assert is_violation(table, err.value.witness)
+
+
+@pytest.mark.parametrize(
+    "table, witness",
+    [
+        ([[0, 1], [1, 0.0]], ("entry", 1, 1)),
+        ([[0, 1], [1, True]], ("entry", 1, 1)),
+        ([[0, 1], [2, 0]], ("entry", 1, 0)),
+        ([[0, 1], [-1, 0]], ("entry", 1, 0)),
+        ([[0, 1], "10"], ("row", 1)),
+        ([5], ("row", 0)),
+        (5, None),
+    ],
+)
+def test_cayley_malformed_entries_rejected_with_position(table, witness):
+    with pytest.raises(GroupValidationError) as err:
+        group_from_cayley(table)
+    assert err.value.witness == witness
+
+
+def cycle(points, degree):
+    perm = list(range(degree))
+    for k, p in enumerate(points):
+        perm[p] = points[(k + 1) % len(points)]
+    return tuple(perm)
+
+
+def perm_group_table(gens):
+    """Cayley table of the permutation group generated by ``gens``."""
+    degree = len(gens[0])
+    elems = [tuple(range(degree))]
+    seen = set(elems)
+    for p in elems:
+        for g in gens:
+            q = tuple(p[g[k]] for k in range(degree))
+            if q not in seen:
+                seen.add(q)
+                elems.append(q)
+    index = {p: i for i, p in enumerate(elems)}
+    return [[index[tuple(p[q[k]] for k in range(degree))] for q in elems] for p in elems]
+
+
+def dihedral_gens(m):
+    return [cycle(list(range(m)), m), tuple((-k) % m for k in range(m))]
+
+
+# generator sets of groups of order <= 24
+SMALL_GROUP_GENS = (
+    [[cycle(list(range(n)), n)] for n in range(1, 25)]                   # Z_n
+    + [dihedral_gens(m) for m in range(3, 13)]                            # Dih_2m
+    + [
+        [cycle([0, 1], 4), cycle([2, 3], 4)],                             # Z2 x Z2
+        [cycle([0, 1], 6), cycle([2, 3, 4, 5], 6)],                       # Z2 x Z4
+        [cycle([0, 1, 2], 6), cycle([3, 4, 5], 6)],                       # Z3 x Z3
+        [cycle([0, 1], 6), cycle([2, 3], 6), cycle([4, 5], 6)],           # Z2^3
+        [cycle([0, 1, 2, 3], 8), cycle([4, 5, 6, 7], 8)],                 # Z4 x Z4
+        [cycle([0, 1, 2], 4), cycle([1, 2, 3], 4)],                       # A4
+        [cycle([0, 1, 2, 3], 4), cycle([0, 1], 4)],                       # S4
+        [cycle([0, 1, 2], 5), cycle([0, 1], 5), cycle([3, 4], 5)],        # S3 x Z2
+        [cycle([0, 1, 2], 6), cycle([0, 1], 6), cycle([3, 4, 5], 6)],     # S3 x Z3
+        [cycle([0, 1, 2, 3], 6), cycle([0, 2], 6), cycle([4, 5], 6)],     # Dih8 x Z2
+        [cycle([0, 1, 2], 6), cycle([1, 2, 3], 6), cycle([4, 5], 6)],     # A4 x Z2
+    ]
+)
+
+
+def intercalate_avoiding(table, identity, start):
+    """First intercalate ((r1, r2), (c1, c2)) off the identity's row and
+    column, scanning rows from the ``start``-th non-identity row, or None."""
+    others = [x for x in range(len(table)) if x != identity]
+    column_of = [{v: c for c, v in enumerate(row)} for row in table]
+    for r1 in others[start:] + others[:start]:
+        for c1 in others:
+            for r2 in others:
+                c2 = column_of[r2][table[r1][c1]]
+                if r2 != r1 and c2 != identity and table[r1][c2] == table[r2][c1]:
+                    return (r1, r2), (c1, c2)
+    return None
+
+
+@st.composite
+def latin_loops(draw):
+    """A group table of order <= 24, relabeled so the identity may sit
+    anywhere, with one intercalate off the identity swapped or not."""
+    base = perm_group_table(draw(st.sampled_from(SMALL_GROUP_GENS)))
+    n = len(base)
+    sigma = draw(st.permutations(range(n)))
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            table[sigma[i]][sigma[j]] = sigma[base[i][j]]
+    if draw(st.booleans()):
+        start = draw(st.integers(min_value=0, max_value=max(n - 2, 0)))
+        found = intercalate_avoiding(table, sigma[0], start)
+        if found:
+            swap_intercalate(table, *found)
+    return table
+
+
+@settings(max_examples=120, deadline=None)
+@given(latin_loops())
+def test_cayley_associativity_matches_brute_force(table):
+    expected = brute_force_witness(table)
+    if expected is None:
+        assert group_from_cayley(table).order == len(table)
+    else:
+        with pytest.raises(GroupValidationError) as err:
+            group_from_cayley(table)
+        assert is_violation(table, err.value.witness)
 
 
 def test_cayley_validation_errors():
