@@ -1,7 +1,7 @@
 """Cached construction pipelines for the verification corpus.
 
 Groups, tables and correspondence data are immutable, so they are built
-once per (label, seed) by :func:`mckay.correspondence.build_local` and
+once per label by :func:`mckay.correspondence.build_local` and
 shared by the CLI, the corpus runner and the test suite.
 """
 
@@ -40,9 +40,9 @@ def ade_group(label: str) -> FiniteGroup:
 
 
 @lru_cache(maxsize=None)
-def ade_bundle(label: str, seed: int = 0) -> Bundle:
+def ade_bundle(label: str) -> Bundle:
     group = ade_group(label)
-    return build_local(group, character_table(group, seed=seed))
+    return build_local(group, character_table(group))
 
 
 @lru_cache(maxsize=None)
@@ -61,8 +61,8 @@ def extra_group(name: str) -> FiniteGroup:
 
 
 @lru_cache(maxsize=None)
-def extra_table(name: str, seed: int = 0) -> CharacterTable:
-    return character_table(extra_group(name), seed=seed)
+def extra_table(name: str) -> CharacterTable:
+    return character_table(extra_group(name))
 
 
 def clear_caches() -> None:

@@ -2,19 +2,19 @@
 
 Character tables are computed by the class-algebra method: the class
 multiplication matrices are simultaneously diagonalised over a prime field
-F_p with p = 1 (mod exponent) and p > 2*sqrt(|G|), using seeded random
-linear combinations to split eigenspaces; eigenvalue data is then lifted to
-exact cyclotomic integers through the discrete Fourier inversion of the
-power map.  Both orthogonality relations are re-verified exactly before a
-table is returned, so a modular accident can never produce a wrong table
-silently.
+F_p with p = 1 (mod exponent) and p > 2*sqrt(|G|), splitting eigenspaces by
+the class matrices themselves in class order, so the computation is
+deterministic; eigenvalue data is then lifted to exact cyclotomic integers
+through the discrete Fourier inversion of the power map.  Both
+orthogonality relations are re-verified exactly before a table is returned,
+so a modular accident can never produce a wrong table silently.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 from .cyclo import CycNum, rational
@@ -40,7 +40,7 @@ class CharacterTableError(RuntimeError):
 
 
 class EigenSplitError(CharacterTableError):
-    """Random linear combinations failed to separate all eigenspaces."""
+    """The class matrices failed to separate all eigenspaces."""
 
 
 class TableConsistencyError(CharacterTableError):
@@ -56,8 +56,7 @@ class CharacterTable:
     """Exact irreducible characters of a finite group.
 
     Row 0 is the trivial character; the remaining rows are sorted by
-    (degree, canonical coefficient vectors), which makes the table
-    independent of the eigensplitting seed.  ``natural_character`` is the
+    (degree, canonical coefficient vectors).  ``natural_character`` is the
     trace of the stored 2-dimensional matrix representation (present for
     SL2 subgroups only); it need not be irreducible.
     """
@@ -75,6 +74,11 @@ class CharacterTable:
 
     def value(self, row: int, cls: int) -> CycNum:
         return self.rows[row][cls]
+
+    @cached_property
+    def conj_rows(self) -> tuple[tuple[CycNum, ...], ...]:
+        """The complex conjugate of every row, computed once per table."""
+        return tuple(tuple(v.conj() for v in row) for row in self.rows)
 
 
 def class_multiplication_tensor(group: FiniteGroup):
@@ -258,28 +262,31 @@ def _split_space(space: _Subspace, op, p) -> list[_Subspace]:
     return out
 
 
-def _common_eigenvectors(matrices, p, seed, attempts=32):
+def _common_eigenvectors(matrices, p):
+    """The common eigenvectors of the class matrices K_0, K_1, ... over F_p.
+
+    Every space of dimension > 1 is split by the eigenspaces of K_0, K_1,
+    ... in class order, until all spaces are 1-dimensional.  This always
+    finishes when p = 1 (mod exponent): every prime divisor of |G| divides
+    the exponent, so p does not divide |G|, and F_p holds the exponent-th
+    roots of unity.  Hence Z(F_p G) is split semisimple, isomorphic to F_p^m
+    through m distinct central characters.  The class sums span Z(F_p G),
+    so any two of those characters differ on some K_i, and the eigenspaces
+    of all the K_i together are lines.  Raises EigenSplitError if spaces of
+    dimension > 1 remain after the last K_i.
+    """
     m = len(matrices)
-    full = _Subspace([[1 if i == j else 0 for j in range(m)] for i in range(m)], list(range(m)))
-    spaces = [full]
-    rng = random.Random(seed)
-    for _ in range(attempts):
+    spaces = [_Subspace([[int(i == j) for j in range(m)] for i in range(m)], list(range(m)))]
+    for op in matrices:
         if all(s.dim == 1 for s in spaces):
             break
-        coeffs = [rng.randrange(p) for _ in range(m)]
-        op = [
-            [sum(coeffs[t] * matrices[t][r][c] for t in range(m)) % p for c in range(m)]
-            for r in range(m)
-        ]
         spaces = [
             sub
             for s in spaces
             for sub in ([s] if s.dim == 1 else _split_space(s, op, p))
         ]
-    else:
-        raise EigenSplitError(
-            f"failed to split eigenspaces after {attempts} seeded attempts"
-        )
+    if any(s.dim > 1 for s in spaces):
+        raise EigenSplitError("the class matrices do not split every eigenspace")
     return [s.basis[0] for s in spaces]
 
 
@@ -334,18 +341,18 @@ def _row_sort_key(row, degree, exponent):
     return (degree, tuple(flat))
 
 
-def _verify_orthogonality(rows, conj, order):
-    m = len(rows)
-    sizes = conj.sizes
-    conj_rows = [tuple(v.conj() for v in row) for row in rows]
+def _pairing(values, conj_values, sizes) -> CycNum:
+    """Sum over classes c of |C_c| * u_c * conj(v_c), given u and conj(v)."""
+    return sum((u * v * size for u, v, size in zip(values, conj_values, sizes)), rational(0))
+
+
+def _verify_orthogonality(table: CharacterTable) -> None:
+    rows, conj_rows = table.rows, table.conj_rows
+    sizes, order, m = table.conj.sizes, table.group.order, table.size
     for i in range(m):
         for j in range(i, m):
-            acc = rational(0)
-            for c in range(m):
-                term = rows[i][c] * conj_rows[j][c]
-                acc = acc + term * sizes[c]
             expected = order if i == j else 0
-            if acc.as_rational() != expected:
+            if _pairing(rows[i], conj_rows[j], sizes).as_rational() != expected:
                 raise TableConsistencyError(f"row orthogonality fails at ({i}, {j})")
     for c in range(m):
         for c2 in range(c, m):
@@ -357,12 +364,12 @@ def _verify_orthogonality(rows, conj, order):
                 raise TableConsistencyError(f"column orthogonality fails at ({c}, {c2})")
 
 
-def character_table(group: FiniteGroup, seed: int = 0) -> CharacterTable:
+def character_table(group: FiniteGroup) -> CharacterTable:
     """The exact character table of a finite group.
 
-    The splitting of modular eigenspaces is randomised from ``seed``; the
-    returned table does not depend on the seed (canonical row order, fixed
-    prime and primitive root).
+    Deterministic: the prime, its primitive root and the eigenspace split
+    (by the class matrices in class order) are fixed by the group, and the
+    rows come out in canonical order.
     """
     conj = group.conjugacy
     m = len(conj.classes)
@@ -375,9 +382,7 @@ def character_table(group: FiniteGroup, seed: int = 0) -> CharacterTable:
     ]
     p = _dixon_prime(order, exponent)
     z = pow(_primitive_root(p), (p - 1) // exponent, p)
-    vectors = _common_eigenvectors(matrices, p, seed)
-    if len(vectors) != m:
-        raise EigenSplitError("wrong number of common eigenvectors")
+    vectors = _common_eigenvectors(matrices, p)
     pm = _power_map(group, conj)
     inv_sizes = [pow(s, p - 2, p) for s in conj.sizes]
     rows = []
@@ -409,29 +414,23 @@ def character_table(group: FiniteGroup, seed: int = 0) -> CharacterTable:
         key=lambda i: _row_sort_key(rows[i], degrees[i], exponent),
     )
     perm = [trivial[0]] + order_keys
-    rows = tuple(rows[i] for i in perm)
-    degrees = tuple(degrees[i] for i in perm)
-    _verify_orthogonality(rows, conj, order)
     natural = None
     if group.matrix_rep is not None:
         natural = tuple(group.trace(rep) for rep in conj.representatives)
-    return CharacterTable(
+    table = CharacterTable(
         group=group,
         conj=conj,
-        rows=rows,
-        degrees=degrees,
+        rows=tuple(rows[i] for i in perm),
+        degrees=tuple(degrees[i] for i in perm),
         natural_character=natural,
         prime=p,
     )
+    _verify_orthogonality(table)
+    return table
 
 
 def _inner_multiplicity(table: CharacterTable, left_values, right_row: int) -> int:
-    conj = table.conj
-    acc = rational(0)
-    for c in range(table.size):
-        term = left_values[c] * table.rows[right_row][c].conj()
-        acc = acc + term * conj.sizes[c]
-    value = acc.as_rational()
+    value = _pairing(left_values, table.conj_rows[right_row], table.conj.sizes).as_rational()
     if value is None:
         raise TableConsistencyError("inner product is not rational")
     q = value / table.group.order

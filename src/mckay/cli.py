@@ -3,9 +3,9 @@
 Exit codes: 0 all checks passed, 1 a verification check failed, 2 usage or
 input error, 3 internal inconsistency (a character table, eigenspace split or
 orbifold ring that contradicts itself, or exact arithmetic that fails its own
-check), which is a fault of the program and not of the input.  All
-randomness (modular eigenspace splitting) flows from the single --seed flag;
-reports are byte-identical across runs up to the recorded seed and timings.
+check), which is a fault of the program and not of the input.  The program
+uses no randomness (--seed is only recorded); reports are byte-identical
+across runs and seeds up to the recorded seed and timings.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def _parse_group_file(data, name: str) -> FiniteGroup:
 
 def _resolve_group(args) -> FiniteGroup:
     if getattr(args, "type", None):
-        return ade_bundle(args.type.strip().upper(), args.seed).group
+        return ade_bundle(args.type.strip().upper()).group
     if getattr(args, "group", None):
         return _load_group_file(args.group)
     if getattr(args, "name", None):
@@ -179,16 +179,16 @@ def _cmd_group(args) -> int:
 
 def _cmd_chartable(args) -> int:
     if getattr(args, "type", None):
-        table = ade_bundle(args.type.strip().upper(), args.seed).table
+        table = ade_bundle(args.type.strip().upper()).table
     else:
-        table = character_table(_resolve_group(args), seed=args.seed)
+        table = character_table(_resolve_group(args))
     _dump({"schema": 1, "command": "chartable", "table": _table_payload(table)}, args.out)
     return 0
 
 
 def _cmd_mckay(args) -> int:
     label = args.type.strip().upper()
-    graph = ade_bundle(label, args.seed).graph
+    graph = ade_bundle(label).graph
     if args.format == "dot":
         text = _graph_dot(graph)
         if args.dot:
@@ -207,7 +207,7 @@ def _cmd_mckay(args) -> int:
 
 def _cmd_local(args) -> int:
     label = args.type.strip().upper()
-    bundle = ade_bundle(label, args.seed)
+    bundle = ade_bundle(label)
     payload: dict = {"schema": 1, "command": "local", "group": _group_info(bundle.group)}
     if args.dump_orbifold:
         algebra = bundle.orbifold if args.full else bundle.invariant
@@ -235,7 +235,7 @@ def _verify_payload(report, seed: int, command: str) -> dict:
 
 def _cmd_verify_local(args) -> int:
     label = args.type.strip().upper()
-    bundle = ade_bundle(label, args.seed)
+    bundle = ade_bundle(label)
     report = verify_correspondence(bundle.cmap)
     payload = _verify_payload(report, args.seed, "verify local")
     payload["phi"] = bundle.cmap.to_json()
@@ -245,18 +245,18 @@ def _cmd_verify_local(args) -> int:
 
 def _cmd_verify_global(args) -> int:
     model = load_surface(args.config)
-    report = verify_global(model, seed=args.seed)
+    report = verify_global(model)
     _dump(_verify_payload(report, args.seed, "verify global"), args.out)
     return 0 if report.passed else 1
 
 
 def _cmd_minor(args) -> int:
     if getattr(args, "type", None):
-        table = ade_bundle(args.type.strip().upper(), args.seed).table
+        table = ade_bundle(args.type.strip().upper()).table
     elif getattr(args, "name", None):
-        table = extra_table(args.name, args.seed)
+        table = extra_table(args.name)
     else:
-        table = character_table(_resolve_group(args), seed=args.seed)
+        table = character_table(_resolve_group(args))
     report = minor_report(table)
     payload = _verify_payload(report, args.seed, "minor")
     payload["determinant"] = report.checks[0].detail["determinant"]
@@ -264,8 +264,8 @@ def _cmd_minor(args) -> int:
     return 0 if report.passed else 1
 
 
-def _corpus_entry_ade(label: str, seed: int) -> dict:
-    bundle = ade_bundle(label, seed)
+def _corpus_entry_ade(label: str) -> dict:
+    bundle = ade_bundle(label)
     report = verify_correspondence(bundle.cmap)
     minor = minor_report(bundle.table)
     return {
@@ -279,8 +279,8 @@ def _corpus_entry_ade(label: str, seed: int) -> dict:
     }
 
 
-def _corpus_entry_extra(name: str, seed: int) -> dict:
-    table = extra_table(name, seed)
+def _corpus_entry_extra(name: str) -> dict:
+    table = extra_table(name)
     minor = minor_report(table)
     return {
         "label": name,
@@ -293,8 +293,8 @@ def _corpus_entry_extra(name: str, seed: int) -> dict:
 
 def _cmd_corpus(args) -> int:
     t0 = time.perf_counter()
-    entries = [_corpus_entry_ade(label, args.seed) for label in ADE_SUITE] + [
-        _corpus_entry_extra(name, args.seed) for name in EXTRA_GROUPS
+    entries = [_corpus_entry_ade(label) for label in ADE_SUITE] + [
+        _corpus_entry_extra(name) for name in EXTRA_GROUPS
     ]
     entries.sort(key=lambda e: (e["kind"], e["label"]))
     overall = all(e["pass"] for e in entries)
@@ -317,11 +317,11 @@ def _cmd_corpus(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
-def _add_common(parser, out=True, seed=True):
-    if seed:
-        parser.add_argument("--seed", type=int, default=0, help="seed for eigenspace splitting")
-    if out:
-        parser.add_argument("--out", help="write the JSON report to this path")
+def _add_common(parser):
+    parser.add_argument(
+        "--seed", type=int, default=0, help="accepted and recorded in the report; has no effect"
+    )
+    parser.add_argument("--out", help="write the JSON report to this path")
 
 
 def build_parser() -> argparse.ArgumentParser:

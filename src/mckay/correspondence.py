@@ -199,12 +199,10 @@ def build_local(group: FiniteGroup, table: CharacterTable) -> Bundle:
     )
 
 
-def phi_local(
-    group: FiniteGroup, table: CharacterTable | None = None, seed: int = 0
-) -> CorrespondenceMap:
+def phi_local(group: FiniteGroup, table: CharacterTable | None = None) -> CorrespondenceMap:
     """Build the scaled correspondence matrix for one SL2 subgroup."""
     if table is None:
-        table = character_table(group, seed=seed)
+        table = character_table(group)
     return build_local(group, table).cmap
 
 
@@ -411,10 +409,10 @@ def verify_correspondence(cmap: CorrespondenceMap) -> VerificationReport:
     )
 
 
-def verify_local(group: FiniteGroup, seed: int = 0) -> VerificationReport:
+def verify_local(group: FiniteGroup) -> VerificationReport:
     """Build everything for one group and verify the local correspondence."""
     t0 = time.perf_counter()
-    cmap = phi_local(group, seed=seed)
+    cmap = phi_local(group)
     build = time.perf_counter() - t0
     report = verify_correspondence(cmap)
     timings = dict(report.timings)

@@ -400,7 +400,9 @@ def group_from_cayley(table, name: str = "G") -> FiniteGroup:
         if not isinstance(row, (list, tuple)):
             raise GroupValidationError(f"row {i} is not a list", witness=("row", i))
         if len(row) != n:
-            raise GroupValidationError(f"row {i} has length {len(row)}, expected {n}")
+            raise GroupValidationError(
+                f"row {i} has length {len(row)}, expected {n}", witness=("row", i)
+            )
         # type first: 0.0 and True compare equal to 0 and 1
         if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
             j = next(j for j, e in enumerate(row) if type(e) is not int or not 0 <= e < n)
@@ -412,10 +414,14 @@ def group_from_cayley(table, name: str = "G") -> FiniteGroup:
     full = set(range(n))
     for i, row in enumerate(table):
         if set(row) != full:
-            raise GroupValidationError("non-invertible rows", witness=("row", i))
+            raise GroupValidationError(
+                f"row {i} is not a permutation of range({n})", witness=("row", i)
+            )
     for j, column in enumerate(zip(*table)):
         if set(column) != full:
-            raise GroupValidationError("non-invertible rows", witness=("column", j))
+            raise GroupValidationError(
+                f"column {j} is not a permutation of range({n})", witness=("column", j)
+            )
     identity = None
     for e in range(n):
         if all(table[e][j] == j for j in range(n)) and all(table[j][e] == j for j in range(n)):

@@ -11,7 +11,6 @@ sums) is derived from it by actually multiplying class sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from weakref import WeakKeyDictionary
 
 from .algebra import GradedAlgebra
@@ -43,22 +42,19 @@ class ObstructionEntry:
 _AGES: WeakKeyDictionary = WeakKeyDictionary()
 
 
-def _element_ages(group: FiniteGroup) -> tuple[Fraction, ...]:
-    """Age of every element, derived once per group from its rotation data."""
+def _element_ages(group: FiniteGroup) -> tuple[int, ...]:
+    """Age of every element, derived once per group from its rotation data.
+
+    An element of order r > 1 has eigenvalues zeta_r^k, zeta_r^(r-k) with
+    0 < k < r, so its age is k/r + (r-k)/r = 1; the identity has age 0.
+    """
     ages = _AGES.get(group)
     if ages is None:
-        values = []
-        for r, k in group.rotation_data:
-            # eigenvalue exponents k and r-k, each weighted by 1/r
-            value = Fraction(0) if r == 1 else Fraction(k, r) + Fraction(r - k, r)
-            if value not in (Fraction(0), Fraction(1)):
-                raise OrbifoldError(f"age {value} outside the SL2 surface range")
-            values.append(value)
-        ages = _AGES[group] = tuple(values)
+        ages = _AGES[group] = tuple(0 if r == 1 else 1 for r, _ in group.rotation_data)
     return ages
 
 
-def age(group: FiniteGroup, class_index: int) -> Fraction:
+def age(group: FiniteGroup, class_index: int) -> int:
     """Age of a conjugacy class from the eigenvalue weights of its representative."""
     return _element_ages(group)[group.conjugacy.representatives[class_index]]
 
@@ -74,9 +70,8 @@ def obstruction_class(group: FiniteGroup, g: int, h: int) -> ObstructionEntry:
     total = ages[g] + ages[h] + ages[group.inverse[group.cayley[g][h]]]
     fixed_dim = 2 if g == 0 and h == 0 else 0
     rank = total + fixed_dim - 2
-    if rank.denominator != 1 or rank < 0:
+    if rank < 0:
         raise OrbifoldError(f"impossible obstruction rank {rank} at pair ({g}, {h})")
-    rank = int(rank)
     return ObstructionEntry(rank=rank, c=1 if rank == 0 else 0)
 
 

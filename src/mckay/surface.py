@@ -155,7 +155,7 @@ class GlobalAssembly:
         )
 
 
-def assemble_global(model: SurfaceModel, seed: int = 0) -> GlobalAssembly:
+def assemble_global(model: SurfaceModel) -> GlobalAssembly:
     """Build both global rings and the blockwise correspondence."""
     b = model.picard_rank
     y_labels = ["1"] + [divisor_label(i) for i in range(b)]
@@ -170,7 +170,7 @@ def assemble_global(model: SurfaceModel, seed: int = 0) -> GlobalAssembly:
                 orb_products[(divisor_label(i), divisor_label(j))] = [("[pt]", qij)]
     blocks = []
     for point in model.points:
-        bundle = ade_bundle(point.ade, seed)
+        bundle = ade_bundle(point.ade)
         cmap = bundle.cmap
         src, tgt = cmap.source, cmap.target
         col_map = {}
@@ -358,10 +358,10 @@ def verify_assembly(assembly: GlobalAssembly) -> VerificationReport:
     )
 
 
-def verify_global(model: SurfaceModel, seed: int = 0) -> VerificationReport:
+def verify_global(model: SurfaceModel) -> VerificationReport:
     """Assemble a surface model and verify the global correspondence."""
     t0 = time.perf_counter()
-    assembly = assemble_global(model, seed=seed)
+    assembly = assemble_global(model)
     build = time.perf_counter() - t0
     report = verify_assembly(assembly)
     timings = dict(report.timings)

@@ -1,10 +1,15 @@
 """Character tables, tensor multiplicities, McKay graphs, ADE recognition."""
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mckay.catalog import EXTRA_GROUPS, ade_bundle, extra_group, extra_table
 from mckay.chartab import (
+    EigenSplitError,
     NotAffineADEError,
+    _common_eigenvectors,
     character_table,
     class_multiplication_tensor,
     classify_affine_ade,
@@ -12,7 +17,13 @@ from mckay.chartab import (
     tensor_multiplicity,
 )
 from mckay.cyclo import rational, zeta
-from mckay.groups import ADE_SUITE, build_binary_polyhedral
+from mckay.groups import (
+    ADE_SUITE,
+    alternating_group,
+    build_binary_polyhedral,
+    group_from_cayley,
+    symmetric_group,
+)
 
 
 # -- class multiplication tensor -----------------------------------------------
@@ -93,13 +104,67 @@ def test_table_global_invariants(label):
             assert norm == norm.conj()
 
 
-def test_seed_independence():
-    g = build_binary_polyhedral("E6")
-    t1 = character_table(g, seed=0)
-    t2 = character_table(g, seed=987654321)
+def _direct_product_table(a, b):
+    m = len(b)
+    return [
+        [a[i][k] * m + b[j][l] for k in range(len(a)) for l in range(m)]
+        for i in range(len(a))
+        for j in range(m)
+    ]
+
+
+RELABELED_TABLES = {
+    "S4": lambda: extra_group("S4").cayley,
+    "Dih8": lambda: extra_group("Dih8").cayley,
+    "Z6": lambda: extra_group("Z6").cayley,
+    "A5xS3": lambda: _direct_product_table(
+        alternating_group(5).cayley, symmetric_group(3).cayley
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELABELED_TABLES))
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_relabeling_invariance(name, data):
+    """A relabeled Cayley table gives the same table up to the induced class
+    correspondence: same degrees, same prime, same rows once columns match.
+    Class order and the eigenspace split both follow the element labels."""
+    cayley = RELABELED_TABLES[name]()
+    n = len(cayley)
+    sigma = data.draw(st.permutations(range(n)))
+    relabeled = [[0] * n for _ in range(n)]
+    for i, row in enumerate(cayley):
+        for j, v in enumerate(row):
+            relabeled[sigma[i]][sigma[j]] = sigma[v]
+    original = group_from_cayley(cayley)
+    moved = group_from_cayley(relabeled)
+    # group_from_cayley swaps the identity, sigma[0], back to index 0
+    swap = {0: sigma[0], sigma[0]: 0}
+    phi = [swap.get(sigma[x], sigma[x]) for x in range(n)]
+    assert all(
+        moved.cayley[phi[a]][phi[b]] == phi[original.cayley[a][b]]
+        for a in range(n)
+        for b in range(n)
+    )
+    t1 = character_table(original)
+    t2 = character_table(moved)
     assert t1.degrees == t2.degrees
-    for r1, r2 in zip(t1.rows, t2.rows):
-        assert all(a == b for a, b in zip(r1, r2))
+    assert t1.prime == t2.prime
+    cls = [
+        moved.conjugacy.class_of[phi[rep]] for rep in original.conjugacy.representatives
+    ]
+
+    def row_set(rows, columns):
+        return {json.dumps([row[c].to_json() for c in columns], sort_keys=True) for row in rows}
+
+    assert row_set(t1.rows, range(t1.size)) == row_set(t2.rows, cls)
+
+
+def test_unsplittable_class_matrices_raise():
+    identity = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+    with pytest.raises(EigenSplitError):
+        _common_eigenvectors([identity] * 3, 7)
 
 
 @pytest.mark.parametrize("name", EXTRA_GROUPS)

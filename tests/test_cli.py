@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from mckay import cli
+from mckay import chartab, cli
 from mckay.catalog import EXTRA_GROUPS
 from mckay.chartab import EigenSplitError, TableConsistencyError
 from mckay.cli import main
@@ -276,6 +276,11 @@ def test_group_file_common_conductor_above_bound_exits_2(tmp_path, capsys):
     assert str(path) in err and str(1019 * 1021) in err
 
 
+# column 1 repeats 1; row 1 is one entry short
+BAD_COLUMN = {"cayley": [[0, 1, 2], [1, 2, 0], [2, 1, 0]]}
+SHORT_ROW = {"cayley": [[0, 1], [1]]}
+
+
 @pytest.mark.parametrize(
     "body",
     [
@@ -286,6 +291,8 @@ def test_group_file_common_conductor_above_bound_exits_2(tmp_path, capsys):
         {"cayley": [[0, 1], [1, 0.0]]},
         [1, 2],
         {},
+        BAD_COLUMN,
+        SHORT_ROW,
     ],
 )
 def test_malformed_group_file_exits_2_naming_the_file(tmp_path, capsys, body):
@@ -295,6 +302,34 @@ def test_malformed_group_file_exits_2_naming_the_file(tmp_path, capsys, body):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "body, position", [(BAD_COLUMN, "column 1 "), (SHORT_ROW, "row 1 ")]
+)
+def test_latin_square_rejection_names_its_position(tmp_path, capsys, body, position):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(body))
+    code, _, err = run(capsys, "minor", "--group", str(path))
+    assert code == 2
+    assert err.startswith(f"error: {path}: {position}")
+
+
+def test_unsplittable_eigenspaces_exit_3(monkeypatch, tmp_path, capsys):
+    split = chartab._common_eigenvectors
+
+    def identities_only(matrices, p):
+        m = len(matrices)
+        identity = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+        return split([identity] * m, p)
+
+    monkeypatch.setattr(chartab, "_common_eigenvectors", identities_only)
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps({"cayley": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}))
+    code, out, err = run(capsys, "minor", "--group", str(path))
+    assert code == cli.INTERNAL_ERROR == 3
+    assert out == ""
+    assert err.startswith("internal error: EigenSplitError:")
 
 
 def test_large_non_associative_loop_exits_2_with_witness(tmp_path, capsys):

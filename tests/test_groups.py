@@ -221,6 +221,8 @@ def test_cayley_closure_grows_from_the_identity():
         ([[0, 1], "10"], ("row", 1)),
         ([5], ("row", 0)),
         (5, None),
+        ([[0, 1], [1]], ("row", 1)),
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], ("column", 1)),
     ],
 )
 def test_cayley_malformed_entries_rejected_with_position(table, witness):
