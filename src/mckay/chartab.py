@@ -5,23 +5,31 @@ multiplication matrices are simultaneously diagonalised over a prime field
 F_p with p = 1 (mod exponent) and p > 2*sqrt(|G|), splitting eigenspaces by
 the class matrices themselves in class order, so the computation is
 deterministic; eigenvalue data is then lifted to exact cyclotomic integers
-through the discrete Fourier inversion of the power map.  Both
-orthogonality relations are re-verified exactly before a table is returned,
-so a modular accident can never produce a wrong table silently.
+through the discrete Fourier inversion of the power map.
+
+Every table is proven before it exists (:func:`_certify`): its values are
+checked to be algebraic integers, and Galois equivariance
+sigma_l(chi(c)) = chi(c^l) is checked exactly for every row and the natural
+character.  Every class-function pairing the package uses (row
+orthogonality, McKay multiplicities, tensor multiplicities) is then a
+rational integer of bounded height, which one certificate prime decides
+exactly; column orthogonality follows from row orthogonality on the square
+table.  A modular accident can never produce a wrong table or graph
+silently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
+from dataclasses import dataclass, field
 from math import isqrt
+from operator import mul
 
-from .cyclo import CycNum, rational
+from .cyclo import CycNum, _galois_steps
 from .groups import ConjugacyStructure, FiniteGroup
 
 __all__ = [
     "CharacterTable",
+    "Certificate",
     "McKayGraph",
     "CharacterTableError",
     "EigenSplitError",
@@ -44,11 +52,37 @@ class EigenSplitError(CharacterTableError):
 
 
 class TableConsistencyError(CharacterTableError):
-    """An exact cross-check of computed character data failed."""
+    """An exact cross-check of computed character data failed.
+
+    ``witness`` names the failing entry or pair, e.g. ``("galois", row, c, l)``
+    or ``("row-orthogonality", i, j, value)``; ``row`` is ``"natural"`` for
+    the natural character.
+    """
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class NotAffineADEError(ValueError):
     """A graph that should be an affine ADE diagram is not one."""
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """A proven character table's images in F_p, for a prime p that decides
+    every class-function pairing (see :func:`_certify`).
+
+    ``rows[i][c]`` is the image of chi_i(c) under zeta_E -> z, for E the
+    exponent and z of order E in F_p; ``conj_rows[i][c]`` is that of
+    conj(chi_i(c)) = chi_i(c^-1), and ``natural[c]`` that of the natural
+    character, when there is one.
+    """
+
+    prime: int
+    rows: tuple[tuple[int, ...], ...]
+    conj_rows: tuple[tuple[int, ...], ...]
+    natural: tuple[int, ...] | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +92,10 @@ class CharacterTable:
     Row 0 is the trivial character; the remaining rows are sorted by
     (degree, canonical coefficient vectors).  ``natural_character`` is the
     trace of the stored 2-dimensional matrix representation (present for
-    SL2 subgroups only); it need not be irreducible.
+    SL2 subgroups only); it need not be irreducible.  ``prime`` is the
+    Dixon prime the table was split at.  Construction proves the table
+    (:func:`_certify`) and stores the proof's ``certificate``; a table
+    that fails raises TableConsistencyError instead of existing.
     """
 
     group: FiniteGroup
@@ -67,18 +104,14 @@ class CharacterTable:
     degrees: tuple[int, ...]
     natural_character: tuple[CycNum, ...] | None
     prime: int
+    certificate: Certificate = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "certificate", _certify(self))
 
     @property
     def size(self) -> int:
         return len(self.rows)
-
-    def value(self, row: int, cls: int) -> CycNum:
-        return self.rows[row][cls]
-
-    @cached_property
-    def conj_rows(self) -> tuple[tuple[CycNum, ...], ...]:
-        """The complex conjugate of every row, computed once per table."""
-        return tuple(tuple(v.conj() for v in row) for row in self.rows)
 
 
 def class_multiplication_tensor(group: FiniteGroup):
@@ -126,14 +159,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _dixon_prime(order: int, exponent: int) -> int:
-    bound = 2 * isqrt(order)
-    k = 1
+def _prime_above(bound: int, exponent: int) -> int:
+    """The least prime p = 1 (mod exponent) with p > bound."""
+    k = max(1, bound // exponent)
     while True:
         p = exponent * k + 1
         if p > bound and _is_prime(p):
             return p
         k += 1
+
+
+def _dixon_prime(order: int, exponent: int) -> int:
+    return _prime_above(2 * isqrt(order), exponent)
 
 
 def _primitive_root(p: int) -> int:
@@ -311,13 +348,16 @@ def _lift_row(chi_mod, degree, group, conj, pm, z, exponent, p):
     for j, rep in enumerate(conj.representatives):
         d = group.element_order[rep]
         zj = pow(z, exponent // d, p)
+        # zj has order d, so zj^-k = inv_powers[k % d]
+        inv_powers = [1] * d
         zj_inv = pow(zj, p - 2, p)
+        for k in range(1, d):
+            inv_powers[k] = inv_powers[k - 1] * zj_inv % p
         d_inv = pow(d, p - 2, p)
+        chi_powers = [chi_mod[pm[j][u]] for u in range(d)]
         mults = {}
         for t in range(d):
-            acc = 0
-            for u in range(d):
-                acc = (acc + chi_mod[pm[j][u]] * pow(zj_inv, t * u, p)) % p
+            acc = sum(x * inv_powers[t * u % d] for u, x in enumerate(chi_powers))
             m_t = (acc * d_inv) % p
             if m_t > degree:
                 raise TableConsistencyError("eigenvalue multiplicity out of range")
@@ -326,7 +366,7 @@ def _lift_row(chi_mod, degree, group, conj, pm, z, exponent, p):
         if sum(mults.values()) != degree:
             raise TableConsistencyError("eigenvalue multiplicities do not sum to degree")
         # consistency: the lifted value must reproduce chi mod p
-        check = sum(m * pow(zj, t, p) for t, m in mults.items()) % p
+        check = sum(m * inv_powers[-t % d] for t, m in mults.items()) % p
         if check != chi_mod[j] % p:
             raise TableConsistencyError("lifted character does not match modular data")
         values.append(CycNum(d, mults))
@@ -341,27 +381,121 @@ def _row_sort_key(row, degree, exponent):
     return (degree, tuple(flat))
 
 
-def _pairing(values, conj_values, sizes) -> CycNum:
-    """Sum over classes c of |C_c| * u_c * conj(v_c), given u and conj(v)."""
-    return sum((u * v * size for u, v, size in zip(values, conj_values, sizes)), rational(0))
+def _symmetric(residue: int, p: int) -> int:
+    """The representative of residue mod p in (-p/2, p/2)."""
+    residue %= p
+    return residue - p if residue > p // 2 else residue
 
 
-def _verify_orthogonality(table: CharacterTable) -> None:
-    rows, conj_rows = table.rows, table.conj_rows
-    sizes, order, m = table.conj.sizes, table.group.order, table.size
-    for i in range(m):
-        for j in range(i, m):
-            expected = order if i == j else 0
-            if _pairing(rows[i], conj_rows[j], sizes).as_rational() != expected:
-                raise TableConsistencyError(f"row orthogonality fails at ({i}, {j})")
+def _certify(table: CharacterTable) -> Certificate:
+    """Prove the table's row orthogonality and return a certificate that
+    decides every pairing S(f, g) = sum_c |C_c| f(c) conj(g(c)) used here.
+
+    Let E be the exponent and m the number of classes.
+
+    1. The table is square: m rows of m values (natural character: m).
+    2. Every value is an algebraic integer: ``den == 1`` on the power basis,
+       an integral basis of Z[zeta_n], at a conductor n dividing E.
+    3. Galois equivariance, exactly: sigma_l(f(c)) = f(c^l) for every row and
+       the natural character f, every class c and every generator l of
+       (Z/E)^* (``cyclo._galois_steps``), with c^l from the power map.  It
+       then holds for every l prime to E, since sigma_ab(f(c)) =
+       sigma_a(f(c^b)) = f(c^ab); l = -1 gives conj(f(c)) = f(c^-1).
+    4. Hence each S(f, g), for f and g products of these class functions, is
+       a rational integer: sigma_l commutes with conj, and c -> c^l permutes
+       the classes keeping their sizes, so sigma_l(S) = S for every l; and S
+       is an algebraic integer.
+    5. Height.  For every complex embedding tau, |tau(v)| <= |v|_1, the L1
+       norm of v's numerators (tau(zeta) is a root of unity), and
+       |tau(conj v)| = |tau(v)| in the CM field Q(zeta_E).  With A_c the
+       largest |chi_i(c)|_1 over the rows and N_c = |natural(c)|_1, every
+       pairing of two rows, of a row times the natural character with a row,
+       or of a product of two rows with a row, has |S| <= B =
+       sum_c |C_c| A_c^2 max(1, A_c, N_c).  B is recomputed from the values
+       given, so a tampered entry cannot hide behind a congruence.
+    6. The certificate prime is the least p = 1 (mod E) with p > 2B, with
+       zeta_E -> z, z of order E in F_p (a ring map Z[zeta_E] -> F_p).  S is
+       then the symmetric residue of its image mod p, and that image is
+       sum_c |C_c| f(c) g(c^-1) on the images, by step 3.
+    7. Row orthogonality, S(chi_i, chi_j) = |G| delta_ij, is decided so.
+       Column orthogonality follows and is not computed: with X[i][c] =
+       chi_i(c) and D = diag(|C_c|), row orthogonality reads X D X* = |G| I.
+       X is square (step 1), so (D X* / |G|) is a right inverse of X, hence
+       also a left inverse: X* X = |G| D^-1, i.e. sum_i conj(chi_i(c))
+       chi_i(c') = delta_cc' |G| / |C_c|.
+
+    Every failure raises TableConsistencyError with a witness.
+    """
+    group, conj = table.group, table.conj
+    m = len(conj.classes)
+    exponent = conj.exponent
+    sizes, inverse = conj.sizes, conj.class_inverse
+    functions = list(enumerate(table.rows))
+    if table.natural_character is not None:
+        functions.append(("natural", table.natural_character))
+    shape = (len(table.rows), tuple(len(values) for _, values in functions))
+    if shape[0] != m or any(n != m for n in shape[1]):
+        raise TableConsistencyError(
+            f"table is not square over its {m} classes: {shape[0]} rows of lengths {shape[1]}",
+            witness=("shape", *shape),
+        )
+    # steps 2 and 3, collecting the L1 norms for step 5
+    pm = _power_map(group, conj)
+    steps = [g for g, _ in _galois_steps(exponent)]
+    norms = []
+    for name, values in functions:
+        for c, v in enumerate(values):
+            if v.den != 1 or exponent % v.conductor:
+                raise TableConsistencyError(
+                    f"value of row {name} at class {c} is not an integer of "
+                    f"Q(zeta_{exponent}): {v}",
+                    witness=("integrality", name, c),
+                )
+            for g in steps:
+                if v.galois(g) != values[pm[c][g % len(pm[c])]]:
+                    raise TableConsistencyError(
+                        f"Galois equivariance fails for row {name} at class {c}, "
+                        f"l = {g}",
+                        witness=("galois", name, c, g),
+                    )
+        norms.append([sum(map(abs, v.num)) for v in values])
+    # steps 5 and 6
+    row_norms = norms[:m]
+    natural_norms = norms[m] if len(norms) > m else [0] * m
+    bound = 0
     for c in range(m):
-        for c2 in range(c, m):
-            acc = rational(0)
-            for i in range(m):
-                acc = acc + rows[i][c] * conj_rows[i][c2]
-            expected = Fraction(order, sizes[c]) if c == c2 else 0
-            if acc.as_rational() != expected:
-                raise TableConsistencyError(f"column orthogonality fails at ({c}, {c2})")
+        a = max(r[c] for r in row_norms)
+        bound += sizes[c] * a * a * max(1, a, natural_norms[c])
+    p = _prime_above(2 * bound, exponent)
+    z = pow(_primitive_root(p), (p - 1) // exponent, p)
+    powers = [1] * exponent
+    for k in range(1, exponent):
+        powers[k] = powers[k - 1] * z % p
+
+    def image(v: CycNum) -> int:
+        step = exponent // v.conductor
+        return sum(x * powers[step * i] for i, x in enumerate(v.num) if x) % p
+
+    images = [tuple(image(v) for v in values) for _, values in functions]
+    rows = tuple(images[:m])
+    conj_rows = tuple(tuple(row[inverse[c]] for c in range(m)) for row in rows)
+    # step 7
+    order = group.order
+    for i in range(m):
+        weighted = [s * x for s, x in zip(sizes, rows[i])]
+        for j in range(i, m):
+            value = _symmetric(sum(map(mul, weighted, conj_rows[j])), p)
+            if value != (order if i == j else 0):
+                raise TableConsistencyError(
+                    f"row orthogonality fails at ({i}, {j}): pairing {value}",
+                    witness=("row-orthogonality", i, j, value),
+                )
+    return Certificate(
+        prime=p,
+        rows=rows,
+        conj_rows=conj_rows,
+        natural=images[m] if len(images) > m else None,
+    )
 
 
 def character_table(group: FiniteGroup) -> CharacterTable:
@@ -392,7 +526,8 @@ def character_table(group: FiniteGroup) -> CharacterTable:
             raise TableConsistencyError("eigenvector vanishes on the identity class")
         norm = pow(v[0], p - 2, p)
         v = [x * norm % p for x in v]
-        omega = [_apply(matrices[i], v, p)[0] % p for i in range(m)]
+        # the eigenvalue of K_i on v is read off row 0 of K_i v, as v[0] = 1
+        omega = [sum(map(mul, matrices[i][0], v)) % p for i in range(m)]
         s = sum(omega[i] * omega[conj.class_inverse[i]] * inv_sizes[i] for i in range(m)) % p
         if s == 0:
             raise TableConsistencyError("degenerate norm sum in degree recovery")
@@ -417,7 +552,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     natural = None
     if group.matrix_rep is not None:
         natural = tuple(group.trace(rep) for rep in conj.representatives)
-    table = CharacterTable(
+    return CharacterTable(
         group=group,
         conj=conj,
         rows=tuple(rows[i] for i in perm),
@@ -425,24 +560,33 @@ def character_table(group: FiniteGroup) -> CharacterTable:
         natural_character=natural,
         prime=p,
     )
-    _verify_orthogonality(table)
-    return table
 
 
-def _inner_multiplicity(table: CharacterTable, left_values, right_row: int) -> int:
-    value = _pairing(left_values, table.conj_rows[right_row], table.conj.sizes).as_rational()
-    if value is None:
-        raise TableConsistencyError("inner product is not rational")
-    q = value / table.group.order
-    if q.denominator != 1 or q < 0:
-        raise TableConsistencyError("tensor multiplicity is not a nonnegative integer")
-    return int(q)
+def _multiplicity(table: CharacterTable, weighted, k: int, where) -> int:
+    """<f, chi_k> = S(f, chi_k) / |G|, decided by the table's certificate.
+
+    ``weighted[c]`` is |C_c| f(c) mod the certificate prime, for f a product
+    of rows and the natural character covered by the height bound of
+    :func:`_certify`.  Raises TableConsistencyError unless the result is a
+    nonnegative integer.
+    """
+    cert = table.certificate
+    value = _symmetric(sum(map(mul, weighted, cert.conj_rows[k])), cert.prime)
+    q, r = divmod(value, table.group.order)
+    if r or q < 0:
+        raise TableConsistencyError(
+            f"tensor multiplicity is not a nonnegative integer at {where}: "
+            f"{value}/{table.group.order}",
+            witness=("multiplicity", *where, value),
+        )
+    return q
 
 
 def tensor_multiplicity(table: CharacterTable, i: int, j: int, k: int) -> int:
     """Multiplicity of the k-th irreducible in the tensor product of i and j."""
-    values = tuple(table.rows[i][c] * table.rows[j][c] for c in range(table.size))
-    return _inner_multiplicity(table, values, k)
+    rows = table.certificate.rows
+    weighted = [s * x * y for s, x, y in zip(table.conj.sizes, rows[i], rows[j])]
+    return _multiplicity(table, weighted, k, (i, j, k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,13 +608,13 @@ def mckay_graph(table: CharacterTable) -> McKayGraph:
     if table.natural_character is None:
         raise CharacterTableError("group carries no natural 2-dimensional character")
     m = table.size
+    cert = table.certificate
+    natural = [s * x for s, x in zip(table.conj.sizes, cert.natural)]
     adjacency = [[0] * m for _ in range(m)]
     for i in range(m):
-        values = tuple(
-            table.rows[i][c] * table.natural_character[c] for c in range(m)
-        )
+        weighted = list(map(mul, cert.rows[i], natural))
         for j in range(m):
-            adjacency[i][j] = _inner_multiplicity(table, values, j)
+            adjacency[i][j] = _multiplicity(table, weighted, j, (i, j))
     for i in range(m):
         if adjacency[i][i] != 0:
             raise TableConsistencyError("McKay graph has a loop")

@@ -403,6 +403,7 @@ def verify_correspondence(cmap: CorrespondenceMap) -> VerificationReport:
             },
             "degrees": list(cmap.table.degrees),
             "dixon_prime": cmap.table.prime,
+            "certificate_prime": cmap.table.certificate.prime,
             "block_size": len(cmap.matrix),
         },
         timings={"verify_s": elapsed},

@@ -117,9 +117,6 @@ class FiniteGroup:
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 
-    def mult(self, i: int, j: int) -> int:
-        return self.cayley[i][j]
-
     def inv(self, i: int) -> int:
         return self.inverse[i]
 
@@ -435,9 +432,13 @@ def group_from_cayley(table, name: str = "G") -> FiniteGroup:
             f"table is not associative at {witness}", witness=witness
         )
     if identity != 0:
+        # relabel by the transposition sigma = (0 identity), row by row in
+        # place, so no second table is alive: new[i][j] = sigma(old[sigma i][sigma j])
         sigma = list(range(n))
         sigma[0], sigma[identity] = identity, 0
-        table = [[sigma[table[sigma[i]][sigma[j]]] for j in range(n)] for i in range(n)]
+        table[0], table[identity] = table[identity], table[0]
+        for i, row in enumerate(table):
+            table[i] = tuple(sigma[row[s]] for s in sigma)
     return FiniteGroup(table, matrix_rep=None, name=name)
 
 

@@ -1,14 +1,19 @@
 """Character tables, tensor multiplicities, McKay graphs, ADE recognition."""
 
 import json
+from dataclasses import replace
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mckay.catalog import EXTRA_GROUPS, ade_bundle, extra_group, extra_table
+from mckay import chartab, cli
+from mckay.catalog import EXTRA_GROUPS, ade_bundle, ade_group, extra_group, extra_table
 from mckay.chartab import (
     EigenSplitError,
     NotAffineADEError,
+    TableConsistencyError,
     _common_eigenvectors,
     character_table,
     class_multiplication_tensor,
@@ -16,7 +21,8 @@ from mckay.chartab import (
     mckay_graph,
     tensor_multiplicity,
 )
-from mckay.cyclo import rational, zeta
+from mckay.correspondence import build_local
+from mckay.cyclo import _galois_steps, rational, zeta
 from mckay.groups import (
     ADE_SUITE,
     alternating_group,
@@ -128,7 +134,7 @@ RELABELED_TABLES = {
 @given(data=st.data())
 def test_relabeling_invariance(name, data):
     """A relabeled Cayley table gives the same table up to the induced class
-    correspondence: same degrees, same prime, same rows once columns match.
+    correspondence: same degrees, same primes, same rows once columns match.
     Class order and the eigenspace split both follow the element labels."""
     cayley = RELABELED_TABLES[name]()
     n = len(cayley)
@@ -151,6 +157,7 @@ def test_relabeling_invariance(name, data):
     t2 = character_table(moved)
     assert t1.degrees == t2.degrees
     assert t1.prime == t2.prime
+    assert t1.certificate.prime == t2.certificate.prime
     cls = [
         moved.conjugacy.class_of[phi[rep]] for rep in original.conjugacy.representatives
     ]
@@ -210,6 +217,162 @@ def test_e8_multiplicities_zero_or_one():
         for j in range(1, table.size):
             if i != j:
                 assert graph.adjacency[i][j] in (0, 1)
+
+
+# -- the certificate against the exact pairing ------------------------------------
+
+
+def _pairing(values, conj_values, sizes):
+    """Oracle: sum over classes c of |C_c| * u_c * conj(v_c), given u and
+    conj(v), in exact cyclotomic arithmetic (m products per pairing)."""
+    return sum((u * v * size for u, v, size in zip(values, conj_values, sizes)), rational(0))
+
+
+@lru_cache(maxsize=None)
+def _oracle_table(label):
+    if label in EXTRA_GROUPS:
+        return extra_table(label)
+    if label in ("A30", "D30"):
+        return character_table(build_binary_polyhedral(label))
+    return ade_bundle(label).table
+
+
+@pytest.mark.parametrize("label", ADE_SUITE + EXTRA_GROUPS + ("A30", "D30"))
+def test_certificate_matches_exact_pairing(label):
+    """The certified verdicts equal the exact m^3 pairing: row orthogonality
+    holds exactly, and every McKay multiplicity is the exact one."""
+    table = _oracle_table(label)
+    sizes, order, m = table.conj.sizes, table.group.order, table.size
+    conj_rows = [[v.conj() for v in row] for row in table.rows]
+    for i in range(m):
+        for j in range(i, m):
+            expected = order if i == j else 0
+            assert _pairing(table.rows[i], conj_rows[j], sizes).as_rational() == expected
+    if table.natural_character is None:
+        return
+    graph = mckay_graph(table)
+    for i in range(m):
+        values = [x * y for x, y in zip(table.rows[i], table.natural_character)]
+        for j in range(m):
+            exact = _pairing(values, conj_rows[j], sizes).as_rational()
+            assert exact == order * graph.adjacency[i][j]
+
+
+@pytest.mark.parametrize("label", ["D4", "E6", "S4"])
+def test_tensor_multiplicity_matches_exact_pairing(label):
+    table = _oracle_table(label)
+    sizes, order, m = table.conj.sizes, table.group.order, table.size
+    conj_rows = [[v.conj() for v in row] for row in table.rows]
+    for i in range(m):
+        for j in range(i, m):
+            values = [x * y for x, y in zip(table.rows[i], table.rows[j])]
+            for k in range(m):
+                exact = _pairing(values, conj_rows[k], sizes).as_rational()
+                assert exact == order * tensor_multiplicity(table, i, j, k)
+
+
+# Negative controls: each tamper builds a table the certificate must reject.
+
+
+def _rows_with(table, i, c, value):
+    rows = [list(row) for row in table.rows]
+    rows[i][c] = value
+    return tuple(map(tuple, rows))
+
+
+def _order_two_class(table):
+    return next(
+        c for c in range(table.size)
+        if table.group.element_order[table.conj.representatives[c]] == 2
+    )
+
+
+def _tamper_height(table):
+    """Add the certificate prime p to one entry at a class of order 2 (fixed by
+    every c -> c^l), so the entry is unchanged mod p and Galois equivariance
+    still holds; only the height bound, recomputed from the values, moves p."""
+    p = table.certificate.prime
+    c = _order_two_class(table)
+    return replace(table, rows=_rows_with(table, 1, c, table.rows[1][c] + p))
+
+
+def _tamper_galois(table):
+    """Swap the values of row 1 at a class c and at c^l, for a generator l of
+    (Z/E)^* whose orbit through c has more than two classes."""
+    pm = chartab._power_map(table.group, table.conj)
+    g = _galois_steps(table.conj.exponent)[0][0]
+
+    def power(c, k):
+        return pm[c][k % len(pm[c])]
+
+    c = next(c for c in range(table.size) if len({c, power(c, g), power(c, g * g)}) == 3)
+    d = power(c, g)
+    rows = [list(row) for row in table.rows]
+    rows[1][c], rows[1][d] = rows[1][d], rows[1][c]
+    return replace(table, rows=tuple(map(tuple, rows)))
+
+
+def _tamper_multiplicity(table):
+    """Add 1 to the natural character at the identity class: the result is
+    still Galois equivariant, but <chi_0 natural, chi_0> becomes 1/|G|."""
+    natural = list(table.natural_character)
+    natural[0] = natural[0] + 1
+    return replace(table, natural_character=tuple(natural))
+
+
+TAMPERS = {
+    "height": ("D4", _tamper_height, ("row-orthogonality", 0, 1)),
+    "galois": ("A4", _tamper_galois, ("galois", 1)),
+    "multiplicity": ("D4", _tamper_multiplicity, ("multiplicity", 0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERS))
+def test_tampered_table_is_rejected_with_witness(name):
+    label, tamper, witness = TAMPERS[name]
+    with pytest.raises(TableConsistencyError) as err:
+        mckay_graph(tamper(ade_bundle(label).table))
+    assert err.value.witness[: len(witness)] == witness
+
+
+def test_height_tamper_hides_behind_a_fixed_prime(monkeypatch):
+    """The height tamper passes a congruence at the untampered table's prime:
+    recomputing the bound from the values is what rejects it."""
+    table = ade_bundle("D4").table
+    monkeypatch.setattr(chartab, "_prime_above", lambda bound, e: table.certificate.prime)
+    tampered = _tamper_height(table)
+    assert tampered.certificate.prime == table.certificate.prime
+
+
+def test_height_tamper_witness_is_the_exact_pairing():
+    table = ade_bundle("D4").table
+    with pytest.raises(TableConsistencyError) as err:
+        _tamper_height(table)
+    c = _order_two_class(table)
+    assert err.value.witness == (
+        "row-orthogonality", 0, 1, table.conj.sizes[c] * table.certificate.prime
+    )
+
+
+def test_non_integral_value_is_rejected():
+    table = ade_bundle("A2").table
+    with pytest.raises(TableConsistencyError) as err:
+        replace(table, rows=_rows_with(table, 1, 1, table.rows[1][1] * Fraction(1, 2)))
+    assert err.value.witness == ("integrality", 1, 1)
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERS))
+def test_tampered_table_exits_3(monkeypatch, capsys, name):
+    label, tamper, _ = TAMPERS[name]
+    table = ade_bundle(label).table
+    monkeypatch.setattr(
+        cli, "ade_bundle", lambda _: build_local(ade_group(label), tamper(table))
+    )
+    code = cli.main(["verify", "local", "--type", label])
+    captured = capsys.readouterr()
+    assert code == cli.INTERNAL_ERROR == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: TableConsistencyError:")
 
 
 # -- McKay graphs ---------------------------------------------------------------------

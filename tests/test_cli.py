@@ -6,7 +6,7 @@ import time
 import pytest
 
 from mckay import chartab, cli
-from mckay.catalog import EXTRA_GROUPS
+from mckay.catalog import EXTRA_GROUPS, ade_bundle
 from mckay.chartab import EigenSplitError, TableConsistencyError
 from mckay.cli import main
 from mckay.cyclo import MAX_CONDUCTOR
@@ -48,6 +48,11 @@ def test_verify_local_e8(capsys):
     report = json.loads(out)["report"]
     exact = [c for c in report["checks"] if not c.get("diagnostic")]
     assert len(exact) == 4 and all(c["pass"] for c in exact)
+    # the certificate prime is recorded next to the Dixon prime, and differs
+    info = report["info"]
+    assert info["certificate_prime"] == ade_bundle("E8").table.certificate.prime
+    assert info["certificate_prime"] % info["group"]["exponent"] == 1
+    assert info["certificate_prime"] != info["dixon_prime"]
 
 
 def test_verify_local_rejects_d3(capsys):

@@ -1,6 +1,7 @@
 """Group construction: ADE matrix closures and Cayley-table ingestion."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -353,6 +354,42 @@ def test_cayley_identity_relocated():
     assert g.order == 3
     assert g.cayley[0] == (0, 1, 2)
     assert g.element_order[0] == 1
+
+
+def test_cayley_identity_relabeling_is_in_place():
+    """Moving the identity to index 0 keeps no second table alive: the traced
+    allocation peak of a relabeled S5 stays within 1.25x that of the same
+    table with its identity already at index 0 (twice that when the
+    relabeled table was built as a copy)."""
+    base = [list(row) for row in symmetric_group(5).cayley]
+    n = len(base)
+    sigma = list(range(n))
+    random.Random(3).shuffle(sigma)
+    assert sigma[0] != 0
+    moved = [[0] * n for _ in range(n)]
+    for i, row in enumerate(base):
+        for j, v in enumerate(row):
+            moved[sigma[i]][sigma[j]] = sigma[v]
+
+    def peak(table):
+        tracemalloc.start()
+        try:
+            group = group_from_cayley(table)
+            return tracemalloc.get_traced_memory()[1], group
+        finally:
+            tracemalloc.stop()
+
+    plain_peak, plain = peak(base)
+    moved_peak, relabeled = peak(moved)
+    assert moved_peak <= 1.25 * plain_peak
+    # the relabeling is sigma followed by the transposition (0 sigma[0])
+    swap = {0: sigma[0], sigma[0]: 0}
+    phi = [swap.get(sigma[x], sigma[x]) for x in range(n)]
+    assert all(
+        relabeled.cayley[phi[a]][phi[b]] == phi[plain.cayley[a][b]]
+        for a in range(n)
+        for b in range(n)
+    )
 
 
 def test_generators_determinant_checked():
