@@ -45,13 +45,16 @@ INTERNAL_ERROR = 3
 _INTERNAL = (EigenSplitError, TableConsistencyError, OrbifoldError, ArithmeticError)
 
 
-def _dump(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _dump(payload: dict, out_path: str | None) -> None:
+    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out_path)
 
 
 def _load_group_file(path: str) -> FiniteGroup:
@@ -187,21 +190,13 @@ def _cmd_chartable(args) -> int:
 
 
 def _cmd_mckay(args) -> int:
-    label = args.type.strip().upper()
-    graph = ade_bundle(label).graph
-    if args.format == "dot":
-        text = _graph_dot(graph)
-        if args.dot:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        payload = {"schema": 1, "command": "mckay", "graph": _graph_payload(graph)}
-        _dump(payload, args.out)
-        if args.dot:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(_graph_dot(graph))
+    graph = ade_bundle(args.type.strip().upper()).graph
+    if args.format == "json":
+        _dump({"schema": 1, "command": "mckay", "graph": _graph_payload(graph)}, args.out)
+    elif args.out or not args.dot:
+        _emit(_graph_dot(graph), args.out)
+    if args.dot:
+        _emit(_graph_dot(graph), args.dot)
     return 0
 
 

@@ -94,11 +94,10 @@ class FiniteGroup:
     traces, rotation data and ages.
     """
 
-    def __init__(self, cayley, matrix_rep=None, name: str = "G", generators=()):
+    def __init__(self, cayley, matrix_rep=None, name: str = "G"):
         self.cayley = tuple(tuple(row) for row in cayley)
         self.matrix_rep = tuple(matrix_rep) if matrix_rep is not None else None
         self.name = name
-        self.generators = tuple(generators)
         n = len(self.cayley)
         self.order = n
         inverse = [None] * n
@@ -117,16 +116,9 @@ class FiniteGroup:
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 
-    def inv(self, i: int) -> int:
-        return self.inverse[i]
-
     def conjugate(self, h: int, g: int) -> int:
         """Index of h g h^-1."""
         return self.cayley[self.cayley[h][g]][self.inverse[h]]
-
-    @property
-    def exponent(self) -> int:
-        return self.conjugacy.exponent
 
     @cached_property
     def conjugacy(self) -> ConjugacyStructure:
@@ -251,7 +243,7 @@ def group_from_generators(matrices, name: str = "G", cap: int = 2000) -> FiniteG
     if not gens:
         raise GroupValidationError("at least one generator is required")
     rows, elems = _closure_from_matrices(gens, cap=cap)
-    return FiniteGroup(rows, matrix_rep=elems, name=name, generators=tuple(range(1, len(gens) + 1)))
+    return FiniteGroup(rows, matrix_rep=elems, name=name)
 
 
 # -- ADE constructions ------------------------------------------------------

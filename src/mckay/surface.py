@@ -65,7 +65,8 @@ def parse_surface(data: dict, name: str = "surface") -> SurfaceModel:
     if not isinstance(data, dict):
         raise SurfaceConfigError("$", "configuration must be an object")
     rank = data.get("picard_rank")
-    if not isinstance(rank, int) or rank < 0:
+    # type, not isinstance: true and false are ints to isinstance
+    if type(rank) is not int or rank < 0:
         raise SurfaceConfigError("picard_rank", "must be a nonnegative integer")
     q = data.get("intersection_matrix")
     if not isinstance(q, list) or len(q) != rank:
@@ -74,7 +75,7 @@ def parse_surface(data: dict, name: str = "surface") -> SurfaceModel:
         if not isinstance(row, list) or len(row) != rank:
             raise SurfaceConfigError(f"intersection_matrix[{i}]", f"must have {rank} entries")
         for j, v in enumerate(row):
-            if not isinstance(v, int):
+            if type(v) is not int:
                 raise SurfaceConfigError(f"intersection_matrix[{i}][{j}]", "must be an integer")
     for i in range(rank):
         for j in range(i + 1, rank):
@@ -330,8 +331,12 @@ def verify_assembly(assembly: GlobalAssembly) -> VerificationReport:
     )
     checks.append(CheckResult("unit-grading", grading_ok))
 
+    # points of one type share one cached map: verify each distinct map once
+    verified: dict[int, VerificationReport] = {}
     for blk in assembly.blocks:
-        sub = verify_correspondence(blk.cmap)
+        sub = verified.get(id(blk.cmap))
+        if sub is None:
+            sub = verified[id(blk.cmap)] = verify_correspondence(blk.cmap)
         for c in sub.checks:
             checks.append(
                 CheckResult(

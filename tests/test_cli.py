@@ -84,6 +84,25 @@ def test_mckay_dot_output(capsys):
     assert all("v4" in line for line in center_edges)
 
 
+def test_mckay_dot_written_to_out(tmp_path, capsys):
+    path = tmp_path / "d4.dot"
+    code, out, _ = run(capsys, "mckay", "--type", "D4", "--format", "dot", "--out", str(path))
+    assert code == 0 and out == ""
+    _, expected, _ = run(capsys, "mckay", "--type", "D4", "--format", "dot")
+    assert path.read_text() == expected
+
+
+@pytest.mark.parametrize("fmt", ("dot", "json"))
+def test_mckay_dot_file_option(tmp_path, capsys, fmt):
+    # --dot always writes the DOT file; stdout keeps the JSON report, if any
+    path = tmp_path / "d4.dot"
+    code, out, _ = run(capsys, "mckay", "--type", "D4", "--format", fmt, "--dot", str(path))
+    _, dot, _ = run(capsys, "mckay", "--type", "D4", "--format", "dot")
+    _, report, _ = run(capsys, "mckay", "--type", "D4", "--format", "json")
+    assert code == 0 and path.read_text() == dot
+    assert out == ("" if fmt == "dot" else report)
+
+
 def test_mckay_json(capsys):
     code, out, _ = run(capsys, "mckay", "--type", "A3", "--format", "json")
     assert code == 0
@@ -169,6 +188,35 @@ def test_bad_surface_config_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "global", "--config", str(path))
     assert code == 2
     assert "not symmetric" in err
+
+
+@pytest.mark.parametrize(
+    "cfg, path",
+    [
+        (
+            {
+                "picard_rank": True,
+                "intersection_matrix": [[True]],
+                "points": [{"id": "p", "type": "A1"}],
+            },
+            "picard_rank",
+        ),
+        (
+            {
+                "picard_rank": 1,
+                "intersection_matrix": [[True]],
+                "points": [{"id": "p", "type": "A1"}],
+            },
+            "intersection_matrix[0][0]",
+        ),
+    ],
+)
+def test_boolean_surface_config_exits_2(tmp_path, capsys, cfg, path):
+    config = tmp_path / "bool.json"
+    config.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "verify", "global", "--config", str(config))
+    assert code == 2 and out == ""
+    assert f"error: {path}: " in err
 
 
 def test_corpus_command(capsys):

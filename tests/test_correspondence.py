@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from mckay import catalog, correspondence
+from mckay.algebra import GradedAlgebra
 from mckay.catalog import EXTRA_GROUPS, ade_bundle, extra_table
 from mckay.correspondence import (
     branch_sqrt,
@@ -226,6 +227,63 @@ def test_tampered_resolution_constant_fails():
     failing = report.check("multiplicativity")
     assert not failing.passed
     assert failing.witness["left"] == "E1" and failing.witness["right"] == "E1"
+
+
+def _cyc(conductor, coeffs):
+    return {"conductor": conductor, "coeffs": coeffs}
+
+
+def test_tampered_off_diagonal_orbifold_constant_fails():
+    # f1 f3 = [pt] becomes 5 [pt]; every entry of the A3 block is nonzero, so
+    # the pulled-back pairing already breaks at (E1, E1)
+    bundle = ade_bundle("A3")
+    tampered = bundle.invariant.replaced_product("f1", "f3", [("[pt]", 5)])
+    report = verify_correspondence(dataclasses.replace(bundle.cmap, target=tampered))
+    assert report.check("multiplicativity").witness == {
+        "left": "E1",
+        "right": "E1",
+        "image_product": {"[pt]": _cyc(8, {"0": "-24"})},
+        "scaled_source_product": _cyc(1, {"0": "-8"}),
+    }
+    assert report.check("isometry").witness == {
+        "left": "E1",
+        "right": "E1",
+        "pulled_back": _cyc(8, {"0": "-24"}),
+        "scaled_source": _cyc(1, {"0": "-8"}),
+    }
+
+
+def test_tampered_off_diagonal_resolution_constant_fails():
+    # E1 E2 = [pt] becomes 7 [pt]: only the (E1, E2) pair breaks
+    bundle = ade_bundle("A3")
+    tampered = bundle.resolution.replaced_product("E1", "E2", [("[pt]", 7)])
+    report = verify_correspondence(dataclasses.replace(bundle.cmap, source=tampered))
+    assert report.check("multiplicativity").witness == {
+        "left": "E1",
+        "right": "E2",
+        "image_product": {"[pt]": _cyc(8, {"0": "4"})},
+        "scaled_source_product": _cyc(1, {"0": "28"}),
+    }
+    assert report.check("isometry").witness == {
+        "left": "E1",
+        "right": "E2",
+        "pulled_back": _cyc(8, {"0": "4"}),
+        "scaled_source": _cyc(1, {"0": "28"}),
+    }
+
+
+def test_each_gram_built_once_per_verification(monkeypatch):
+    calls = {}
+    original = GradedAlgebra.gram
+
+    def counted(self):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return original(self)
+
+    monkeypatch.setattr(GradedAlgebra, "gram", counted)
+    cmap = ade_bundle("D5").cmap
+    assert verify_correspondence(cmap).passed
+    assert calls == {id(cmap.source): 1, id(cmap.target): 1}
 
 
 def test_singular_matrix_fails_additive_rank():

@@ -4,6 +4,9 @@ import dataclasses
 
 import pytest
 
+from mckay import surface
+from mckay.catalog import ade_bundle
+from mckay.correspondence import verify_correspondence
 from mckay.cyclo import rational
 from mckay.surface import (
     SurfaceConfigError,
@@ -75,6 +78,25 @@ def test_parse_rejects_bad_rank():
         parse_surface({"picard_rank": -1, "intersection_matrix": [], "points": []})
     with pytest.raises(SurfaceConfigError):
         parse_surface({"picard_rank": 1, "intersection_matrix": [[1, 0]], "points": []})
+
+
+@pytest.mark.parametrize(
+    "cfg, path",
+    [
+        (
+            {"picard_rank": True, "intersection_matrix": [[1]], "points": []},
+            "picard_rank",
+        ),
+        (
+            {"picard_rank": 2, "intersection_matrix": [[0, 1], [1, False]], "points": []},
+            "intersection_matrix[1][1]",
+        ),
+    ],
+)
+def test_parse_rejects_booleans(cfg, path):
+    with pytest.raises(SurfaceConfigError) as err:
+        parse_surface(cfg)
+    assert err.value.path == path
 
 
 # -- assembly -----------------------------------------------------------------------
@@ -181,3 +203,63 @@ def test_zero_rank_model():
         {"picard_rank": 0, "intersection_matrix": [], "points": [{"id": "x", "type": "A1"}]}
     )
     assert verify_global(model).passed
+
+
+REPEATED = {
+    "picard_rank": 1,
+    "intersection_matrix": [[1]],
+    "points": [
+        {"id": "p", "type": "A1"},
+        {"id": "q", "type": "A2"},
+        {"id": "r", "type": "A1"},
+        {"id": "s", "type": "E6"},
+        {"id": "t", "type": "A2"},
+    ],
+}
+
+
+def _point_checks(report, pid):
+    prefix = f"point[{pid}]:"
+    return [
+        dict(c.to_dict(), name=c.name[len(prefix):])
+        for c in report.checks
+        if c.name.startswith(prefix)
+    ]
+
+
+def test_each_distinct_point_map_verified_once(monkeypatch):
+    seen = []
+
+    def counted(cmap):
+        seen.append(id(cmap))
+        return verify_correspondence(cmap)
+
+    monkeypatch.setattr(surface, "verify_correspondence", counted)
+    report = verify_global(parse_surface(REPEATED))
+    assert report.passed
+    assert len(seen) == len(set(seen)) == 3
+    for point in REPEATED["points"]:
+        expected = verify_correspondence(ade_bundle(point["type"]).cmap)
+        assert _point_checks(report, point["id"]) == [c.to_dict() for c in expected.checks]
+
+
+def test_tampered_block_verified_on_its_own():
+    # points r and p share A1's map; a tampered copy at r alone must fail at r alone
+    asm = assemble_global(parse_surface(REPEATED))
+    cmap = ade_bundle("A1").cmap
+    bad = dataclasses.replace(
+        cmap, target=cmap.target.replaced_product("f1", "f1", [("[pt]", 2)])
+    )
+    blocks = tuple(
+        dataclasses.replace(b, cmap=bad) if b.point.id == "r" else b for b in asm.blocks
+    )
+    report = verify_assembly(dataclasses.replace(asm, blocks=blocks))
+    failing = {c.name for c in report.checks if not c.passed}
+    assert failing == {
+        "point[r]:multiplicativity",
+        "point[r]:isometry",
+        "point[r]:float-sanity",
+    }
+    assert _point_checks(report, "r") == [
+        c.to_dict() for c in verify_correspondence(bad).checks
+    ]
