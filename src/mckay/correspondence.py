@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from weakref import WeakKeyDictionary
 
 from . import linalg
 from .algebra import GradedAlgebra
@@ -151,6 +152,18 @@ def branch_sqrt(table: CharacterTable, class_index: int) -> CycNum:
     return _element_branch(table.group, rep)
 
 
+def _scaled_minor(table: CharacterTable) -> tuple[tuple[CycNum, ...], ...]:
+    """diag(s)·Y^T at conductor 2*exponent, for Y the character table without
+    its trivial row and identity column: entry [c-1][r-1] is s(g_c)·chi_r(g_c)."""
+    m = table.size
+    conductor = 2 * table.conj.exponent
+    rows = []
+    for c in range(1, m):
+        s = branch_sqrt(table, c)
+        rows.append(tuple((s * table.rows[r][c]).lift(conductor) for r in range(1, m)))
+    return tuple(rows)
+
+
 @dataclass(frozen=True, eq=False)
 class Bundle:
     """The local data of one SL2 subgroup; ``cmap`` maps ``resolution`` to
@@ -173,17 +186,12 @@ def build_local(group: FiniteGroup, table: CharacterTable) -> Bundle:
     orbifold = local_orbifold_algebra(group)
     invariant = invariant_subalgebra(orbifold, group)
     m = table.size
-    conductor = 2 * table.conj.exponent
-    rows = []
-    for c in range(1, m):
-        s = branch_sqrt(table, c)
-        rows.append(tuple((s * table.rows[r][c]).lift(conductor) for r in range(1, m)))
     cmap = CorrespondenceMap(
         group=group,
         table=table,
         source=resolution,
         target=invariant,
-        matrix=tuple(rows),
+        matrix=_scaled_minor(table),
         row_labels=tuple(class_label(c) for c in range(1, m)),
         col_labels=tuple(exceptional_label(r) for r in range(1, m)),
         scale=group.order,
@@ -206,15 +214,25 @@ def phi_local(group: FiniteGroup, table: CharacterTable | None = None) -> Corres
     return build_local(group, table).cmap
 
 
+# per table, the determinant of its character minor; weak keys so dropped tables are freed
+_MINOR_DETERMINANTS: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def char_minor_determinant(table: CharacterTable) -> CycNum:
     """Exact determinant of the character table with the trivial row and
-    identity column removed."""
-    minor = [
-        [table.rows[i][c] for c in range(1, table.size)] for i in range(1, table.size)
-    ]
-    if not minor:
-        return rational(1)
-    return linalg.determinant(minor)
+    identity column removed, computed once per table.
+
+    ``additive-rank`` and ``minor-determinant`` both read it, so a table
+    verified and then asked for its minor pays for one elimination.
+    """
+    det = _MINOR_DETERMINANTS.get(table)
+    if det is None:
+        minor = [
+            [table.rows[i][c] for c in range(1, table.size)] for i in range(1, table.size)
+        ]
+        det = rational(1) if not minor else linalg.determinant(minor)
+        _MINOR_DETERMINANTS[table] = det
+    return det
 
 
 # -- verification --------------------------------------------------------------
@@ -272,9 +290,49 @@ def _check_multiplicativity(cmap: CorrespondenceMap, pulled_back, expected) -> C
     return CheckResult("multiplicativity", True)
 
 
+def _stored_form(matrix) -> list:
+    return [[(v.conductor, v.num, v.den) for v in row] for row in matrix]
+
+
+def _factored_determinant(cmap: CorrespondenceMap) -> CycNum | None:
+    """det M as prod_c s(g_c) · det Y (see ``_check_additive``), or None when
+    M is not diag(s)·Y^T in stored form or det Y = 0."""
+    table = cmap.table
+    if table.size < 2 or _stored_form(cmap.matrix) != _stored_form(_scaled_minor(table)):
+        return None
+    det = char_minor_determinant(table)
+    if det.is_zero():
+        return None
+    for c in range(1, table.size):
+        det = det * branch_sqrt(table, c)
+    return det.lift(2 * table.conj.exponent)
+
+
 def _check_additive(cmap: CorrespondenceMap) -> CheckResult:
-    det, rk = linalg.determinant_and_rank([list(row) for row in cmap.matrix])
+    """M is invertible: det M != 0 and rank M = m - 1.
+
+    Proof from the character minor.  Let Y be the character table with the
+    trivial row and identity column removed, and s(g_c) the branch root of
+    class c.  M is checked to equal diag(s)·Y^T entry by entry, in stored
+    form (conductor 2*exponent, numerators, denominator).  Then
+    det M = det diag(s) · det Y^T = prod_c s(g_c) · det Y.  Off the identity
+    s(g) = zeta_2r^k - zeta_2r^-k = 2i·sin(pi k / r) with 0 < k <= r/2, so
+    s(g) != 0, and det Y != 0 gives det M != 0; an invertible M has rank
+    m - 1.  det Y comes from ``char_minor_determinant``, one elimination per
+    table shared with ``minor-determinant``, and the product is lifted to
+    conductor 2*exponent.  An elimination of M would stay at that conductor,
+    where every entry lives, and a value has one stored form per conductor,
+    so the reported determinant is the one elimination returns.
+
+    On a mismatch or det Y = 0, M itself is eliminated, so a failing report
+    carries M's own determinant and rank as its witness.
+    """
     n = len(cmap.matrix)
+    det = _factored_determinant(cmap)
+    if det is not None:
+        rk = n
+    else:
+        det, rk = linalg.determinant_and_rank([list(row) for row in cmap.matrix])
     ok = (not det.is_zero()) and rk == n
     return CheckResult(
         "additive-rank",
@@ -336,17 +394,23 @@ def _check_float(cmap: CorrespondenceMap, target_gram, source_gram) -> CheckResu
     """Re-evaluate the product and pairing identities at machine precision."""
     n = len(cmap.matrix)
     mc = [[v.complex_value() for v in row] for row in cmap.matrix]
-    pg = [[v.complex_value() for v in row] for row in target_gram]
     sg = [[v.complex_value() for v in row] for row in source_gram]
     scale = cmap.scale
     max_err = 0.0
-    # pairing transport
+    # pairing transport over the exactly nonzero entries of the target
+    # pairing, in (a, b) order: a skipped term is an exact (signed) zero, so
+    # max_error is the one the dense O(m^4) sum gives
+    support = [
+        (a, b, v.complex_value())
+        for a, row in enumerate(target_gram)
+        for b, v in enumerate(row)
+        if not v.is_zero()
+    ]
     for i in range(n):
         for j in range(n):
             acc = 0j
-            for a in range(n):
-                for b in range(n):
-                    acc += mc[a][i] * pg[a][b] * mc[b][j]
+            for a, b, g in support:
+                acc += mc[a][i] * g * mc[b][j]
             max_err = max(max_err, abs(acc - scale * sg[i][j]))
     # multiplicativity against the structure constants
     inv_class = cmap.table.conj.class_inverse
@@ -357,9 +421,7 @@ def _check_float(cmap: CorrespondenceMap, target_gram, source_gram) -> CheckResu
             for c in range(n):
                 cstar = inv_class[c + 1] - 1
                 acc += mc[c][i] * mc[cstar][j] * sizes[c + 1]
-            src = dict(cmap.source.product(cmap.source.degree_one[i], cmap.source.degree_one[j]))
-            rhs = src.get(cmap.source.point, rational(0)).complex_value() * scale
-            max_err = max(max_err, abs(acc - rhs))
+            max_err = max(max_err, abs(acc - sg[i][j] * scale))
     ok = max_err <= FLOAT_TOLERANCE
     return CheckResult(
         "float-sanity",

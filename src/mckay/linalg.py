@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .cyclo import CycNum, rational
+from .cyclo import CycNum, dot, rational
 
 __all__ = ["matmul", "transpose", "determinant", "determinant_and_rank", "rank"]
 
@@ -12,21 +12,9 @@ def transpose(m):
 
 
 def matmul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = []
-    zero = rational(0)
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = zero
-            for k in range(inner):
-                x = a[i][k]
-                y = b[k][j]
-                if not x.is_zero() and not y.is_zero():
-                    acc = acc + x * y
-            row.append(acc)
-        out.append(row)
-    return out
+    """The product a·b, one fused ``dot`` per entry."""
+    cols = list(zip(*b))
+    return [[dot(zip(row, col)) for col in cols] for row in a]
 
 
 def _eliminate(matrix):
@@ -57,8 +45,7 @@ def _eliminate(matrix):
     return rows, r, sign
 
 
-def determinant_and_rank(matrix) -> tuple[CycNum, int]:
-    """Determinant and rank of a square matrix from a single elimination."""
+def _determinant_and_rank(matrix) -> tuple[CycNum, int]:
     n = len(matrix)
     if n == 0:
         return rational(1), 0
@@ -71,8 +58,15 @@ def determinant_and_rank(matrix) -> tuple[CycNum, int]:
     return det, pivots
 
 
+def determinant_and_rank(matrix) -> tuple[CycNum, int]:
+    """Determinant and rank of a square matrix from a single elimination."""
+    return _determinant_and_rank(matrix)
+
+
 def determinant(matrix) -> CycNum:
-    return determinant_and_rank(matrix)[0]
+    # shares the body instead of calling determinant_and_rank, so a call of
+    # one is never also a call of the other
+    return _determinant_and_rank(matrix)[0]
 
 
 def rank(matrix) -> int:

@@ -5,21 +5,26 @@ import sys
 
 import pytest
 
-from mckay import catalog, correspondence
+from mckay import catalog, correspondence, linalg
 from mckay.algebra import GradedAlgebra
 from mckay.catalog import EXTRA_GROUPS, ade_bundle, extra_table
+from mckay.chartab import character_table
 from mckay.correspondence import (
+    FLOAT_TOLERANCE,
     branch_sqrt,
+    build_local,
     char_minor_determinant,
+    minor_report,
     phi_local,
     verify_correspondence,
     verify_local,
 )
 from mckay.cyclo import integer_sqrt_embed, rational, zeta
 from mckay.groups import ADE_SUITE, build_binary_polyhedral
-from mckay.linalg import rank
+from mckay.linalg import determinant_and_rank, rank
 
 SMALL = ("A1", "A2", "A3", "D4", "D5", "E6")
+SCALING = ("A15", "D16", "A20", "D20")
 
 
 # -- branch square roots -----------------------------------------------------------
@@ -298,3 +303,132 @@ def test_singular_matrix_fails_additive_rank():
 
 def test_untampered_control_passes():
     assert verify_correspondence(ade_bundle("A1").cmap).passed
+
+
+def test_duplicate_point_terms_pass_every_check():
+    # E1 E1 = -[pt] - [pt] is E1 E1 = -2 [pt], written as two terms: the exact
+    # checks read it through the Gram pairing, and so must float-sanity
+    cmap = ade_bundle("A1").cmap
+    split = cmap.source.replaced_product("E1", "E1", [("[pt]", -1), ("[pt]", -1)])
+    report = verify_correspondence(dataclasses.replace(cmap, source=split))
+    assert [(c.name, c.passed) for c in report.checks] == [
+        ("multiplicativity", True),
+        ("additive-rank", True),
+        ("isometry", True),
+        ("equivariance", True),
+        ("float-sanity", True),
+    ]
+    assert report.check("float-sanity").detail == verify_correspondence(cmap).check(
+        "float-sanity"
+    ).detail
+
+
+# -- the fused products, the sparse float transport, the factored determinant ------
+
+
+def matmul_oracle(a, b):
+    """The triple loop matmul replaced: a rational(0) accumulator per entry."""
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            acc = rational(0)
+            for k in range(len(b)):
+                x, y = a[i][k], b[k][j]
+                if not x.is_zero() and not y.is_zero():
+                    acc = acc + x * y
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("label", SMALL + ("E7", "E8", "A15", "D16"))
+def test_matmul_matches_the_triple_loop(label):
+    cmap = ade_bundle(label).cmap
+    _, target_gram = cmap.target.gram()
+    matrix = [list(row) for row in cmap.matrix]
+    left = linalg.transpose(matrix)
+    for a, b in ((target_gram, matrix), (left, linalg.matmul(target_gram, matrix)), (left, matrix)):
+        got, want = linalg.matmul(a, b), matmul_oracle(a, b)
+        assert [[(v.conductor, v.num, v.den) for v in row] for row in got] == [
+            [(v.conductor, v.num, v.den) for v in row] for row in want
+        ]
+
+
+def float_oracle(cmap) -> float:
+    """max_error of float-sanity as the dense O(m^4) transport computed it."""
+    _, target_gram = cmap.target.gram()
+    _, source_gram = cmap.source.gram()
+    n = len(cmap.matrix)
+    mc = [[v.complex_value() for v in row] for row in cmap.matrix]
+    pg = [[v.complex_value() for v in row] for row in target_gram]
+    sg = [[v.complex_value() for v in row] for row in source_gram]
+    scale = cmap.scale
+    max_err = 0.0
+    for i in range(n):
+        for j in range(n):
+            acc = 0j
+            for a in range(n):
+                for b in range(n):
+                    acc += mc[a][i] * pg[a][b] * mc[b][j]
+            max_err = max(max_err, abs(acc - scale * sg[i][j]))
+    inv_class = cmap.table.conj.class_inverse
+    sizes = cmap.table.conj.sizes
+    for i in range(n):
+        for j in range(i, n):
+            acc = 0j
+            for c in range(n):
+                cstar = inv_class[c + 1] - 1
+                acc += mc[c][i] * mc[cstar][j] * sizes[c + 1]
+            src = dict(cmap.source.product(cmap.source.degree_one[i], cmap.source.degree_one[j]))
+            rhs = src.get(cmap.source.point, rational(0)).complex_value() * scale
+            max_err = max(max_err, abs(acc - rhs))
+    return max_err
+
+
+@pytest.mark.parametrize("label", ADE_SUITE + SCALING)
+def test_float_transport_matches_the_dense_loop(label):
+    cmap = ade_bundle(label).cmap
+    detail = verify_correspondence(cmap).check("float-sanity").detail
+    assert detail == {"max_error": float_oracle(cmap), "tolerance": FLOAT_TOLERANCE}
+
+
+@pytest.mark.parametrize("label", ADE_SUITE + SCALING)
+def test_factored_determinant_matches_elimination(label):
+    cmap = ade_bundle(label).cmap
+    det, rk = determinant_and_rank([list(row) for row in cmap.matrix])
+    check = verify_correspondence(cmap).check("additive-rank")
+    assert check.passed
+    assert check.detail == {"determinant": det.to_json(), "rank": rk}
+
+
+def test_tampered_invertible_matrix_takes_the_fallback():
+    cmap = ade_bundle("D4").cmap
+    rows = [list(row) for row in cmap.matrix]
+    rows[0][0] = rows[0][0] * 2
+    tampered = dataclasses.replace(cmap, matrix=tuple(map(tuple, rows)))
+    det, rk = determinant_and_rank(rows)
+    assert not det.is_zero() and rk == len(rows)
+    report = verify_correspondence(tampered)
+    additive = report.check("additive-rank")
+    assert additive.passed
+    assert additive.detail == {"determinant": det.to_json(), "rank": rk}
+    assert additive.detail != verify_correspondence(cmap).check("additive-rank").detail
+    assert not report.check("isometry").passed
+
+
+def test_one_determinant_per_table(monkeypatch):
+    calls = {"determinant": 0, "determinant_and_rank": 0}
+    for name in calls:
+        original = getattr(linalg, name)
+
+        def counted(matrix, _fn=original, _name=name):
+            calls[_name] += 1
+            return _fn(matrix)
+
+        monkeypatch.setattr(linalg, name, counted)
+    group = build_binary_polyhedral("D5")
+    table = character_table(group)
+    assert verify_correspondence(build_local(group, table).cmap).passed
+    assert minor_report(table).passed
+    assert calls == {"determinant": 1, "determinant_and_rank": 0}
