@@ -23,6 +23,7 @@ from .groups import (
 __all__ = [
     "Bundle",
     "ade_group",
+    "ade_table",
     "ade_bundle",
     "extra_group",
     "extra_table",
@@ -40,9 +41,13 @@ def ade_group(label: str) -> FiniteGroup:
 
 
 @lru_cache(maxsize=None)
+def ade_table(label: str) -> CharacterTable:
+    return character_table(ade_group(label))
+
+
+@lru_cache(maxsize=None)
 def ade_bundle(label: str) -> Bundle:
-    group = ade_group(label)
-    return build_local(group, character_table(group))
+    return build_local(ade_group(label), ade_table(label))
 
 
 @lru_cache(maxsize=None)
@@ -66,5 +71,5 @@ def extra_table(name: str) -> CharacterTable:
 
 
 def clear_caches() -> None:
-    for fn in (ade_group, ade_bundle, extra_group, extra_table):
+    for fn in (ade_group, ade_table, ade_bundle, extra_group, extra_table):
         fn.cache_clear()

@@ -38,6 +38,7 @@ __all__ = [
     "class_multiplication_tensor",
     "character_table",
     "tensor_multiplicity",
+    "natural_pairings",
     "mckay_graph",
     "classify_affine_ade",
 ]
@@ -343,29 +344,38 @@ def _power_map(group: FiniteGroup, conj: ConjugacyStructure):
     return pm
 
 
-def _lift_row(chi_mod, degree, group, conj, pm, z, exponent, p):
+def _inverse_dft(d, z, exponent, p):
+    """Rows [zeta_d^(-t*u) for u < d] for t < d, with zeta_d = z^(exponent/d)
+    of order d in F_p, and 1/d mod p: the inverse Fourier transform that
+    reads eigenvalue multiplicities off the power map."""
+    zd_inv = pow(pow(z, exponent // d, p), p - 2, p)
+    inv_powers = [1] * d
+    for k in range(1, d):
+        inv_powers[k] = inv_powers[k - 1] * zd_inv % p
+    rows = tuple(tuple(inv_powers[t * u % d] for u in range(d)) for t in range(d))
+    return rows, pow(d, p - 2, p)
+
+
+def _lift_row(chi_mod, degree, group, conj, pm, dft, p):
+    """The exact values of one character from its residues; ``dft`` maps
+    each element order d to its ``_inverse_dft``, shared by every row."""
     values = []
     for j, rep in enumerate(conj.representatives):
         d = group.element_order[rep]
-        zj = pow(z, exponent // d, p)
-        # zj has order d, so zj^-k = inv_powers[k % d]
-        inv_powers = [1] * d
-        zj_inv = pow(zj, p - 2, p)
-        for k in range(1, d):
-            inv_powers[k] = inv_powers[k - 1] * zj_inv % p
-        d_inv = pow(d, p - 2, p)
+        rows, d_inv = dft[d]
         chi_powers = [chi_mod[pm[j][u]] for u in range(d)]
         mults = {}
-        for t in range(d):
-            acc = sum(x * inv_powers[t * u % d] for u, x in enumerate(chi_powers))
-            m_t = (acc * d_inv) % p
+        for t, row in enumerate(rows):
+            m_t = sum(map(mul, chi_powers, row)) * d_inv % p
             if m_t > degree:
                 raise TableConsistencyError("eigenvalue multiplicity out of range")
             if m_t:
                 mults[t] = m_t
         if sum(mults.values()) != degree:
             raise TableConsistencyError("eigenvalue multiplicities do not sum to degree")
-        # consistency: the lifted value must reproduce chi mod p
+        # consistency: the lifted value must reproduce chi mod p; row 1 % d
+        # holds zeta_d^-u, so zeta_d^t is its entry at -t mod d
+        inv_powers = rows[1 % d]
         check = sum(m * inv_powers[-t % d] for t, m in mults.items()) % p
         if check != chi_mod[j] % p:
             raise TableConsistencyError("lifted character does not match modular data")
@@ -374,11 +384,9 @@ def _lift_row(chi_mod, degree, group, conj, pm, z, exponent, p):
 
 
 def _row_sort_key(row, degree, exponent):
-    flat = []
-    for v in row:
-        for c in v.lift(exponent).coeffs:
-            flat.append(c)
-    return (degree, tuple(flat))
+    # lifted values are algebraic integers (den == 1), so their numerators
+    # order as their coefficients do
+    return (degree, tuple(x for v in row for x in v.lift(exponent).num))
 
 
 def _symmetric(residue: int, p: int) -> int:
@@ -519,6 +527,10 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     vectors = _common_eigenvectors(matrices, p)
     pm = _power_map(group, conj)
     inv_sizes = [pow(s, p - 2, p) for s in conj.sizes]
+    dft = {
+        d: _inverse_dft(d, z, exponent, p)
+        for d in {group.element_order[rep] for rep in conj.representatives}
+    }
     rows = []
     degrees = []
     for v in vectors:
@@ -537,7 +549,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
             raise TableConsistencyError("degree square has no modular root")
         degree = min(root, p - root)
         chi_mod = [degree * omega[i] * inv_sizes[i] % p for i in range(m)]
-        rows.append(_lift_row(chi_mod, degree, group, conj, pm, z, exponent, p))
+        rows.append(_lift_row(chi_mod, degree, group, conj, pm, dft, p))
         degrees.append(degree)
     if sum(d * d for d in degrees) != order:
         raise TableConsistencyError("degrees do not satisfy the order sum rule")
@@ -562,16 +574,18 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     )
 
 
-def _multiplicity(table: CharacterTable, weighted, k: int, where) -> int:
-    """<f, chi_k> = S(f, chi_k) / |G|, decided by the table's certificate.
+def _pairing(cert: Certificate, weighted, k: int) -> int:
+    """S(f, chi_k) for ``weighted[c]`` = |C_c| f(c) mod the certificate prime,
+    f a product of rows and the natural character covered by the height
+    bound of :func:`_certify`."""
+    return _symmetric(sum(map(mul, weighted, cert.conj_rows[k])), cert.prime)
 
-    ``weighted[c]`` is |C_c| f(c) mod the certificate prime, for f a product
-    of rows and the natural character covered by the height bound of
-    :func:`_certify`.  Raises TableConsistencyError unless the result is a
-    nonnegative integer.
+
+def _multiplicity(table: CharacterTable, value: int, where) -> int:
+    """<f, chi_k> = S(f, chi_k) / |G| from the pairing ``value``.
+
+    Raises TableConsistencyError unless the result is a nonnegative integer.
     """
-    cert = table.certificate
-    value = _symmetric(sum(map(mul, weighted, cert.conj_rows[k])), cert.prime)
     q, r = divmod(value, table.group.order)
     if r or q < 0:
         raise TableConsistencyError(
@@ -584,9 +598,23 @@ def _multiplicity(table: CharacterTable, weighted, k: int, where) -> int:
 
 def tensor_multiplicity(table: CharacterTable, i: int, j: int, k: int) -> int:
     """Multiplicity of the k-th irreducible in the tensor product of i and j."""
-    rows = table.certificate.rows
-    weighted = [s * x * y for s, x, y in zip(table.conj.sizes, rows[i], rows[j])]
-    return _multiplicity(table, weighted, k, (i, j, k))
+    cert = table.certificate
+    weighted = [s * x * y for s, x, y in zip(table.conj.sizes, cert.rows[i], cert.rows[j])]
+    return _multiplicity(table, _pairing(cert, weighted, k), (i, j, k))
+
+
+def natural_pairings(table: CharacterTable) -> tuple[tuple[int, ...], ...]:
+    """S(chi_nat chi_i, chi_j) = sum_c |C_c| chi_nat(c) chi_i(c) conj(chi_j(c))
+    for every pair of rows, decided by the table's certificate."""
+    if table.natural_character is None:
+        raise CharacterTableError("group carries no natural 2-dimensional character")
+    cert = table.certificate
+    natural = [s * x for s, x in zip(table.conj.sizes, cert.natural)]
+    pairings = []
+    for row in cert.rows:
+        weighted = list(map(mul, row, natural))
+        pairings.append(tuple(_pairing(cert, weighted, k) for k in range(len(cert.rows))))
+    return tuple(pairings)
 
 
 @dataclass(frozen=True, eq=False)
@@ -605,16 +633,9 @@ class McKayGraph:
 
 def mckay_graph(table: CharacterTable) -> McKayGraph:
     """Graph on all irreducibles with edges <rho_i (x) natural, rho_j>."""
-    if table.natural_character is None:
-        raise CharacterTableError("group carries no natural 2-dimensional character")
+    pairings = natural_pairings(table)
     m = table.size
-    cert = table.certificate
-    natural = [s * x for s, x in zip(table.conj.sizes, cert.natural)]
-    adjacency = [[0] * m for _ in range(m)]
-    for i in range(m):
-        weighted = list(map(mul, cert.rows[i], natural))
-        for j in range(m):
-            adjacency[i][j] = _multiplicity(table, weighted, j, (i, j))
+    adjacency = [[_multiplicity(table, pairings[i][j], (i, j)) for j in range(m)] for i in range(m)]
     for i in range(m):
         if adjacency[i][i] != 0:
             raise TableConsistencyError("McKay graph has a loop")

@@ -17,7 +17,7 @@ import time
 from math import lcm
 
 from . import __version__
-from .catalog import EXTRA_GROUPS, ade_bundle, extra_group, extra_table
+from .catalog import EXTRA_GROUPS, ade_bundle, ade_group, ade_table, extra_group, extra_table
 from .chartab import (
     CharacterTableError,
     EigenSplitError,
@@ -108,7 +108,7 @@ def _parse_group_file(data, name: str) -> FiniteGroup:
 
 def _resolve_group(args) -> FiniteGroup:
     if getattr(args, "type", None):
-        return ade_bundle(args.type.strip().upper()).group
+        return ade_group(args.type.strip().upper())
     if getattr(args, "group", None):
         return _load_group_file(args.group)
     if getattr(args, "name", None):
@@ -182,7 +182,7 @@ def _cmd_group(args) -> int:
 
 def _cmd_chartable(args) -> int:
     if getattr(args, "type", None):
-        table = ade_bundle(args.type.strip().upper()).table
+        table = ade_table(args.type.strip().upper())
     else:
         table = character_table(_resolve_group(args))
     _dump({"schema": 1, "command": "chartable", "table": _table_payload(table)}, args.out)
@@ -247,7 +247,7 @@ def _cmd_verify_global(args) -> int:
 
 def _cmd_minor(args) -> int:
     if getattr(args, "type", None):
-        table = ade_bundle(args.type.strip().upper()).table
+        table = ade_table(args.type.strip().upper())
     elif getattr(args, "name", None):
         table = extra_table(args.name)
     else:

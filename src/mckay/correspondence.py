@@ -13,11 +13,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import wraps
 from weakref import WeakKeyDictionary
 
 from . import linalg
 from .algebra import GradedAlgebra
-from .chartab import CharacterTable, McKayGraph, character_table, mckay_graph
+from .chartab import (
+    CharacterTable,
+    McKayGraph,
+    character_table,
+    mckay_graph,
+    natural_pairings,
+)
 from .cyclo import CycNum, integer_sqrt_embed, rational, zeta
 from .groups import FiniteGroup
 from .orbifold import class_label, invariant_subalgebra, local_orbifold_algebra
@@ -152,9 +159,28 @@ def branch_sqrt(table: CharacterTable, class_index: int) -> CycNum:
     return _element_branch(table.group, rep)
 
 
+def _per_table(build):
+    """Memoise ``build(table)`` once per table; weak keys so dropped tables
+    are freed."""
+    cache: WeakKeyDictionary = WeakKeyDictionary()
+
+    @wraps(build)
+    def cached(table: CharacterTable):
+        try:
+            return cache[table]
+        except KeyError:
+            value = cache[table] = build(table)
+            return value
+
+    return cached
+
+
+@_per_table
 def _scaled_minor(table: CharacterTable) -> tuple[tuple[CycNum, ...], ...]:
     """diag(s)·Y^T at conductor 2*exponent, for Y the character table without
-    its trivial row and identity column: entry [c-1][r-1] is s(g_c)·chi_r(g_c)."""
+    its trivial row and identity column: entry [c-1][r-1] is s(g_c)·chi_r(g_c).
+    Built once per table: ``build_local`` stores it as M and ``verify_correspondence``
+    compares M with it."""
     m = table.size
     conductor = 2 * table.conj.exponent
     rows = []
@@ -214,10 +240,7 @@ def phi_local(group: FiniteGroup, table: CharacterTable | None = None) -> Corres
     return build_local(group, table).cmap
 
 
-# per table, the determinant of its character minor; weak keys so dropped tables are freed
-_MINOR_DETERMINANTS: WeakKeyDictionary = WeakKeyDictionary()
-
-
+@_per_table
 def char_minor_determinant(table: CharacterTable) -> CycNum:
     """Exact determinant of the character table with the trivial row and
     identity column removed, computed once per table.
@@ -225,14 +248,8 @@ def char_minor_determinant(table: CharacterTable) -> CycNum:
     ``additive-rank`` and ``minor-determinant`` both read it, so a table
     verified and then asked for its minor pays for one elimination.
     """
-    det = _MINOR_DETERMINANTS.get(table)
-    if det is None:
-        minor = [
-            [table.rows[i][c] for c in range(1, table.size)] for i in range(1, table.size)
-        ]
-        det = rational(1) if not minor else linalg.determinant(minor)
-        _MINOR_DETERMINANTS[table] = det
-    return det
+    minor = [[table.rows[i][c] for c in range(1, table.size)] for i in range(1, table.size)]
+    return rational(1) if not minor else linalg.determinant(minor)
 
 
 # -- verification --------------------------------------------------------------
@@ -242,7 +259,7 @@ def _vec_json(algebra: GradedAlgebra, vec: dict) -> dict:
     return {algebra.labels[k]: v.to_json() for k, v in sorted(vec.items())}
 
 
-def _check_multiplicativity(cmap: CorrespondenceMap, pulled_back, expected) -> CheckResult:
+def _check_multiplicativity(cmap: CorrespondenceMap, exact) -> CheckResult:
     """Images multiply as their sources do, in every degree.
 
     ``GradedAlgebra.build`` puts every product of two degree-1 classes on the
@@ -250,24 +267,28 @@ def _check_multiplicativity(cmap: CorrespondenceMap, pulled_back, expected) -> C
     image_a * image_b = sum_{c,d} M[c][a] M[d][b] f_c f_d is (M^T G_orb M)[a][b]
     times the point class (row c of M is the target's c-th degree-1 class).
     The degree-1 law is read off that pulled-back pairing over a <= b; the
-    product of images is formed only for a failing pair's witness.
+    product of images is formed only for a failing pair's witness.  ``exact``
+    is (M^T G_orb M, |G| G_res), or None when the certificate has proven them
+    equal (see ``verify_correspondence``).
     """
     target = cmap.target
     labels = cmap.col_labels
-    for a in range(len(labels)):
-        for b in range(a, len(labels)):
-            if pulled_back[a][b] != expected[a][b]:
-                lhs = target.mult_vec(cmap.column_image(a), cmap.column_image(b))
-                return CheckResult(
-                    "multiplicativity",
-                    False,
-                    witness={
-                        "left": labels[a],
-                        "right": labels[b],
-                        "image_product": _vec_json(target, lhs),
-                        "scaled_source_product": expected[a][b].to_json(),
-                    },
-                )
+    if exact is not None:
+        pulled_back, expected = exact
+        for a in range(len(labels)):
+            for b in range(a, len(labels)):
+                if pulled_back[a][b] != expected[a][b]:
+                    lhs = target.mult_vec(cmap.column_image(a), cmap.column_image(b))
+                    return CheckResult(
+                        "multiplicativity",
+                        False,
+                        witness={
+                            "left": labels[a],
+                            "right": labels[b],
+                            "image_product": _vec_json(target, lhs),
+                            "scaled_source_product": expected[a][b].to_json(),
+                        },
+                    )
     # degenerate degrees: unit acts as unit on images, the point class kills them
     unit = {target.unit: rational(1)}
     point = {target.point: rational(1)}
@@ -294,11 +315,11 @@ def _stored_form(matrix) -> list:
     return [[(v.conductor, v.num, v.den) for v in row] for row in matrix]
 
 
-def _factored_determinant(cmap: CorrespondenceMap) -> CycNum | None:
+def _factored_determinant(cmap: CorrespondenceMap, is_scaled_minor: bool) -> CycNum | None:
     """det M as prod_c s(g_c) · det Y (see ``_check_additive``), or None when
     M is not diag(s)·Y^T in stored form or det Y = 0."""
     table = cmap.table
-    if table.size < 2 or _stored_form(cmap.matrix) != _stored_form(_scaled_minor(table)):
+    if table.size < 2 or not is_scaled_minor:
         return None
     det = char_minor_determinant(table)
     if det.is_zero():
@@ -308,7 +329,7 @@ def _factored_determinant(cmap: CorrespondenceMap) -> CycNum | None:
     return det.lift(2 * table.conj.exponent)
 
 
-def _check_additive(cmap: CorrespondenceMap) -> CheckResult:
+def _check_additive(cmap: CorrespondenceMap, is_scaled_minor: bool) -> CheckResult:
     """M is invertible: det M != 0 and rank M = m - 1.
 
     Proof from the character minor.  Let Y be the character table with the
@@ -328,7 +349,7 @@ def _check_additive(cmap: CorrespondenceMap) -> CheckResult:
     carries M's own determinant and rank as its witness.
     """
     n = len(cmap.matrix)
-    det = _factored_determinant(cmap)
+    det = _factored_determinant(cmap, is_scaled_minor)
     if det is not None:
         rk = n
     else:
@@ -342,21 +363,25 @@ def _check_additive(cmap: CorrespondenceMap) -> CheckResult:
     )
 
 
-def _check_isometry(cmap: CorrespondenceMap, pulled_back, expected) -> CheckResult:
-    n = len(pulled_back)
-    for i in range(n):
-        for j in range(n):
-            if pulled_back[i][j] != expected[i][j]:
-                return CheckResult(
-                    "isometry",
-                    False,
-                    witness={
-                        "left": cmap.col_labels[i],
-                        "right": cmap.col_labels[j],
-                        "pulled_back": pulled_back[i][j].to_json(),
-                        "scaled_source": expected[i][j].to_json(),
-                    },
-                )
+def _check_isometry(cmap: CorrespondenceMap, exact) -> CheckResult:
+    """M^T G_orb M = |G| G_res over all pairs; ``exact`` as in
+    ``_check_multiplicativity``."""
+    if exact is not None:
+        pulled_back, expected = exact
+        n = len(pulled_back)
+        for i in range(n):
+            for j in range(n):
+                if pulled_back[i][j] != expected[i][j]:
+                    return CheckResult(
+                        "isometry",
+                        False,
+                        witness={
+                            "left": cmap.col_labels[i],
+                            "right": cmap.col_labels[j],
+                            "pulled_back": pulled_back[i][j].to_json(),
+                            "scaled_source": expected[i][j].to_json(),
+                        },
+                    )
     return CheckResult("isometry", True)
 
 
@@ -432,12 +457,86 @@ def _check_float(cmap: CorrespondenceMap, target_gram, source_gram) -> CheckResu
     )
 
 
+@_per_table
+def _certified_pairing(table: CharacterTable) -> tuple[tuple[int, ...], ...] | None:
+    """P[a-1][b-1] = S(chi_nat chi_a, chi_b) - 2|G| delta_ab over the
+    nontrivial rows a, b, from the table's certificate; None unless
+    chi_nat(id) = 2 and s(g_c) s(g_c^-1) = chi_nat(g_c) - 2 on every
+    nonidentity class c, checked exactly (see ``verify_correspondence``)."""
+    natural = table.natural_character
+    if natural is None or natural[0] != 2:
+        return None
+    inverse = table.conj.class_inverse
+    for c in range(1, table.size):
+        if branch_sqrt(table, c) * branch_sqrt(table, inverse[c]) != natural[c] - 2:
+            return None
+    pairings = natural_pairings(table)
+    twice_order = 2 * table.group.order
+    return tuple(
+        tuple(pairings[a][b] - (twice_order if a == b else 0) for b in range(1, table.size))
+        for a in range(1, table.size)
+    )
+
+
+def _scaled_is(v: CycNum, scale: int, k: int) -> bool:
+    """v * scale = k, read off the stored form: the power basis starts with 1."""
+    return not any(v.num[1:]) and v.num[0] * scale == k * v.den
+
+
+def _certified_identity(cmap: CorrespondenceMap, target_gram, source_gram) -> bool:
+    """True when G_orb is the class-size monomial matrix and the certified
+    pairing equals |G|·G_res at every entry; M = diag(s)·Y^T is checked by
+    the caller."""
+    pairing = _certified_pairing(cmap.table)
+    if pairing is None:
+        return False
+    n = len(pairing)
+    conj = cmap.table.conj
+    sizes, inverse = conj.sizes, conj.class_inverse
+    if len(target_gram) != n or len(source_gram) != n:
+        return False
+    for c, row in enumerate(target_gram, 1):
+        if len(row) != n or not all(
+            _scaled_is(v, 1, sizes[c] if d == inverse[c] else 0) for d, v in enumerate(row, 1)
+        ):
+            return False
+    return all(
+        len(row) == n and all(_scaled_is(v, cmap.scale, x) for v, x in zip(row, prow))
+        for row, prow in zip(source_gram, pairing)
+    )
+
+
 def verify_correspondence(cmap: CorrespondenceMap) -> VerificationReport:
     """Run the exact theorem checks on a built correspondence.
 
-    Both Gram matrices and M^T G_orb M are formed once: in degree one,
-    multiplicativity and isometry are the one identity M^T G_orb M = |G| G_res
-    (see ``_check_multiplicativity``), reported under both names.
+    Both Gram matrices are formed once.  In degree one, multiplicativity and
+    isometry are the one identity M^T G_orb M = |G| G_res (see
+    ``_check_multiplicativity``), reported under both names.
+
+    It is decided from the table's certificate, with no cyclotomic product,
+    when M = diag(s)·Y^T in stored form (M[c][a] = s(g_c) chi_a(g_c)) and
+    G_orb is the class-size monomial matrix: G_orb[c][d] = |C_c| if d is the
+    class of g_c^-1 (written c*) and 0 otherwise.  Then, c running over the
+    nonidentity classes,
+
+        (M^T G_orb M)[a][b] = sum_c |C_c| s(g_c) s(g_c*) chi_a(c) chi_b(c*).
+
+    ``_certified_pairing`` checks s(g_c) s(g_c*) = chi_nat(c) - 2 exactly on
+    every nonidentity class (s(g^-1) = s(g) and s(g)^2 = zeta_r^k +
+    zeta_r^-k - 2 by the branch choice) and chi_nat(id) = 2, so the identity
+    class may join the sum, adding 0, and over all classes c
+
+        (M^T G_orb M)[a][b] = sum_c |C_c| (chi_nat(c) - 2) chi_a(c) chi_b(c*)
+                            = S(chi_nat chi_a, chi_b) - 2 S(chi_a, chi_b).
+
+    The certificate proves chi_b(c*) = conj(chi_b(c)) (Galois equivariance),
+    that S(chi_nat chi_a, chi_b) is a rational integer decided by its
+    symmetric residue at the certificate prime (the row x natural x row
+    pairing its height bound covers, which ``mckay_graph`` also reads), and
+    S(chi_a, chi_b) = |G| delta_ab.  Each entry of this integer matrix is
+    compared with |G| G_res exactly.  If either precondition fails, or any
+    entry differs, M^T (G_orb M) is formed exactly and both checks compare
+    it entry by entry, so a failing report carries the product's own values.
 
     Failures are reported with witnesses, never raised, so tampered inputs
     produce a failing report that pinpoints the first broken identity.
@@ -445,13 +544,18 @@ def verify_correspondence(cmap: CorrespondenceMap) -> VerificationReport:
     t0 = time.perf_counter()
     _, target_gram = cmap.target.gram()
     _, source_gram = cmap.source.gram()
-    matrix = [list(row) for row in cmap.matrix]
-    pulled_back = linalg.matmul(linalg.transpose(matrix), linalg.matmul(target_gram, matrix))
-    expected = [[v * cmap.scale for v in row] for row in source_gram]
+    is_scaled_minor = _stored_form(cmap.matrix) == _stored_form(_scaled_minor(cmap.table))
+    exact = None
+    if not (is_scaled_minor and _certified_identity(cmap, target_gram, source_gram)):
+        matrix = [list(row) for row in cmap.matrix]
+        exact = (
+            linalg.matmul(linalg.transpose(matrix), linalg.matmul(target_gram, matrix)),
+            [[v * cmap.scale for v in row] for row in source_gram],
+        )
     checks = (
-        _check_multiplicativity(cmap, pulled_back, expected),
-        _check_additive(cmap),
-        _check_isometry(cmap, pulled_back, expected),
+        _check_multiplicativity(cmap, exact),
+        _check_additive(cmap, is_scaled_minor),
+        _check_isometry(cmap, exact),
         _check_equivariance(cmap),
         _check_float(cmap, target_gram, source_gram),
     )

@@ -1,11 +1,12 @@
 """Command-line surface: exit codes, formats, determinism."""
 
 import json
+import sys
 import time
 
 import pytest
 
-from mckay import chartab, cli
+from mckay import catalog, chartab, cli, correspondence
 from mckay.catalog import EXTRA_GROUPS, ade_bundle
 from mckay.chartab import EigenSplitError, TableConsistencyError
 from mckay.cli import main
@@ -398,3 +399,28 @@ def test_large_non_associative_loop_exits_2_with_witness(tmp_path, capsys):
     assert err.startswith(f"error: {path}: table is not associative at (")
     a, b, c = (int(x) for x in err.split("(")[1].split(")")[0].split(","))
     assert table[table[a][b]][c] != table[a][table[b][c]]
+
+
+def test_group_and_minor_by_type_build_no_bundle(monkeypatch, capsys):
+    # group --type needs the group only, and minor --type the table only
+    calls = {"character_table": 0, "build_local": 0}
+    modules = [m for n, m in sys.modules.items() if n.startswith("mckay.")]
+    for name, owner in (("character_table", chartab), ("build_local", correspondence)):
+        original = getattr(owner, name)
+
+        def counted(*args, _fn=original, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        for mod in modules:
+            if vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+    catalog.clear_caches()
+    assert run(capsys, "group", "--type", "D4")[0] == 0
+    assert calls == {"character_table": 0, "build_local": 0}
+    assert run(capsys, "minor", "--type", "D4")[0] == 0
+    assert calls == {"character_table": 1, "build_local": 0}
+    # verify local then reuses the table that minor built
+    assert run(capsys, "verify", "local", "--type", "D4")[0] == 0
+    assert calls == {"character_table": 1, "build_local": 1}
+    assert catalog.ade_bundle("D4").table is catalog.ade_table("D4")

@@ -212,22 +212,24 @@ def test_minor_ade(label):
 # -- negative controls ----------------------------------------------------------------
 
 
-def test_tampered_orbifold_constant_fails():
+def test_tampered_orbifold_constant_fails(matmul_calls):
     bundle = ade_bundle("A1")
     tampered = bundle.invariant.replaced_product("f1", "f1", [("[pt]", 2)])
     cmap = dataclasses.replace(bundle.cmap, target=tampered)
     report = verify_correspondence(cmap)
+    assert len(matmul_calls) == 2
     assert not report.passed
     failing = report.check("multiplicativity")
     assert not failing.passed
     assert failing.witness["left"] == "E1" and failing.witness["right"] == "E1"
 
 
-def test_tampered_resolution_constant_fails():
+def test_tampered_resolution_constant_fails(matmul_calls):
     bundle = ade_bundle("A1")
     tampered = bundle.resolution.replaced_product("E1", "E1", [("[pt]", -1)])
     cmap = dataclasses.replace(bundle.cmap, source=tampered)
     report = verify_correspondence(cmap)
+    assert len(matmul_calls) == 2
     assert not report.passed
     failing = report.check("multiplicativity")
     assert not failing.passed
@@ -238,12 +240,13 @@ def _cyc(conductor, coeffs):
     return {"conductor": conductor, "coeffs": coeffs}
 
 
-def test_tampered_off_diagonal_orbifold_constant_fails():
+def test_tampered_off_diagonal_orbifold_constant_fails(matmul_calls):
     # f1 f3 = [pt] becomes 5 [pt]; every entry of the A3 block is nonzero, so
     # the pulled-back pairing already breaks at (E1, E1)
     bundle = ade_bundle("A3")
     tampered = bundle.invariant.replaced_product("f1", "f3", [("[pt]", 5)])
     report = verify_correspondence(dataclasses.replace(bundle.cmap, target=tampered))
+    assert len(matmul_calls) == 2
     assert report.check("multiplicativity").witness == {
         "left": "E1",
         "right": "E1",
@@ -258,11 +261,12 @@ def test_tampered_off_diagonal_orbifold_constant_fails():
     }
 
 
-def test_tampered_off_diagonal_resolution_constant_fails():
+def test_tampered_off_diagonal_resolution_constant_fails(matmul_calls):
     # E1 E2 = [pt] becomes 7 [pt]: only the (E1, E2) pair breaks
     bundle = ade_bundle("A3")
     tampered = bundle.resolution.replaced_product("E1", "E2", [("[pt]", 7)])
     report = verify_correspondence(dataclasses.replace(bundle.cmap, source=tampered))
+    assert len(matmul_calls) == 2
     assert report.check("multiplicativity").witness == {
         "left": "E1",
         "right": "E2",
@@ -274,6 +278,27 @@ def test_tampered_off_diagonal_resolution_constant_fails():
         "right": "E2",
         "pulled_back": _cyc(8, {"0": "4"}),
         "scaled_source": _cyc(1, {"0": "28"}),
+    }
+
+
+def test_tampered_off_support_orbifold_constant_fails(matmul_calls):
+    # f1 f1 = 0 becomes [pt]: f1^-1 = f3, so G_orb leaves the class-size
+    # monomial support and the exact product is formed
+    bundle = ade_bundle("A3")
+    tampered = bundle.invariant.replaced_product("f1", "f1", [("[pt]", 1)])
+    report = verify_correspondence(dataclasses.replace(bundle.cmap, target=tampered))
+    assert len(matmul_calls) == 2
+    assert report.check("multiplicativity").witness == {
+        "left": "E1",
+        "right": "E1",
+        "image_product": {"[pt]": _cyc(8, {"0": "-10"})},
+        "scaled_source_product": _cyc(1, {"0": "-8"}),
+    }
+    assert report.check("isometry").witness == {
+        "left": "E1",
+        "right": "E1",
+        "pulled_back": _cyc(8, {"0": "-10"}),
+        "scaled_source": _cyc(1, {"0": "-8"}),
     }
 
 
@@ -291,10 +316,11 @@ def test_each_gram_built_once_per_verification(monkeypatch):
     assert calls == {id(cmap.source): 1, id(cmap.target): 1}
 
 
-def test_singular_matrix_fails_additive_rank():
+def test_singular_matrix_fails_additive_rank(matmul_calls):
     cmap = ade_bundle("A2").cmap
     singular = (cmap.matrix[0], cmap.matrix[0])
     report = verify_correspondence(dataclasses.replace(cmap, matrix=singular))
+    assert len(matmul_calls) == 2
     failing = report.check("additive-rank")
     assert not failing.passed
     assert failing.witness == {"determinant": rational(0).to_json(), "rank": 1, "size": 2}
@@ -402,7 +428,7 @@ def test_factored_determinant_matches_elimination(label):
     assert check.detail == {"determinant": det.to_json(), "rank": rk}
 
 
-def test_tampered_invertible_matrix_takes_the_fallback():
+def test_tampered_invertible_matrix_takes_the_fallback(matmul_calls):
     cmap = ade_bundle("D4").cmap
     rows = [list(row) for row in cmap.matrix]
     rows[0][0] = rows[0][0] * 2
@@ -410,6 +436,7 @@ def test_tampered_invertible_matrix_takes_the_fallback():
     det, rk = determinant_and_rank(rows)
     assert not det.is_zero() and rk == len(rows)
     report = verify_correspondence(tampered)
+    assert len(matmul_calls) == 2
     additive = report.check("additive-rank")
     assert additive.passed
     assert additive.detail == {"determinant": det.to_json(), "rank": rk}
@@ -432,3 +459,46 @@ def test_one_determinant_per_table(monkeypatch):
     assert verify_correspondence(build_local(group, table).cmap).passed
     assert minor_report(table).passed
     assert calls == {"determinant": 1, "determinant_and_rank": 0}
+
+
+# -- the degree-one identity from the character-table certificate ------------------
+
+
+@pytest.mark.parametrize("label", ADE_SUITE + SCALING + ("A30", "D30"))
+def test_certified_pairing_matches_the_product(label):
+    cmap = ade_bundle(label).cmap
+    _, target_gram = cmap.target.gram()
+    matrix = [list(row) for row in cmap.matrix]
+    product = linalg.matmul(linalg.transpose(matrix), linalg.matmul(target_gram, matrix))
+    pairing = correspondence._certified_pairing(cmap.table)
+    assert len(pairing) == len(product)
+    for got, want in zip(pairing, product):
+        assert len(got) == len(want)
+        assert all(w == g for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("label", ADE_SUITE + ("A15",))
+def test_untampered_verification_forms_no_product(matmul_calls, label):
+    assert verify_correspondence(ade_bundle(label).cmap).passed
+    assert matmul_calls == []
+
+
+def test_natural_character_off_the_branch_roots_takes_the_product(matmul_calls):
+    # 2·trivial passes the certificate but is not s(g) s(g^-1) + 2 on A2, so
+    # the certified pairing is withheld and the true product decides
+    cmap = ade_bundle("A2").cmap
+    table = dataclasses.replace(cmap.table, natural_character=(rational(2),) * cmap.table.size)
+    assert correspondence._certified_pairing(table) is None
+    report = verify_correspondence(dataclasses.replace(cmap, table=table))
+    assert len(matmul_calls) == 2
+    assert [c.to_dict() for c in report.checks] == [
+        c.to_dict() for c in verify_correspondence(cmap).checks
+    ]
+
+
+def test_scaled_minor_built_once_per_table():
+    group = build_binary_polyhedral("D5")
+    table = character_table(group)
+    cmap = build_local(group, table).cmap
+    assert verify_correspondence(cmap).passed
+    assert cmap.matrix is correspondence._scaled_minor(table)

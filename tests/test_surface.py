@@ -164,10 +164,12 @@ def test_verify_three_point():
     assert any(name.startswith("point[r]:") for name in names)
 
 
-def test_tampered_intersection_matrix_fails():
+def test_tampered_intersection_matrix_fails(matmul_calls):
     asm = assemble_global(three_point_model())
     tampered = asm.a_y.replaced_product("D1", "D2", [("[pt]", 3)])
     report = verify_assembly(dataclasses.replace(asm, a_y=tampered))
+    # the point maps are untouched, so the certificate decides each of them
+    assert matmul_calls == []
     assert not report.passed
     failing = report.check("smooth-products")
     assert not failing.passed
@@ -243,7 +245,7 @@ def test_each_distinct_point_map_verified_once(monkeypatch):
         assert _point_checks(report, point["id"]) == [c.to_dict() for c in expected.checks]
 
 
-def test_tampered_block_verified_on_its_own():
+def test_tampered_block_verified_on_its_own(matmul_calls):
     # points r and p share A1's map; a tampered copy at r alone must fail at r alone
     asm = assemble_global(parse_surface(REPEATED))
     cmap = ade_bundle("A1").cmap
@@ -254,6 +256,8 @@ def test_tampered_block_verified_on_its_own():
         dataclasses.replace(b, cmap=bad) if b.point.id == "r" else b for b in asm.blocks
     )
     report = verify_assembly(dataclasses.replace(asm, blocks=blocks))
+    # only the tampered map forms the exact product M^T (G_orb M)
+    assert len(matmul_calls) == 2
     failing = {c.name for c in report.checks if not c.passed}
     assert failing == {
         "point[r]:multiplicativity",
