@@ -19,6 +19,7 @@ from math import lcm
 from . import __version__
 from .catalog import EXTRA_GROUPS, ade_bundle, ade_group, ade_table, extra_group, extra_table
 from .chartab import (
+    CharacterTable,
     CharacterTableError,
     EigenSplitError,
     TableConsistencyError,
@@ -107,13 +108,22 @@ def _parse_group_file(data, name: str) -> FiniteGroup:
 
 
 def _resolve_group(args) -> FiniteGroup:
-    if getattr(args, "type", None):
+    if args.type:
         return ade_group(args.type.strip().upper())
-    if getattr(args, "group", None):
+    if args.group:
         return _load_group_file(args.group)
-    if getattr(args, "name", None):
+    if args.name:
         return extra_group(args.name)
-    raise GroupError("no group specified; use --type or --group")
+    raise GroupError("no group specified; use --type, --group or --name")
+
+
+def _resolve_table(args) -> CharacterTable:
+    """The cached table of an ADE type or stock group, or a group file's table."""
+    if args.type:
+        return ade_table(args.type.strip().upper())
+    if args.name:
+        return extra_table(args.name)
+    return character_table(_resolve_group(args))
 
 
 def _group_info(group: FiniteGroup) -> dict:
@@ -181,10 +191,7 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_chartable(args) -> int:
-    if getattr(args, "type", None):
-        table = ade_table(args.type.strip().upper())
-    else:
-        table = character_table(_resolve_group(args))
+    table = _resolve_table(args)
     _dump({"schema": 1, "command": "chartable", "table": _table_payload(table)}, args.out)
     return 0
 
@@ -246,13 +253,7 @@ def _cmd_verify_global(args) -> int:
 
 
 def _cmd_minor(args) -> int:
-    if getattr(args, "type", None):
-        table = ade_table(args.type.strip().upper())
-    elif getattr(args, "name", None):
-        table = extra_table(args.name)
-    else:
-        table = character_table(_resolve_group(args))
-    report = minor_report(table)
+    report = minor_report(_resolve_table(args))
     payload = _verify_payload(report, args.seed, "minor")
     payload["determinant"] = report.checks[0].detail["determinant"]
     _dump(payload, args.out)
@@ -319,6 +320,14 @@ def _add_common(parser):
     parser.add_argument("--out", help="write the JSON report to this path")
 
 
+def _add_source(parser):
+    """--type, --group and --name: at most one of them names the group."""
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--type", help="ADE label (A1..A10, D4..D10, E6, E7, E8)")
+    source.add_argument("--group", help="JSON file with a Cayley table or SL2 generators")
+    source.add_argument("--name", choices=EXTRA_GROUPS, help="stock corpus group")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mckay",
@@ -328,16 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("group", help="print order, exponent and conjugacy classes")
-    p.add_argument("--type", help="ADE label (A1..A10, D4..D10, E6, E7, E8)")
-    p.add_argument("--group", help="JSON file with a Cayley table or SL2 generators")
-    p.add_argument("--name", choices=EXTRA_GROUPS, help="stock corpus group")
+    _add_source(p)
     _add_common(p)
     p.set_defaults(func=_cmd_group)
 
     p = sub.add_parser("chartable", help="exact character table")
-    p.add_argument("--type", help="ADE label")
-    p.add_argument("--group", help="group file")
-    p.add_argument("--name", choices=EXTRA_GROUPS)
+    _add_source(p)
     _add_common(p)
     p.set_defaults(func=_cmd_chartable)
 
@@ -368,9 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.set_defaults(func=_cmd_verify_global)
 
     p = sub.add_parser("minor", help="character-table minor nondegeneracy")
-    p.add_argument("--type", help="ADE label")
-    p.add_argument("--group", help="group file")
-    p.add_argument("--name", choices=EXTRA_GROUPS, help="stock corpus group")
+    _add_source(p)
     _add_common(p)
     p.set_defaults(func=_cmd_minor)
 

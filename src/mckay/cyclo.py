@@ -25,7 +25,6 @@ from operator import add, neg, sub
 __all__ = [
     "CycNum",
     "MAX_CONDUCTOR",
-    "dot",
     "zeta",
     "rational",
     "integer_sqrt_embed",
@@ -545,46 +544,6 @@ class CycNum:
     def __repr__(self) -> str:
         body = {i: _frac_str(p, q) for i, p, q in self._terms()}
         return f"CycNum({self.conductor}, {body})"
-
-
-def _num_at(x: CycNum, n: int) -> tuple[int, ...]:
-    """Numerators of x as a polynomial at conductor n (a multiple of its own).
-
-    A value of degree one (conductor 1 or 2) is its constant term at every
-    conductor, so it needs no lift.
-    """
-    if x.conductor == n or len(x.num) == 1:
-        return x.num
-    return x.lift(n).num
-
-
-def dot(pairs) -> CycNum:
-    """Exact sum of x * y over the pairs whose two factors are both nonzero.
-
-    The stored form (conductor, numerators, denominator) equals that of the
-    fold ``acc = rational(0); acc = acc + x * y`` over the same pairs: both
-    are the exact sum at the least common conductor N of the factors of
-    those pairs, and a value has one canonical form per conductor.  Here every product is
-    convolved, over the common denominator of all of them, into one buffer
-    of length 2*phi(N) - 1, which is reduced modulo Phi_N and normalised
-    once.  The empty sum is rational(0).
-    """
-    terms = [(x, y) for x, y in pairs if any(x.num) and any(y.num)]
-    if not terms:
-        return _new(1, (0,), 1)
-    n = den = 1
-    for x, y in terms:
-        n = lcm(n, x.conductor, y.conductor)
-        den = lcm(den, x.den * y.den)
-    out = [0] * (2 * _taps(n)[0] - 1)
-    for x, y in terms:
-        scale = den // (x.den * y.den)
-        nonzero = [(j, v * scale) for j, v in enumerate(_num_at(y, n)) if v]
-        for i, u in enumerate(_num_at(x, n)):
-            if u:
-                for j, v in nonzero:
-                    out[i + j] += u * v
-    return _normal(n, _reduce(out, n), den)
 
 
 def zeta(n: int, k: int = 1) -> CycNum:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .cyclo import CycNum, dot, rational
+from .cyclo import CycNum, rational
 
 __all__ = ["matmul", "transpose", "determinant", "determinant_and_rank", "rank"]
 
@@ -12,9 +12,16 @@ def transpose(m):
 
 
 def matmul(a, b):
-    """The product a·b, one fused ``dot`` per entry."""
+    """The product a·b: each entry sums x·y from rational(0) over the pairs
+    whose two factors are both nonzero."""
     cols = list(zip(*b))
-    return [[dot(zip(row, col)) for col in cols] for row in a]
+    out = [[rational(0)] * len(cols) for _ in a]
+    for i, row in enumerate(a):
+        for j, col in enumerate(cols):
+            for x, y in zip(row, col):
+                if not x.is_zero() and not y.is_zero():
+                    out[i][j] = out[i][j] + x * y
+    return out
 
 
 def _eliminate(matrix):

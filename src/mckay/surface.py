@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import GradedAlgebra
 from .catalog import ade_bundle
-from .cyclo import rational
 from .correspondence import (
     CheckResult,
     CorrespondenceMap,
@@ -156,6 +155,21 @@ class GlobalAssembly:
         )
 
 
+def _add_block(ring, local_labels, global_label, pid, labels, products) -> tuple[str, ...]:
+    """Rename one point's local degree-one labels into a global ring, with
+    each of their products on the global point class; returns the new labels."""
+    rename = {lbl: global_label(pid, int(lbl[1:])) for lbl in local_labels}
+    labels.extend(rename.values())
+    ones = ring.degree_one
+    for a, ia in enumerate(ones):
+        for ib in ones[a:]:
+            terms = ring.product(ia, ib)
+            if terms:
+                key = (rename[ring.labels[ia]], rename[ring.labels[ib]])
+                products[key] = [("[pt]", c) for _, c in terms]
+    return tuple(rename.values())
+
+
 def assemble_global(model: SurfaceModel) -> GlobalAssembly:
     """Build both global rings and the blockwise correspondence."""
     b = model.picard_rank
@@ -171,37 +185,19 @@ def assemble_global(model: SurfaceModel) -> GlobalAssembly:
                 orb_products[(divisor_label(i), divisor_label(j))] = [("[pt]", qij)]
     blocks = []
     for point in model.points:
-        bundle = ade_bundle(point.ade)
-        cmap = bundle.cmap
-        src, tgt = cmap.source, cmap.target
-        col_map = {}
-        for lbl in cmap.col_labels:
-            col_map[lbl] = global_exceptional_label(point.id, int(lbl[1:]))
-        row_map = {}
-        for lbl in cmap.row_labels:
-            row_map[lbl] = global_sector_label(point.id, int(lbl[1:]))
-        y_labels.extend(col_map[lbl] for lbl in cmap.col_labels)
-        orb_labels.extend(row_map[lbl] for lbl in cmap.row_labels)
-        ones = src.degree_one
-        for a, ia in enumerate(ones):
-            for ib in ones[a:]:
-                terms = src.product(ia, ib)
-                if terms:
-                    key = (col_map[src.labels[ia]], col_map[src.labels[ib]])
-                    y_products[key] = [("[pt]", c) for _, c in terms]
-        ones = tgt.degree_one
-        for a, ia in enumerate(ones):
-            for ib in ones[a:]:
-                terms = tgt.product(ia, ib)
-                if terms:
-                    key = (row_map[tgt.labels[ia]], row_map[tgt.labels[ib]])
-                    orb_products[key] = [("[pt]", c) for _, c in terms]
+        cmap = ade_bundle(point.ade).cmap
         blocks.append(
             PointBlock(
                 point=point,
                 cmap=cmap,
-                y_labels=tuple(col_map[lbl] for lbl in cmap.col_labels),
-                orb_labels=tuple(row_map[lbl] for lbl in cmap.row_labels),
+                y_labels=_add_block(
+                    cmap.source, cmap.col_labels, global_exceptional_label, point.id,
+                    y_labels, y_products,
+                ),
+                orb_labels=_add_block(
+                    cmap.target, cmap.row_labels, global_sector_label, point.id,
+                    orb_labels, orb_products,
+                ),
             )
         )
     y_labels.append("[pt]")
@@ -219,14 +215,83 @@ def assemble_global(model: SurfaceModel) -> GlobalAssembly:
 # -- verification ----------------------------------------------------------------
 
 
-def _global_image(assembly: GlobalAssembly, block: PointBlock, col: int) -> dict:
-    """Image of a global exceptional class inside the global orbifold ring."""
-    out = {}
-    for c, row in enumerate(block.cmap.matrix):
-        v = row[col]
-        if not v.is_zero():
-            out[assembly.a_orb.index(block.orb_labels[c])] = v
-    return out
+def _summed(terms) -> dict:
+    """Terms summed per basis index with zeros dropped, as ``mult_vec`` sums them."""
+    out: dict = {}
+    for k, c in terms:
+        out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def _smooth_witness(model: SurfaceModel, rings) -> dict | None:
+    """The first divisor pair whose product, summed, is not declared·[pt] in
+    both ``(ring, {label: index})`` pairs."""
+    for i in range(model.picard_rank):
+        for j in range(i, model.picard_rank):
+            li, lj = divisor_label(i), divisor_label(j)
+            declared = model.intersection[i][j]
+            sides = [_summed(ring.product(index[li], index[lj])) for ring, index in rings]
+            if any(
+                side != ({ring.point: declared} if declared else {})
+                for (ring, _), side in zip(rings, sides)
+            ):
+                (a_y, _), (a_orb, _) = rings
+                return {
+                    "left": li,
+                    "right": lj,
+                    "resolution_side": {a_y.labels[k]: c.to_json() for k, c in sides[0].items()},
+                    "orbifold_side": {a_orb.labels[k]: c.to_json() for k, c in sides[1].items()},
+                    "declared": declared,
+                }
+    return None
+
+
+def _cross_witness(assembly: GlobalAssembly) -> dict | None:
+    """The least key (i, j) of A_Y's, then A_orb's, structure constants whose
+    labels lie in different groups and whose terms are not all zero.
+
+    The groups are the divisors D1..Db and each point's ``y_labels`` (A_Y) or
+    ``orb_labels`` (A_orb).  One pass decides what multiplying the images of
+    every cross-group pair of degree-one classes of A_Y decides:
+
+    * A pass here is a pass there.  An image lies on its own group (a divisor
+      maps to itself, a point's class to a column of its block's matrix on
+      ``orb_labels``), so every term of such a product, direct in A_Y or
+      transported in A_orb, is a cross-group structure constant.
+    * If every block's matrix M is invertible, the constants S_AB between
+      groups A and B vanish iff M_A^T S_AB M_B does (M is the identity on the
+      divisors).  So the verdicts differ only if some M is singular, which
+      fails that point's ``additive-rank`` in the same report, or if a ring
+      is not commutative, which ``build`` and ``replaced_product`` never make.
+    """
+    divisors = dict.fromkeys((divisor_label(i) for i in range(assembly.model.picard_rank)), 0)
+    for name, ring, block_labels in (
+        ("resolution", assembly.a_y, lambda blk: blk.y_labels),
+        ("orbifold", assembly.a_orb, lambda blk: blk.orb_labels),
+    ):
+        groups = dict(divisors)
+        for g, blk in enumerate(assembly.blocks, 1):
+            groups.update(dict.fromkeys(block_labels(blk), g))
+        group = [groups.get(lbl) for lbl in ring.labels]
+        least = None
+        for key, terms in ring.structure.items():
+            gi, gj = group[key[0]], group[key[1]]
+            if (
+                gi is not None
+                and gj is not None
+                and gi != gj
+                and (least is None or key < least)
+                and any(not c.is_zero() for _, c in terms)
+            ):
+                least = key
+        if least is not None:
+            return {
+                "ring": name,
+                "left": ring.labels[least[0]],
+                "right": ring.labels[least[1]],
+                "terms": [[ring.labels[k], c.to_json()] for k, c in ring.structure[least]],
+            }
+    return None
 
 
 def verify_assembly(assembly: GlobalAssembly) -> VerificationReport:
@@ -234,6 +299,8 @@ def verify_assembly(assembly: GlobalAssembly) -> VerificationReport:
     t0 = time.perf_counter()
     model = assembly.model
     a_y, a_orb = assembly.a_y, assembly.a_orb
+    index_y = {lbl: i for i, lbl in enumerate(a_y.labels)}
+    index_orb = {lbl: i for i, lbl in enumerate(a_orb.labels)}
     checks: list[CheckResult] = []
 
     dims_ok = a_y.dim == a_orb.dim == assembly.expected_dim
@@ -248,69 +315,13 @@ def verify_assembly(assembly: GlobalAssembly) -> VerificationReport:
         )
     )
 
-    # smooth part transports identically: divisor products must agree exactly
-    smooth = None
-    for i in range(model.picard_rank):
-        for j in range(i, model.picard_rank):
-            li, lj = divisor_label(i), divisor_label(j)
-            left = dict(a_y.product(a_y.index(li), a_y.index(lj)))
-            right = dict(a_orb.product(a_orb.index(li), a_orb.index(lj)))
-            lv = left.get(a_y.point, rational(0))
-            rv = right.get(a_orb.point, rational(0))
-            if lv != rv or lv != model.intersection[i][j]:
-                smooth = CheckResult(
-                    "smooth-products",
-                    False,
-                    witness={
-                        "left": li,
-                        "right": lj,
-                        "resolution_side": lv.to_json(),
-                        "orbifold_side": rv.to_json(),
-                        "declared": model.intersection[i][j],
-                    },
-                )
-                break
-        if smooth:
-            break
-    checks.append(smooth or CheckResult("smooth-products", True))
+    # smooth part transports identically: divisor products are declared·[pt] on both sides
+    smooth = _smooth_witness(model, ((a_y, index_y), (a_orb, index_orb)))
+    checks.append(CheckResult("smooth-products", smooth is None, witness=smooth))
 
     # cross-block degree-1 products vanish on both sides
-    cross = None
-    groups_y = [tuple(divisor_label(i) for i in range(model.picard_rank))] + [
-        blk.y_labels for blk in assembly.blocks
-    ]
-    images = {}
-    for blk in assembly.blocks:
-        for col, lbl in enumerate(blk.y_labels):
-            images[lbl] = _global_image(assembly, blk, col)
-    for gi in range(len(groups_y)):
-        for gj in range(gi + 1, len(groups_y)):
-            for la in groups_y[gi]:
-                for lb in groups_y[gj]:
-                    direct = dict(a_y.product(a_y.index(la), a_y.index(lb)))
-                    direct = {k: v for k, v in direct.items() if not v.is_zero()}
-                    ua = images[la] if la in images else {a_orb.index(la): rational(1)}
-                    ub = images[lb] if lb in images else {a_orb.index(lb): rational(1)}
-                    transported = a_orb.mult_vec(ua, ub)
-                    if direct or transported:
-                        cross = CheckResult(
-                            "cross-products",
-                            False,
-                            witness={
-                                "left": la,
-                                "right": lb,
-                                "resolution_side": {a_y.labels[k]: v.to_json() for k, v in direct.items()},
-                                "orbifold_side": {a_orb.labels[k]: v.to_json() for k, v in transported.items()},
-                            },
-                        )
-                        break
-                if cross:
-                    break
-            if cross:
-                break
-        if cross:
-            break
-    checks.append(cross or CheckResult("cross-products", True))
+    cross = _cross_witness(assembly)
+    checks.append(CheckResult("cross-products", cross is None, witness=cross))
 
     # unit and grading bookkeeping of the block map
     grading_ok = (
@@ -319,12 +330,12 @@ def verify_assembly(assembly: GlobalAssembly) -> VerificationReport:
         and a_y.point is not None
         and a_orb.point is not None
         and all(
-            a_orb.degrees[a_orb.index(lbl)] == 1
+            a_orb.degrees[index_orb[lbl]] == 1
             for blk in assembly.blocks
             for lbl in blk.orb_labels
         )
         and all(
-            a_y.degrees[a_y.index(lbl)] == 1
+            a_y.degrees[index_y[lbl]] == 1
             for blk in assembly.blocks
             for lbl in blk.y_labels
         )

@@ -424,3 +424,33 @@ def test_group_and_minor_by_type_build_no_bundle(monkeypatch, capsys):
     assert run(capsys, "verify", "local", "--type", "D4")[0] == 0
     assert calls == {"character_table": 1, "build_local": 1}
     assert catalog.ade_bundle("D4").table is catalog.ade_table("D4")
+
+
+@pytest.mark.parametrize("command", ("group", "chartable", "minor"))
+@pytest.mark.parametrize(
+    "sources",
+    (("--type", "D4", "--name", "S4"), ("--group", "F", "--name", "S4"), ("--type", "D4", "--group", "F")),
+    ids=("type+name", "group+name", "type+group"),
+)
+def test_two_group_sources_exit_2(capsys, command, sources):
+    with pytest.raises(SystemExit) as err:
+        main([command, *sources])
+    assert err.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_chartable_and_minor_by_name_share_one_table(monkeypatch, capsys):
+    calls = []
+    original = chartab.character_table
+
+    def counted(group):
+        calls.append(group.name)
+        return original(group)
+
+    monkeypatch.setattr(catalog, "character_table", counted)
+    monkeypatch.setattr(cli, "character_table", counted)
+    catalog.clear_caches()
+    code, out, _ = run(capsys, "chartable", "--name", "S4")
+    assert code == 0 and json.loads(out)["table"]["group"]["order"] == 24
+    assert run(capsys, "minor", "--name", "S4")[0] == 0
+    assert len(calls) == 1

@@ -349,11 +349,11 @@ def test_duplicate_point_terms_pass_every_check():
     ).detail
 
 
-# -- the fused products, the sparse float transport, the factored determinant ------
+# -- the matrix products, the sparse float transport, the factored determinant ------
 
 
 def matmul_oracle(a, b):
-    """The triple loop matmul replaced: a rational(0) accumulator per entry."""
+    """The triple loop with a rational(0) accumulator per entry, indexed by position."""
     out = []
     for i in range(len(a)):
         row = []

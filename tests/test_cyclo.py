@@ -11,7 +11,6 @@ from mckay.cyclo import (
     MAX_CONDUCTOR,
     CycNum,
     cyclotomic_polynomial,
-    dot,
     euler_phi,
     integer_sqrt_embed,
     rational,
@@ -328,59 +327,6 @@ def test_kernel_matches_fraction_oracle(case):
     assert_matches(a * b, n, ref_mul(ra, rb, n))
     assert_matches(a * Fraction(-3, 4), n, tuple(x * Fraction(-3, 4) for x in ra))
     assert_matches(a.conj(), n, ref_conj(ra, n))
-
-
-# -- the fused dot kernel against the left fold -----------------------------------
-
-
-def fold(pairs) -> CycNum:
-    """The accumulation ``dot`` replaces: rational(0), then + x * y per pair."""
-    acc = rational(0)
-    for x, y in pairs:
-        if not x.is_zero() and not y.is_zero():
-            acc = acc + x * y
-    return acc
-
-
-def stored(x: CycNum) -> tuple:
-    return (x.conductor, x.num, x.den)
-
-
-@st.composite
-def dot_factors(draw):
-    """Mixed conductors (1 included, lcm at most 360), zeros and non-unit
-    denominators."""
-    n = draw(st.sampled_from((1, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 24)))
-    coeffs = {}
-    for _ in range(draw(st.integers(min_value=0, max_value=4))):
-        e = draw(st.integers(min_value=0, max_value=n - 1))
-        num = draw(st.integers(min_value=-9, max_value=9))
-        den = draw(st.sampled_from((1, 1, 1, 2, 3, 4, 6)))
-        coeffs[e] = coeffs.get(e, Fraction(0)) + Fraction(num, den)
-    return CycNum(n, coeffs)
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.lists(st.tuples(dot_factors(), dot_factors()), max_size=6))
-def test_dot_matches_the_left_fold(pairs):
-    got = dot(pairs)
-    assert stored(got) == stored(fold(pairs))
-    assert_canonical(got)
-
-
-def test_dot_edge_cases():
-    assert stored(dot([])) == stored(rational(0)) == (1, (0,), 1)
-    # a pair with a zero factor neither adds nor raises the conductor
-    assert stored(dot([(zeta(5), rational(0)), (rational(0), zeta(7))])) == (1, (0,), 1)
-    assert stored(dot([(zeta(5), rational(0)), (rational(2), rational(Fraction(1, 6)))])) == (
-        1, (1,), 3,
-    )
-    # terms that cancel keep the common conductor, as the fold does
-    z = zeta(8)
-    pairs = [(z, z), (-z, z), (zeta(3), rational(0))]
-    assert stored(dot(pairs)) == stored(fold(pairs)) == (8, (0, 0, 0, 0), 1)
-    # dot consumes an iterator once
-    assert dot(iter([(z, z)])) == zeta(4)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 """Global surface models: parsing, assembly, blockwise verification."""
 
 import dataclasses
+import itertools
 
 import pytest
 
@@ -267,3 +268,122 @@ def test_tampered_block_verified_on_its_own(matmul_calls):
     assert _point_checks(report, "r") == [
         c.to_dict() for c in verify_correspondence(bad).checks
     ]
+
+
+# -- tamper controls for smooth-products and cross-products --------------------------
+
+
+def cross_products_oracle(asm) -> bool:
+    """The all-pairs image-product scan: every product of two degree-1 classes
+    of A_Y from different groups vanishes in A_Y and, through the images,
+    in A_orb."""
+    a_y, a_orb = asm.a_y, asm.a_orb
+    groups = [tuple(f"D{i + 1}" for i in range(asm.model.picard_rank))] + [
+        blk.y_labels for blk in asm.blocks
+    ]
+    images = {}
+    for blk in asm.blocks:
+        for col, lbl in enumerate(blk.y_labels):
+            images[lbl] = {
+                a_orb.index(blk.orb_labels[c]): row[col]
+                for c, row in enumerate(blk.cmap.matrix)
+                if not row[col].is_zero()
+            }
+    for gi, gj in itertools.combinations(range(len(groups)), 2):
+        for la in groups[gi]:
+            for lb in groups[gj]:
+                direct = dict(a_y.product(a_y.index(la), a_y.index(lb)))
+                if any(not v.is_zero() for v in direct.values()):
+                    return False
+                ua = images[la] if la in images else {a_orb.index(la): rational(1)}
+                ub = images[lb] if lb in images else {a_orb.index(lb): rational(1)}
+                if a_orb.mult_vec(ua, ub):
+                    return False
+    return True
+
+
+# (ring, left, right, terms, the one check that fails), all on THREE_POINT
+TAMPERS = {
+    "y-duplicate-point": ("a_y", "D1", "D2", [("[pt]", 1), ("[pt]", 1)], "smooth-products"),
+    "y-off-line": ("a_y", "D1", "D1", [("E(p,1)", 5)], "smooth-products"),
+    "orb-duplicate-point": ("a_orb", "D1", "D2", [("[pt]", 1), ("[pt]", 1)], "smooth-products"),
+    "orb-off-line": ("a_orb", "D1", "D1", [("f(p,1)", 5)], "smooth-products"),
+    "y-cross-points": ("a_y", "E(p,1)", "E(q,1)", [("[pt]", 1)], "cross-products"),
+    "orb-cross-points": ("a_orb", "f(p,1)", "f(q,1)", [("[pt]", 1)], "cross-products"),
+    "orb-divisor-sector": ("a_orb", "D1", "f(p,1)", [("[pt]", 1)], "cross-products"),
+}
+
+
+def tampered(name):
+    ring, left, right, terms, _ = TAMPERS[name]
+    asm = assemble_global(three_point_model())
+    bad = getattr(asm, ring).replaced_product(left, right, terms)
+    return dataclasses.replace(asm, **{ring: bad})
+
+
+def point_json(value) -> dict:
+    return {"[pt]": rational(value).to_json()}
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERS))
+def test_tamper_fails_one_check_alone(name):
+    _, left, right, _, check = TAMPERS[name]
+    report = verify_assembly(tampered(name))
+    assert {c.name for c in report.checks if not c.passed} == {check}
+    witness = report.check(check).witness
+    assert (witness["left"], witness["right"]) == (left, right)
+
+
+def test_smooth_products_sum_duplicate_point_terms():
+    witness = verify_assembly(tampered("y-duplicate-point")).check("smooth-products").witness
+    assert witness == {
+        "left": "D1",
+        "right": "D2",
+        "resolution_side": point_json(2),
+        "orbifold_side": point_json(1),
+        "declared": 1,
+    }
+    witness = verify_assembly(tampered("orb-duplicate-point")).check("smooth-products").witness
+    assert witness["resolution_side"] == point_json(1)
+    assert witness["orbifold_side"] == point_json(2)
+
+
+def test_smooth_products_read_terms_off_the_point_line():
+    witness = verify_assembly(tampered("y-off-line")).check("smooth-products").witness
+    assert witness["declared"] == 0
+    assert witness["resolution_side"] == {"E(p,1)": rational(5).to_json()}
+    assert witness["orbifold_side"] == {}
+    witness = verify_assembly(tampered("orb-off-line")).check("smooth-products").witness
+    assert witness["resolution_side"] == {}
+    assert witness["orbifold_side"] == {"f(p,1)": rational(5).to_json()}
+
+
+@pytest.mark.parametrize(
+    "name, ring",
+    [
+        ("y-cross-points", "resolution"),
+        ("orb-cross-points", "orbifold"),
+        ("orb-divisor-sector", "orbifold"),
+    ],
+)
+def test_cross_products_witness_names_the_ring(name, ring):
+    witness = verify_assembly(tampered(name)).check("cross-products").witness
+    assert witness == {
+        "ring": ring,
+        "left": TAMPERS[name][1],
+        "right": TAMPERS[name][2],
+        "terms": [["[pt]", rational(1).to_json()]],
+    }
+
+
+@pytest.mark.parametrize("name", ["three-point", "repeated"] + sorted(TAMPERS))
+def test_cross_products_agree_with_the_image_oracle(name):
+    if name == "three-point":
+        asm = assemble_global(three_point_model())
+    elif name == "repeated":
+        asm = assemble_global(parse_surface(REPEATED))
+    else:
+        asm = tampered(name)
+    verdict = verify_assembly(asm).check("cross-products").passed
+    assert verdict == cross_products_oracle(asm)
+    assert verdict == (name not in TAMPERS or TAMPERS[name][4] != "cross-products")
