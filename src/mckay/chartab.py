@@ -3,7 +3,8 @@
 Character tables are computed by the class-algebra method: the class
 multiplication matrices are simultaneously diagonalised over a prime field
 F_p with p = 1 (mod exponent) and p > 2*sqrt(|G|), splitting eigenspaces by
-the class matrices themselves in class order, so the computation is
+the class matrices themselves in class order, at the roots of each
+restricted operator's characteristic polynomial, so the computation is
 deterministic; eigenvalue data is then lifted to exact cyclotomic integers
 through the discrete Fourier inversion of the power map.
 
@@ -118,29 +119,25 @@ class CharacterTable:
 def class_multiplication_tensor(group: FiniteGroup):
     """The integers a[i][j][k] = #{(x,y) in C_i x C_j : xy = z}, fixed z in C_k.
 
-    Computed by full enumeration of all |G|^2 products; the count is the
-    same for every z in C_k, so the aggregated count must divide by |C_k|,
-    which is asserted.
+    Counted at z = z_k, the k-th class representative, as
+    #{x in C_i : x^-1 z_k in C_j}: y = x^-1 z is fixed by x.  This is m |G|
+    products, not the |G|^2 of enumerating every pair.
+
+    The count does not depend on the choice of z in C_k.  For h in G,
+    conjugation (x, y) -> (h x h^-1, h y h^-1) maps the pairs with xy = z
+    bijectively onto the pairs with product h z h^-1 (it is an automorphism,
+    inverted by conjugation with h^-1), and it keeps each factor in its
+    class.  So every z in C_k has as many pairs in C_i x C_j as z_k.
     """
     conj = group.conjugacy
     m = len(conj.classes)
-    counts = [[[0] * m for _ in range(m)] for _ in range(m)]
     class_of = conj.class_of
-    for x in range(group.order):
-        cx = class_of[x]
-        row = group.cayley[x]
-        cnt = counts[cx]
-        for y in range(group.order):
-            cnt[class_of[y]][class_of[row[y]]] += 1
-    sizes = conj.sizes
+    # row x of inverse_rows is left multiplication by x^-1
+    inverse_rows = [group.cayley[v] for v in group.inverse]
     tensor = [[[0] * m for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                c = counts[i][j][k]
-                if c % sizes[k]:
-                    raise TableConsistencyError("class product count not class-constant")
-                tensor[i][j][k] = c // sizes[k]
+    for k, z in enumerate(conj.representatives):
+        for i, row in zip(class_of, inverse_rows):
+            tensor[i][class_of[row[z]]][k] += 1
     return tuple(tuple(tuple(r) for r in plane) for plane in tensor)
 
 
@@ -270,21 +267,84 @@ def _restriction(op, space: _Subspace, p):
     return coords
 
 
+def _charpoly(matrix, p):
+    """det(x I - A) mod p for a square matrix A over F_p, as its coefficients
+    from x^d down to x^0 (so the first is 1).
+
+    A is brought to upper Hessenberg form H by similarity transforms over
+    F_p, and the characteristic polynomials p_r of H's leading r x r blocks
+    follow from the recurrence (Cohen, A Course in Computational Algebraic
+    Number Theory, Algorithm 2.2.9), with indices from 1:
+    p_r = (x - h_rr) p_(r-1) - sum_(i<r) h_ir h_(i+1,i) ... h_(r,r-1) p_(i-1).
+    O(d^3) operations in all.
+    """
+    h = [list(row) for row in matrix]
+    d = len(h)
+    for c in range(d - 2):
+        piv = next((i for i in range(c + 1, d) if h[i][c]), None)
+        if piv is None:
+            continue
+        if piv != c + 1:
+            h[piv], h[c + 1] = h[c + 1], h[piv]
+            for row in h:
+                row[piv], row[c + 1] = row[c + 1], row[piv]
+        inv = pow(h[c + 1][c], p - 2, p)
+        for i in range(c + 2, d):
+            u = h[i][c] * inv % p
+            if u:
+                # row_i -= u row_(c+1), then column_(c+1) += u column_i
+                h[i] = [(a - u * b) % p for a, b in zip(h[i], h[c + 1])]
+                for row in h:
+                    row[c + 1] = (row[c + 1] + u * row[i]) % p
+    # polys[r]: p_r with coefficients from x^0 up
+    polys = [[1]]
+    for r in range(1, d + 1):
+        prev = polys[r - 1]
+        diag = h[r - 1][r - 1]
+        poly = [0] + prev
+        for k, c in enumerate(prev):
+            poly[k] = (poly[k] - diag * c) % p
+        t = 1
+        for i in range(r - 1, 0, -1):
+            t = t * h[i][i - 1] % p
+            if not t:
+                break
+            coef = t * h[i - 1][r - 1] % p
+            if coef:
+                for k, c in enumerate(polys[i - 1]):
+                    poly[k] = (poly[k] - coef * c) % p
+        polys.append(poly)
+    return polys[d][::-1]
+
+
 def _split_space(space: _Subspace, op, p) -> list[_Subspace]:
+    """The eigenspaces of ``op`` on ``space``, by eigenvalue 0, 1, ..., p - 1.
+
+    With A the restricted d x d operator, lambda has a nonzero eigenspace
+    exactly when det(lambda I - A) = 0 over F_p.  So the characteristic
+    polynomial is formed once (:func:`_charpoly`) and evaluated at each
+    lambda in increasing order, and the nullspace of A - lambda I is
+    computed only at its roots, where it is never empty.  The early stop
+    once the eigenspaces fill the space is kept.  Raises EigenSplitError
+    unless they fill it, i.e. unless A is diagonalisable over F_p.
+    """
     d = space.dim
     # images[i] = sum_j coords[i][j] B_j, so the operator acts on coordinate
     # columns by the transpose of coords
     coords = _restriction(op, space, p)
     coords = [[coords[j][i] for j in range(d)] for i in range(d)]
+    charpoly = _charpoly(coords, p)
     out = []
     found = 0
     for lam in range(p):
-        shifted = [[(coords[i][j] - (lam if i == j else 0)) % p for j in range(d)] for i in range(d)]
-        null = _nullspace(shifted, p)
-        if not null:
+        value = 0
+        for c in charpoly:
+            value = (value * lam + c) % p
+        if value:
             continue
+        shifted = [[(coords[i][j] - (lam if i == j else 0)) % p for j in range(d)] for i in range(d)]
         vectors = []
-        for coeffs in null:
+        for coeffs in _nullspace(shifted, p):
             v = [0] * len(space.basis[0])
             for j, cj in enumerate(coeffs):
                 if cj:

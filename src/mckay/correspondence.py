@@ -25,7 +25,7 @@ from .chartab import (
     mckay_graph,
     natural_pairings,
 )
-from .cyclo import CycNum, integer_sqrt_embed, rational, zeta
+from .cyclo import CycNum, rational, zeta
 from .groups import FiniteGroup
 from .orbifold import class_label, invariant_subalgebra, local_orbifold_algebra
 from .resolution import exceptional_label, local_resolution_algebra
@@ -114,11 +114,6 @@ class CorrespondenceMap:
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
     scale: int
-
-    def unscaled_matrix(self) -> tuple[tuple[CycNum, ...], ...]:
-        """The honest matrix with the 1/sqrt(|G|) factor materialised."""
-        inv_root = integer_sqrt_embed(self.scale).inverse()
-        return tuple(tuple(v * inv_root for v in row) for row in self.matrix)
 
     def column_image(self, col: int) -> dict:
         """Image of the col-th exceptional class as a target coordinate vector."""

@@ -400,14 +400,14 @@ def group_from_cayley(table, name: str = "G") -> FiniteGroup:
                 witness=("entry", i, j),
             )
     table = [tuple(row) for row in table]
-    full = set(range(n))
+    # every entry is an int in range(n) by now, so n distinct entries are a permutation
     for i, row in enumerate(table):
-        if set(row) != full:
+        if len(set(row)) != n:
             raise GroupValidationError(
                 f"row {i} is not a permutation of range({n})", witness=("row", i)
             )
     for j, column in enumerate(zip(*table)):
-        if set(column) != full:
+        if len(set(column)) != n:
             raise GroupValidationError(
                 f"column {j} is not a permutation of range({n})", witness=("column", j)
             )
@@ -429,8 +429,10 @@ def group_from_cayley(table, name: str = "G") -> FiniteGroup:
         sigma = list(range(n))
         sigma[0], sigma[identity] = identity, 0
         table[0], table[identity] = table[identity], table[0]
+        # n >= 2 here (the identity is not 0), so both getters return tuples
+        permute = itemgetter(*sigma)
         for i, row in enumerate(table):
-            table[i] = tuple(sigma[row[s]] for s in sigma)
+            table[i] = itemgetter(*permute(row))(sigma)
     return FiniteGroup(table, matrix_rep=None, name=name)
 
 

@@ -1,6 +1,7 @@
 """Character tables, tensor multiplicities, McKay graphs, ADE recognition."""
 
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -14,7 +15,12 @@ from mckay.chartab import (
     EigenSplitError,
     NotAffineADEError,
     TableConsistencyError,
+    _charpoly,
     _common_eigenvectors,
+    _nullspace,
+    _restriction,
+    _rref,
+    _Subspace,
     character_table,
     class_multiplication_tensor,
     classify_affine_ade,
@@ -59,6 +65,114 @@ def test_tensor_counting_identity():
     for i in range(m):
         for j in range(m):
             assert sum(t[i][j][k] * conj.sizes[k] for k in range(m)) == conj.sizes[i] * conj.sizes[j]
+
+
+def _tensor_oracle(group):
+    """The |G|^2 count: every product xy, aggregated by the class of z and
+    divided by |C_k|, which must divide it."""
+    conj = group.conjugacy
+    m = len(conj.classes)
+    class_of = conj.class_of
+    counts = [[[0] * m for _ in range(m)] for _ in range(m)]
+    for x in range(group.order):
+        row = group.cayley[x]
+        plane = counts[class_of[x]]
+        for y in range(group.order):
+            plane[class_of[y]][class_of[row[y]]] += 1
+    tensor = [[[0] * m for _ in range(m)] for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                q, r = divmod(counts[i][j][k], conj.sizes[k])
+                assert r == 0, "class product count not class-constant"
+                tensor[i][j][k] = q
+    return tuple(tuple(tuple(r) for r in plane) for plane in tensor)
+
+
+def _direct_product_table(a, b):
+    m = len(b)
+    return [
+        [a[i][k] * m + b[j][l] for k in range(len(a)) for l in range(m)]
+        for i in range(len(a))
+        for j in range(m)
+    ]
+
+
+def _relabeled_group(cayley, seed):
+    """group_from_cayley on the table relabeled by a seeded permutation."""
+    n = len(cayley)
+    sigma = list(range(n))
+    random.Random(seed).shuffle(sigma)
+    relabeled = [[0] * n for _ in range(n)]
+    for i, row in enumerate(cayley):
+        for j, v in enumerate(row):
+            relabeled[sigma[i]][sigma[j]] = sigma[v]
+    return group_from_cayley(relabeled)
+
+
+RELABELED_GROUPS = {
+    "S5": lambda: _relabeled_group(symmetric_group(5).cayley, 5),
+    "A5xS3": lambda: _relabeled_group(
+        _direct_product_table(alternating_group(5).cayley, symmetric_group(3).cayley), 6
+    ),
+    "S4xS4": lambda: _relabeled_group(
+        _direct_product_table(symmetric_group(4).cayley, symmetric_group(4).cayley), 7
+    ),
+}
+
+
+def _oracle_group(name):
+    if name in RELABELED_GROUPS:
+        return RELABELED_GROUPS[name]()
+    if name in EXTRA_GROUPS:
+        return extra_group(name)
+    return ade_group(name)
+
+
+ORACLE_GROUPS = ADE_SUITE + EXTRA_GROUPS + tuple(RELABELED_GROUPS)
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_tensor_matches_the_full_product_count(name):
+    group = _oracle_group(name)
+    assert class_multiplication_tensor(group) == _tensor_oracle(group)
+
+
+def _table_key(table):
+    rows = [[v.to_json() for v in row] for row in table.rows]
+    natural = table.natural_character
+    natural = None if natural is None else [v.to_json() for v in natural]
+    return table.prime, table.degrees, rows, natural
+
+
+@pytest.mark.parametrize("name", ["S4", "E6"])
+def test_single_entry_tensor_tamper_never_gives_another_table(monkeypatch, name):
+    """Negative control for the class tensor, whose class-constancy is proven
+    rather than checked: each +-1 change to one entry either raises an
+    internal CharacterTableError (CLI exit 3) or leaves the table unchanged."""
+    group = _oracle_group(name)
+    truth = _table_key(character_table(group))
+    tensor = class_multiplication_tensor(group)
+    m = len(tensor)
+    outcomes = {"same": 0, EigenSplitError: 0, TableConsistencyError: 0}
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                for delta in (1, -1):
+                    tampered = [[list(r) for r in plane] for plane in tensor]
+                    tampered[i][j][k] += delta
+                    monkeypatch.setattr(
+                        chartab, "class_multiplication_tensor", lambda _, t=tampered: t
+                    )
+                    try:
+                        table = character_table(group)
+                    except (EigenSplitError, TableConsistencyError) as exc:
+                        outcomes[type(exc)] += 1
+                        continue
+                    assert _table_key(table) == truth, (i, j, k, delta)
+                    outcomes["same"] += 1
+    assert sum(outcomes.values()) == 2 * m**3
+    assert outcomes[EigenSplitError] and outcomes[TableConsistencyError]
 
 
 # -- character tables --------------------------------------------------------------
@@ -110,15 +224,6 @@ def test_table_global_invariants(label):
             assert norm == norm.conj()
 
 
-def _direct_product_table(a, b):
-    m = len(b)
-    return [
-        [a[i][k] * m + b[j][l] for k in range(len(a)) for l in range(m)]
-        for i in range(len(a))
-        for j in range(m)
-    ]
-
-
 RELABELED_TABLES = {
     "S4": lambda: extra_group("S4").cayley,
     "Dih8": lambda: extra_group("Dih8").cayley,
@@ -166,6 +271,96 @@ def test_relabeling_invariance(name, data):
         return {json.dumps([row[c].to_json() for c in columns], sort_keys=True) for row in rows}
 
     assert row_set(t1.rows, range(t1.size)) == row_set(t2.rows, cls)
+
+
+def _det_oracle(matrix, p):
+    """det(matrix) mod p by Gaussian elimination."""
+    a = [[v % p for v in row] for row in matrix]
+    n, det = len(a), 1
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det = det * a[c][c] % p
+        inv = pow(a[c][c], p - 2, p)
+        for r in range(c + 1, n):
+            f = a[r][c] * inv % p
+            a[r] = [(x - f * y) % p for x, y in zip(a[r], a[c])]
+    return det % p
+
+
+@st.composite
+def _square_matrices_mod_p(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7, 13, 61)))
+    d = draw(st.integers(1, 7))
+    # small entries make zero subdiagonals, and so Hessenberg pivoting, common
+    entries = st.integers(0, p - 1) | st.sampled_from((0, 1))
+    return p, draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_square_matrices_mod_p())
+def test_charpoly_is_the_determinant(case):
+    p, a = case
+    d = len(a)
+    poly = _charpoly(a, p)
+    assert len(poly) == d + 1 and poly[0] == 1
+    for lam in range(p):
+        value = 0
+        for c in poly:
+            value = (value * lam + c) % p
+        shifted = [[(lam if i == j else 0) - a[i][j] for j in range(d)] for i in range(d)]
+        assert value == _det_oracle(shifted, p)
+
+
+def _split_space_oracle(space, op, p):
+    """The eigenspaces of op on space by a nullspace at every lambda in F_p."""
+    d = space.dim
+    coords = _restriction(op, space, p)
+    coords = [[coords[j][i] for j in range(d)] for i in range(d)]
+    out, found = [], 0
+    for lam in range(p):
+        shifted = [[(coords[i][j] - (lam if i == j else 0)) % p for j in range(d)] for i in range(d)]
+        null = _nullspace(shifted, p)
+        if not null:
+            continue
+        vectors = []
+        for coeffs in null:
+            v = [0] * len(space.basis[0])
+            for j, cj in enumerate(coeffs):
+                if cj:
+                    v = [(a + cj * b) % p for a, b in zip(v, space.basis[j])]
+            vectors.append(v)
+        basis, pivots = _rref(vectors, p)
+        out.append(_Subspace(basis, pivots))
+        found += len(basis)
+        if found == d:
+            break
+    if found != d:
+        raise EigenSplitError("eigenspace dimensions do not add up")
+    return out
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_split_space_matches_the_lambda_scan(monkeypatch, name):
+    """Every split made while building the table gives the subspaces of the
+    scan over all of F_p, in the same order."""
+    split = chartab._split_space
+    calls = []
+
+    def checked(space, op, p):
+        out = split(space, op, p)
+        expected = _split_space_oracle(space, op, p)
+        assert [(s.basis, s.pivots) for s in out] == [(s.basis, s.pivots) for s in expected]
+        calls.append(space.dim)
+        return out
+
+    monkeypatch.setattr(chartab, "_split_space", checked)
+    character_table(_oracle_group(name))
+    assert calls
 
 
 def test_unsplittable_class_matrices_raise():
