@@ -5,12 +5,20 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mckay import chartab, cli
-from mckay.catalog import EXTRA_GROUPS, ade_bundle, ade_group, extra_group, extra_table
+from mckay import catalog, chartab, cli
+from mckay.catalog import (
+    EXTRA_GROUPS,
+    ade_bundle,
+    ade_group,
+    ade_table,
+    extra_group,
+    extra_table,
+)
 from mckay.chartab import (
     EigenSplitError,
     NotAffineADEError,
@@ -643,3 +651,307 @@ def test_classify_rejects_disconnected():
     adj = [[0, 0], [0, 0]]
     with pytest.raises(NotAffineADEError):
         classify_affine_ade(adj, (1, 1))
+
+
+TRIANGLE = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+
+# each input satisfies sum_w a_vw dims_w = 2 dims_v wherever that is defined
+OUTSIDE_THE_THEOREM = {
+    "two-components": ([[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]], (1, 1, 1, 1), 0),
+    "asymmetric": ([[0, 2, 0], [1, 0, 1], [0, 2, 0]], (1, 1, 1), 0),
+    "loop": ([[1, 1], [1, 1]], (1, 1), 0),
+    "float-entry": ([[0, 1.0, 1], [1.0, 0, 1], [1, 1, 0]], (1, 1, 1), 0),
+    "float-above-the-diagonal": ([[0, 1.0, 1], [1, 0, 1], [1, 1, 0]], (1, 1, 1), 0),
+    "float-dim": (TRIANGLE, (1, 1.0, 1), 0),
+    "dims-too-long": (TRIANGLE, (1, 1, 1, 1), 0),
+    "trivial-out-of-range": (TRIANGLE, (1, 1, 1), 3),
+    "trivial-negative": (TRIANGLE, (1, 1, 1), -1),
+    "single-vertex": ([[2]], (1,), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTSIDE_THE_THEOREM))
+def test_classify_rejects_inputs_outside_the_theorem(name):
+    adj, dims, trivial = OUTSIDE_THE_THEOREM[name]
+    with pytest.raises(NotAffineADEError):
+        classify_affine_ade(adj, dims, trivial_vertex=trivial)
+
+
+# The classifier that the null-vector identity replaced: guess the type from
+# degree counts and arm lengths, then confirm it by a backtracking isomorphism
+# with reference diagrams.  Exponential in the worst case, so it is only run
+# on small graphs here, as an oracle.
+
+
+def _ref_star(arms):
+    """Adjacency of a star with the given arm lengths (in edges)."""
+    n = 1 + sum(arms)
+    adj = [[0] * n for _ in range(n)]
+    idx = 1
+    for arm in arms:
+        prev = 0
+        for _ in range(arm):
+            adj[prev][idx] = adj[idx][prev] = 1
+            prev = idx
+            idx += 1
+    return adj
+
+
+def _ref_affine(kind, rank):
+    if kind == "A":
+        if rank == 1:
+            return [[0, 2], [2, 0]], (1, 1)
+        n = rank + 1
+        adj = [[0] * n for _ in range(n)]
+        for i in range(n):
+            j = (i + 1) % n
+            adj[i][j] = adj[j][i] = 1
+        return adj, tuple([1] * n)
+    if kind == "D":
+        n = rank + 1
+        adj = [[0] * n for _ in range(n)]
+        # spine 1 .. rank-3 carries mark 2; four mark-1 leaves at the ends
+        spine = list(range(1, rank - 2))
+        for a, b in zip(spine, spine[1:]):
+            adj[a][b] = adj[b][a] = 1
+        first, last = spine[0], spine[-1]
+        adj[0][first] = adj[first][0] = 1
+        adj[rank - 2][last] = adj[last][rank - 2] = 1
+        adj[rank - 1][last] = adj[last][rank - 1] = 1
+        adj[rank][first] = adj[first][rank] = 1
+        marks = [2] * n
+        for leaf in (0, rank - 2, rank - 1, rank):
+            marks[leaf] = 1
+        return adj, tuple(marks)
+    arms = {6: (2, 2, 2), 7: (1, 3, 3), 8: (1, 2, 5)}[rank]
+    center_mark = {6: 3, 7: 4, 8: 6}[rank]
+    adj = _ref_star(arms)
+    marks = [center_mark]
+    for arm in arms:
+        for pos in range(1, arm + 1):
+            marks.append(center_mark * (arm + 1 - pos) // (arm + 1))
+    return adj, tuple(marks)
+
+
+def _ref_finite(kind, rank):
+    if kind == "A":
+        adj = [[0] * rank for _ in range(rank)]
+        for i in range(rank - 1):
+            adj[i][i + 1] = adj[i + 1][i] = 1
+        return adj
+    if kind == "D":
+        adj = [[0] * rank for _ in range(rank)]
+        for i in range(rank - 3):
+            adj[i][i + 1] = adj[i + 1][i] = 1
+        adj[rank - 2][rank - 3] = adj[rank - 3][rank - 2] = 1
+        adj[rank - 1][rank - 3] = adj[rank - 3][rank - 1] = 1
+        return adj
+    arms = {6: (1, 2, 2), 7: (1, 2, 3), 8: (1, 2, 4)}[rank]
+    return _ref_star(arms)
+
+
+def _isomorphic(adj_a, weights_a, adj_b, weights_b):
+    n = len(adj_a)
+    if len(adj_b) != n:
+        return False
+
+    def profile(adj, weights, v):
+        deg = sum(adj[v])
+        return (deg, weights[v] if weights else 0)
+
+    if sorted(profile(adj_a, weights_a, v) for v in range(n)) != sorted(
+        profile(adj_b, weights_b, v) for v in range(n)
+    ):
+        return False
+    mapping = [-1] * n
+    used = [False] * n
+
+    def backtrack(v):
+        if v == n:
+            return True
+        pa = profile(adj_a, weights_a, v)
+        for w in range(n):
+            if used[w] or profile(adj_b, weights_b, w) != pa:
+                continue
+            ok = True
+            for u in range(v):
+                if adj_a[v][u] != adj_b[w][mapping[u]]:
+                    ok = False
+                    break
+            if ok:
+                mapping[v] = w
+                used[w] = True
+                if backtrack(v + 1):
+                    return True
+                used[w] = False
+        return False
+
+    return backtrack(0)
+
+
+def _classify_oracle(adjacency, dims, trivial_vertex=0):
+    n = len(adjacency)
+    dims = tuple(dims)
+    for i in range(n):
+        for j in range(n):
+            if adjacency[i][j] != adjacency[j][i] or adjacency[i][j] < 0:
+                raise NotAffineADEError("adjacency must be symmetric and nonnegative")
+    seen = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w in range(n):
+            if adjacency[v][w] and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != n:
+        raise NotAffineADEError("graph is not connected")
+    degrees = [sum(adjacency[v]) for v in range(n)]
+    if n == 2 and adjacency[0][1] == 2:
+        kind, rank = "A", 1
+    elif max(adjacency[v][w] for v in range(n) for w in range(n)) > 1:
+        raise NotAffineADEError("unexpected edge multiplicity")
+    elif all(d == 2 for d in degrees):
+        if n < 3:
+            raise NotAffineADEError("not an affine ADE diagram")
+        kind, rank = "A", n - 1
+    elif degrees.count(4) == 1 and degrees.count(1) == 4 and n == 5:
+        kind, rank = "D", 4
+    elif degrees.count(3) == 2 and degrees.count(1) == 4 and n >= 6:
+        kind, rank = "D", n - 1
+    elif degrees.count(3) == 1 and degrees.count(1) == 3:
+        center = degrees.index(3)
+        arms = []
+        for w in range(n):
+            if not adjacency[center][w]:
+                continue
+            length, prev, cur = 1, center, w
+            while sum(adjacency[cur]) == 2:
+                nxt = next(x for x in range(n) if adjacency[cur][x] and x != prev)
+                prev, cur = cur, nxt
+                length += 1
+            arms.append(length)
+        key = tuple(sorted(arms))
+        ranks = {(2, 2, 2): 6, (1, 3, 3): 7, (1, 2, 5): 8}
+        if key not in ranks:
+            raise NotAffineADEError("not an affine ADE diagram")
+        kind, rank = "E", ranks[key]
+    else:
+        raise NotAffineADEError("not an affine ADE diagram")
+    ref_adj, ref_marks = _ref_affine(kind, rank)
+    if not _isomorphic(adjacency, dims, ref_adj, ref_marks):
+        raise NotAffineADEError("labels do not match the null vector")
+    rest = [v for v in range(n) if v != trivial_vertex]
+    sub = [[adjacency[v][w] for w in rest] for v in rest]
+    if not _isomorphic(sub, None, _ref_finite(kind, rank), None):
+        raise NotAffineADEError("deleting the marked vertex does not give the finite diagram")
+    return f"{kind}{rank}"
+
+
+def _verdict(classify, adjacency, dims, trivial_vertex):
+    try:
+        return classify(adjacency, dims, trivial_vertex)
+    except NotAffineADEError:
+        return None
+
+
+def _symmetric_matrices(n, entries):
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    for values in product(entries, repeat=len(cells)):
+        adj = [[0] * n for _ in range(n)]
+        for (i, j), a in zip(cells, values):
+            adj[i][j] = adj[j][i] = a
+        yield adj
+
+
+def test_classifier_matches_the_oracle_on_every_small_graph():
+    """n <= 3, entries 0..2 (diagonal included), dims 1..3, every trivial vertex."""
+    accepted = []
+    for n in (1, 2, 3):
+        for adj in _symmetric_matrices(n, range(3)):
+            for dims in product(range(1, 4), repeat=n):
+                for t in range(n):
+                    label = _verdict(classify_affine_ade, adj, dims, t)
+                    assert label == _verdict(_classify_oracle, adj, dims, t), (adj, dims, t)
+                    if label:
+                        accepted.append(label)
+    assert sorted(accepted) == ["A1", "A1", "A2", "A2", "A2"]
+
+
+def _relabel(adj, marks, seed):
+    n = len(adj)
+    sigma = list(range(n))
+    random.Random(seed).shuffle(sigma)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[sigma[i]][sigma[j]] = adj[i][j]
+    relabeled = [0] * n
+    for i, mark in enumerate(marks):
+        relabeled[sigma[i]] = mark
+    return out, tuple(relabeled)
+
+
+def _perturbations(adj, marks):
+    """The diagram with its marks, one mark moved by +-1, one edge toggled
+    (a double edge becomes single) and one loop added."""
+    n = len(adj)
+    yield adj, marks
+    for v in range(n):
+        for step in (-1, 1):
+            yield adj, marks[:v] + (marks[v] + step,) + marks[v + 1 :]
+    for v in range(n):
+        for w in range(v + 1, n):
+            toggled = [list(row) for row in adj]
+            toggled[v][w] = toggled[w][v] = 1 - adj[v][w] if adj[v][w] < 2 else 1
+            yield toggled, marks
+    for v in range(n):
+        looped = [list(row) for row in adj]
+        looped[v][v] = 1
+        yield looped, marks
+
+
+AFFINE_REFERENCES = (
+    [f"A{r}" for r in range(1, 13)] + [f"D{r}" for r in range(4, 13)] + ["E6", "E7", "E8"]
+)
+
+
+@pytest.mark.parametrize("label", AFFINE_REFERENCES)
+def test_classifier_matches_the_oracle_on_perturbed_references(label):
+    adj, marks = _ref_affine(label[0], int(label[1:]))
+    accepted = 0
+    for seed in range(3):
+        for graph, dims in _perturbations(*_relabel(adj, marks, seed)):
+            for t in range(len(graph)):
+                verdict = _verdict(classify_affine_ade, graph, dims, t)
+                assert verdict == _verdict(_classify_oracle, graph, dims, t), (graph, dims, t)
+                accepted += verdict is not None
+                assert verdict in (None, label)
+    # exactly the mark-1 vertices of the unperturbed diagram are accepted
+    assert accepted == 3 * marks.count(1)
+
+
+@pytest.mark.parametrize("label", ["A29", "D32", "A41"])
+def test_real_graphs_past_the_oracle_are_classified(label):
+    assert mckay_graph(ade_table(label)).affine_label == label
+
+
+def test_relabeled_41_cycle_is_affine_a40():
+    adj, marks = _relabel(*_ref_affine("A", 40), seed=41)
+    assert classify_affine_ade(adj, marks, trivial_vertex=17) == "A40"
+
+
+def test_failed_classification_in_mckay_graph_exits_3(monkeypatch, capsys):
+    def reject(adjacency, dims, trivial_vertex=0):
+        raise NotAffineADEError("rejected for the test")
+
+    monkeypatch.setattr(chartab, "classify_affine_ade", reject)
+    catalog.clear_caches()
+    code = cli.main(["mckay", "--type", "A2"])
+    captured = capsys.readouterr()
+    assert code == cli.INTERNAL_ERROR == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: TableConsistencyError:")
+    with pytest.raises(TableConsistencyError) as err:
+        mckay_graph(ade_table("A2"))
+    assert err.value.witness == ("mckay-graph", "rejected for the test")

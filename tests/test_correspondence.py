@@ -20,7 +20,7 @@ from mckay.correspondence import (
     verify_local,
 )
 from mckay.cyclo import integer_sqrt_embed, rational, zeta
-from mckay.groups import ADE_SUITE, build_binary_polyhedral
+from mckay.groups import ADE_SUITE, FiniteGroup, build_binary_polyhedral
 from mckay.linalg import determinant_and_rank, rank
 
 SMALL = ("A1", "A2", "A3", "D4", "D5", "E6")
@@ -331,6 +331,22 @@ def test_singular_matrix_fails_additive_rank(matmul_calls):
     assert not failing.passed
     assert failing.witness == {"determinant": rational(0).to_json(), "rank": 1, "size": 2}
     assert failing.detail == {"determinant": rational(0).to_json(), "rank": 1}
+
+
+def test_tampered_matrix_rep_fails_equivariance_only():
+    """D7 with the matrix of a^-1 replaced by that of a^3, for a its first
+    element of order 10: the Cayley table and the table of characters are
+    untouched, so only the per-element branch data sees the change."""
+    cmap = ade_bundle("D7").cmap
+    group = cmap.group
+    a = next(x for x in range(group.order) if group.element_order[x] == 10)
+    rep = list(group.matrix_rep)
+    rep[group.inverse[a]] = rep[group.cayley[group.cayley[a][a]][a]]
+    fake = FiniteGroup(group.cayley, matrix_rep=rep, name=group.name)
+    report = verify_correspondence(dataclasses.replace(cmap, group=fake))
+    assert [c.name for c in report.checks if not c.passed] == ["equivariance"]
+    witness = report.check("equivariance").witness
+    assert (witness["conjugator"], witness["element"], witness["conjugated"]) == (2, 1, 19)
 
 
 def test_untampered_control_passes():
