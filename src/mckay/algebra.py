@@ -65,9 +65,8 @@ class GradedAlgebra:
             i, j = index[la], index[lb]
             if degrees[i] != 1 or degrees[j] != 1:
                 raise AlgebraError("explicit products are given on degree-1 pairs only")
-            cooked = tuple(
-                (index[lc], _coeff(c)) for lc, c in terms if not _coeff(c).is_zero()
-            )
+            coeffs = ((lc, _coeff(c)) for lc, c in terms)
+            cooked = tuple((index[lc], v) for lc, v in coeffs if not v.is_zero())
             for k, _ in cooked:
                 if degrees[k] != 2:
                     raise AlgebraError("degree-1 products must land in degree 2")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from math import isqrt
 from operator import mul
 
-from .cyclo import CycNum, _galois_steps
+from .cyclo import CycNum, _galois_steps, prime_factors
 from .groups import ConjugacyStructure, FiniteGroup
 
 __all__ = [
@@ -172,17 +172,7 @@ def _dixon_prime(order: int, exponent: int) -> int:
 
 
 def _primitive_root(p: int) -> int:
-    factors = []
-    m = p - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.append(m)
+    factors = prime_factors(p - 1)
     for w in range(2, p):
         if all(pow(w, (p - 1) // q, p) != 1 for q in factors):
             return w

@@ -134,13 +134,6 @@ class CorrespondenceMap:
         }
 
 
-def _element_branch(group: FiniteGroup, element: int) -> CycNum:
-    r, k = group.rotation_data[element]
-    if r == 1:
-        raise ValueError("the identity has no branch square root")
-    return zeta(2 * r, k) - zeta(2 * r, 2 * r - k)
-
-
 def branch_sqrt(table: CharacterTable, class_index: int) -> CycNum:
     """Canonical square root s of chi_nat - 2 on a nonidentity class.
 
@@ -150,8 +143,8 @@ def branch_sqrt(table: CharacterTable, class_index: int) -> CycNum:
     """
     if class_index == 0:
         raise ValueError("branch square root is defined on nonidentity classes only")
-    rep = table.conj.representatives[class_index]
-    return _element_branch(table.group, rep)
+    r, k = table.group.rotation_data[table.conj.representatives[class_index]]
+    return zeta(2 * r, k) - zeta(2 * r, 2 * r - k)
 
 
 def _per_table(build):
@@ -383,15 +376,19 @@ def _check_isometry(cmap: CorrespondenceMap, exact) -> CheckResult:
 def _check_equivariance(cmap: CorrespondenceMap) -> CheckResult:
     """Entries are class functions: conjugate elements give identical rows.
 
-    The branch square root is recomputed from each element's own eigenvalue
-    data, so this genuinely re-derives the entry rather than reading the
-    class-indexed matrix back.
+    The entry s(g) * chi(g) is read per element, from the class of g and
+    the rotation data (r, k) of g's own matrix, not from the class-indexed
+    matrix.  The pair (r, k) stands for s(g) exactly: with gcd(k, r) = 1
+    and 0 < k <= r/2, s(g) = zeta_2r^k - zeta_2r^-k = 2i sin(pi k/r), and
+    sin is injective on (0, pi/2], so s(g) = s(g') iff k/r = k'/r' iff
+    (r, k) = (r', k'), both fractions being in lowest terms.  Comparing
+    (class, (r, k)) therefore gives the verdict and the first failing
+    (h, g, h g h^-1) that comparing the branch roots themselves gives.
     """
     group = cmap.group
-    conj = cmap.table.conj
-    keys = [None] * group.order
-    for x in range(1, group.order):
-        keys[x] = (conj.class_of[x], _element_branch(group, x).lowered().key())
+    class_of = cmap.table.conj.class_of
+    rotation = group.rotation_data
+    keys = [None] + [(class_of[x], rotation[x]) for x in range(1, group.order)]
     for h in range(group.order):
         for g in range(1, group.order):
             c = group.conjugate(h, g)

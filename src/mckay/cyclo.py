@@ -295,48 +295,6 @@ class CycNum:
         m = lcm(self.conductor, other.conductor)
         return self.lift(m), other.lift(m)
 
-    def _express_at(self, m: int) -> "CycNum | None":
-        """Rewrite at m = conductor / p for a prime p, or None if impossible."""
-        n = self.conductor
-        p = n // m
-        num = self.num
-        if m % p == 0:
-            # Phi_n(x) = Phi_m(x^p), so the power basis at n is
-            # {x^r * (x^p)^j : r < p, j < phi(m)} and Q(zeta_m) is the span
-            # of the exponents divisible by p.
-            if any(num[i] for i in range(len(num)) if i % p):
-                return None
-            return _normal(m, num[::p], self.den)
-        # p prime to m: zeta_n = zeta_m^u * zeta_p^v, so the value is
-        # sum_t A_t zeta_p^t with A_t in Q(zeta_m).  Since zeta_p^1..^(p-1)
-        # are a basis over Q(zeta_m) and sum_t zeta_p^t = 0, the value lies
-        # in Q(zeta_m) iff A_1 = ... = A_(p-1), and then it is A_0 - A_1.
-        u = pow(p, -1, m)
-        v = pow(m, -1, p)
-        parts = [[0] * m for _ in range(p)]
-        for i, c in enumerate(num):
-            if c:
-                parts[v * i % p][u * i % m] += c
-        reduced = [_reduce(part, m) for part in parts]
-        first = reduced[1]
-        if any(r != first for r in reduced[2:]):
-            return None
-        return _normal(m, tuple(map(sub, reduced[0], first)), self.den)
-
-    def lowered(self) -> "CycNum":
-        """The canonical representative at the minimal conductor."""
-        cur = self
-        changed = True
-        while changed and cur.conductor > 1:
-            changed = False
-            for p in prime_factors(cur.conductor):
-                down = cur._express_at(cur.conductor // p)
-                if down is not None:
-                    cur = down
-                    changed = True
-                    break
-        return cur
-
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod
@@ -344,8 +302,7 @@ class CycNum:
         if isinstance(value, CycNum):
             return value
         if isinstance(value, (int, Fraction)):
-            q = Fraction(value)
-            return _new(1, (q.numerator,), q.denominator)
+            return rational(value)
         return None
 
     def _combine(self, other, op) -> "CycNum":
@@ -553,7 +510,8 @@ def zeta(n: int, k: int = 1) -> CycNum:
 
 def rational(q) -> CycNum:
     """A rational number embedded at conductor 1."""
-    return CycNum(1, (Fraction(q),))
+    q = Fraction(q)
+    return _new(1, (q.numerator,), q.denominator)
 
 
 def _legendre(t: int, p: int) -> int:

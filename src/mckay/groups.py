@@ -1,10 +1,12 @@
 """Finite subgroups of SL2 over cyclotomic numbers, and Cayley-table groups.
 
 Matrix groups are enumerated by breadth-first closure from hard-coded
-generator matrices (identity first, deterministic order), after which the
-full Cayley table is assembled from left-translation permutations.  Groups
-ingested from raw Cayley tables are validated exhaustively before use, at
-every order; associativity costs O(n^2 log n) by Light's test.
+generator matrices (identity first, deterministic order).  The closure
+forms each product x_i * s once, for every element x_i and generator s,
+and the full Cayley table is assembled from these right-multiplication
+permutations with no further matrix product.  Groups ingested from raw
+Cayley tables are validated exhaustively before use, at every order;
+associativity costs O(n^2 log n) by Light's test.
 """
 
 from __future__ import annotations
@@ -199,6 +201,8 @@ def _closure_from_matrices(gens: list[Mat2], cap: int = 2000):
     elems = [ident]
     index = {_mat_key(ident): 0}
     parent = [(-1, -1)]
+    # right[gi][i] is the index of x_i * s_gi
+    right = [[] for _ in gens]
     i = 0
     while i < len(elems):
         for gi, s in enumerate(gens):
@@ -213,17 +217,17 @@ def _closure_from_matrices(gens: list[Mat2], cap: int = 2000):
                         f"matrix closure exceeded {cap} elements; generators do not "
                         "span a small finite group"
                     )
+            right[gi].append(index[k])
         i += 1
     n = len(elems)
-    lam_gen = []
-    for s in gens:
-        lam_gen.append([index[_mat_key(_mat_mul(s, x))] for x in elems])
-    rows = [list(range(n))] + [None] * (n - 1)
-    for idx in range(1, n):
-        p, gi = parent[idx]
-        rp, rs = rows[p], lam_gen[gi]
-        rows[idx] = [rp[rs[j]] for j in range(n)]
-    return rows, elems
+    # x_j = x_p * s_g gives x_i * x_j = (x_i * x_p) * s_g: column j of the
+    # table is column p mapped through right multiplication by s_g
+    cols = [range(n)] + [None] * (n - 1)
+    for j in range(1, n):
+        p, gi = parent[j]
+        # n >= 2 here, so the getter returns a tuple
+        cols[j] = itemgetter(*cols[p])(right[gi])
+    return zip(*cols), elems
 
 
 def group_from_generators(matrices, name: str = "G", cap: int = 2000) -> FiniteGroup:

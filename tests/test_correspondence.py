@@ -1,6 +1,7 @@
 """The scaled correspondence matrix and its exact verification."""
 
 import dataclasses
+import random
 import sys
 
 import pytest
@@ -347,6 +348,83 @@ def test_tampered_matrix_rep_fails_equivariance_only():
     assert [c.name for c in report.checks if not c.passed] == ["equivariance"]
     witness = report.check("equivariance").witness
     assert (witness["conjugator"], witness["element"], witness["conjugated"]) == (2, 1, 19)
+
+
+def _equivariance_oracle(cmap):
+    """The equivariance check on the branch roots themselves: (h, g, h g h^-1)
+    for the first pair whose class or exact branch root differs, or None."""
+    group = cmap.group
+    class_of = cmap.table.conj.class_of
+    branch = [None]
+    for x in range(1, group.order):
+        r, k = group.rotation_data[x]
+        branch.append(zeta(2 * r, k) - zeta(2 * r, 2 * r - k))
+    for h in range(group.order):
+        for g in range(1, group.order):
+            c = group.conjugate(h, g)
+            if class_of[c] != class_of[g] or branch[c] != branch[g]:
+                return (h, g, c)
+    return None
+
+
+def _equivariance_triple(cmap):
+    check = correspondence._check_equivariance(cmap)
+    if check.passed:
+        return None
+    w = check.witness
+    return (w["conjugator"], w["element"], w["conjugated"])
+
+
+@pytest.mark.parametrize("label", ADE_SUITE + SCALING)
+def test_equivariance_matches_the_branch_root_oracle(label):
+    cmap = ade_bundle(label).cmap
+    assert _equivariance_oracle(cmap) is None
+    assert _equivariance_triple(cmap) is None
+
+
+def test_equivariance_matches_the_oracle_on_the_d7_tamper():
+    """The tamper of test_tampered_matrix_rep_fails_equivariance_only."""
+    cmap = ade_bundle("D7").cmap
+    group = cmap.group
+    a = next(x for x in range(group.order) if group.element_order[x] == 10)
+    rep = list(group.matrix_rep)
+    rep[group.inverse[a]] = rep[group.cayley[group.cayley[a][a]][a]]
+    cmap = dataclasses.replace(
+        cmap, group=FiniteGroup(group.cayley, matrix_rep=rep, name=group.name)
+    )
+    assert _equivariance_triple(cmap) == _equivariance_oracle(cmap) == (2, 1, 19)
+    witness = correspondence._check_equivariance(cmap).witness
+    assert witness["element_key"] == "(1, (10, 1))"
+    assert witness["conjugated_key"] == "(1, (10, 3))"
+
+
+@pytest.mark.parametrize("label", ("A5", "D6", "E6", "E7", "E8"))
+def test_equivariance_matches_the_oracle_on_swapped_matrices(label):
+    """matrix_rep[x] replaced by the matrix of another element of the same
+    order, for up to 40 seeded x (every x below order 41): the Cayley table
+    is untouched."""
+    cmap = ade_bundle(label).cmap
+    group = cmap.group
+    rng = random.Random(label)
+    verdicts = set()
+    for x in rng.sample(range(1, group.order), min(group.order - 1, 40)):
+        same_order = [
+            y for y in range(1, group.order)
+            if y != x and group.element_order[y] == group.element_order[x]
+        ]
+        if not same_order:
+            continue
+        rep = list(group.matrix_rep)
+        rep[x] = rep[rng.choice(same_order)]
+        fake = dataclasses.replace(
+            cmap, group=FiniteGroup(group.cayley, matrix_rep=rep, name=group.name)
+        )
+        triple = _equivariance_oracle(fake)
+        assert _equivariance_triple(fake) == triple
+        verdicts.add(triple is None)
+    # A5 has singleton classes, and in E6 the elements of one order share
+    # their eigenvalues, so no swap breaks equivariance there
+    assert (False in verdicts) == (label not in ("A5", "E6"))
 
 
 def test_untampered_control_passes():

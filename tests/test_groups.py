@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mckay import groups
 from mckay.cyclo import rational, zeta
 from mckay.groups import (
     ADE_SUITE,
@@ -89,24 +90,35 @@ def test_matrix_group_invariants(label):
         assert t == t.conj()          # traces are real
         assert (t == 2) == (i == 0)   # trace 2 only at the identity
         assert g.order % g.element_order[i] == 0
-    # the Cayley table is the matrix multiplication, spot-checked by sampled
-    # pairs (exhaustive for small groups)
-    rng = random.Random(7)
-    pairs = (
-        [(i, j) for i in range(g.order) for j in range(g.order)]
-        if g.order <= 24
-        else [(rng.randrange(g.order), rng.randrange(g.order)) for _ in range(600)]
-    )
+    # the Cayley table is the matrix multiplication, at every pair
     key = {
         tuple(e.key() for row in m for e in row): i for i, m in enumerate(g.matrix_rep)
     }
-    for i, j in pairs:
-        a, b = g.matrix_rep[i], g.matrix_rep[j]
-        prod = (
-            (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-        )
-        assert key[tuple(e.key() for row in prod for e in row)] == g.cayley[i][j]
+    for i in range(g.order):
+        for j in range(g.order):
+            a, b = g.matrix_rep[i], g.matrix_rep[j]
+            prod = (
+                (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
+                (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
+            )
+            assert key[tuple(e.key() for row in prod for e in row)] == g.cayley[i][j]
+
+
+@pytest.mark.parametrize("label, gens", [("A5", 1), ("D10", 2), ("E8", 2)])
+def test_closure_forms_one_product_per_element_and_generator(monkeypatch, label, gens):
+    """The Cayley table comes from the closure's own products x_i * s; no
+    second pass of matrix products is made."""
+    calls = 0
+    mat_mul = groups._mat_mul
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(groups, "_mat_mul", counted)
+    g = build_binary_polyhedral(label)
+    assert calls == g.order * gens
 
 
 @pytest.mark.parametrize("label", ADE_SUITE)
