@@ -31,8 +31,18 @@ __all__ = [
     "clear_caches",
 ]
 
+# one builder per stock group, in corpus order
+_EXTRA_BUILDERS = {
+    "S3": lambda: symmetric_group(3),
+    "S4": lambda: symmetric_group(4),
+    "A4": lambda: alternating_group(4),
+    "Dih8": lambda: dihedral_group(4),
+    "Q8": lambda: build_binary_polyhedral("D4"),
+    "Z6": lambda: cyclic_group(6),
+}
+
 #: non-ADE groups exercising the character-minor nondegeneracy statement
-EXTRA_GROUPS = ("S3", "S4", "A4", "Dih8", "Q8", "Z6")
+EXTRA_GROUPS = tuple(_EXTRA_BUILDERS)
 
 
 @lru_cache(maxsize=None)
@@ -52,17 +62,9 @@ def ade_bundle(label: str) -> Bundle:
 
 @lru_cache(maxsize=None)
 def extra_group(name: str) -> FiniteGroup:
-    builders = {
-        "S3": lambda: symmetric_group(3),
-        "S4": lambda: symmetric_group(4),
-        "A4": lambda: alternating_group(4),
-        "Dih8": lambda: dihedral_group(4),
-        "Q8": lambda: build_binary_polyhedral("D4"),
-        "Z6": lambda: cyclic_group(6),
-    }
-    if name not in builders:
+    if name not in _EXTRA_BUILDERS:
         raise KeyError(f"unknown corpus group {name!r}")
-    return builders[name]()
+    return _EXTRA_BUILDERS[name]()
 
 
 @lru_cache(maxsize=None)

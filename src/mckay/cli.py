@@ -66,6 +66,8 @@ def _load_group_file(path: str) -> FiniteGroup:
         return _parse_group_file(data, str(path))
     except ValueError as exc:  # a GroupError, or undecodable text or JSON
         raise GroupError(f"{path}: {exc}") from exc
+    except RecursionError as exc:  # JSON nested deeper than the parser recurses
+        raise GroupError(f"{path}: JSON nested too deeply") from exc
 
 
 def _parse_group_file(data, name: str) -> FiniteGroup:

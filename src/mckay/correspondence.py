@@ -221,11 +221,9 @@ def build_local(group: FiniteGroup, table: CharacterTable) -> Bundle:
     )
 
 
-def phi_local(group: FiniteGroup, table: CharacterTable | None = None) -> CorrespondenceMap:
+def phi_local(group: FiniteGroup) -> CorrespondenceMap:
     """Build the scaled correspondence matrix for one SL2 subgroup."""
-    if table is None:
-        table = character_table(group)
-    return build_local(group, table).cmap
+    return build_local(group, character_table(group)).cmap
 
 
 @_per_table

@@ -466,13 +466,15 @@ class CycNum:
         if not isinstance(data, dict):
             raise ValueError("a serialized cyclotomic number must be an object")
         conductor = data.get("conductor")
-        if not isinstance(conductor, int) or conductor < 1:
+        if type(conductor) is not int or conductor < 1:
             raise ValueError("conductor must be a positive integer")
         if conductor > MAX_CONDUCTOR:
             raise ValueError(f"conductor {conductor} exceeds the limit {MAX_CONDUCTOR}")
         raw = data.get("coeffs", {})
         if not isinstance(raw, dict):
             raise ValueError("coeffs must be an object")
+        if any(isinstance(v, bool) for v in raw.values()):
+            raise ValueError("bad coefficient: booleans are not numbers")
         try:
             coeffs = {int(k): Fraction(v) for k, v in raw.items()}
         except (TypeError, ZeroDivisionError, OverflowError) as exc:

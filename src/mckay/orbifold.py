@@ -1,19 +1,20 @@
 """Twisted-sector data and the local orbifold ring of an SL2 quotient point.
 
 Each nonidentity group element contributes a one-dimensional twisted sector
-placed in degree 1 by its age; products between sectors are weighted by the
-top Chern class of the virtual obstruction bundle, which on an isolated
-fixed point is 1 exactly when the bundle has rank zero.  The ring is built
-before invariants are taken, and the invariant subalgebra (basis of class
-sums) is derived from it by actually multiplying class sums.
+placed in degree 1 by its age, read from the group's cached rotation data;
+products between sectors are weighted by the top Chern class of the virtual
+obstruction bundle, which on an isolated fixed point is 1 exactly when the
+bundle has rank zero, so only the inverse pairs e_g * e_g^-1 are evaluated.
+The ring is built before invariants are taken, and the invariant subalgebra
+(basis of class sums) is derived from it by actually multiplying class sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 from .algebra import GradedAlgebra
+from .cyclo import rational
 from .groups import FiniteGroup
 
 __all__ = [
@@ -38,25 +39,14 @@ class ObstructionEntry:
     c: int
 
 
-# per group, the age of every element; weak keys so dropped groups are freed
-_AGES: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _element_ages(group: FiniteGroup) -> tuple[int, ...]:
-    """Age of every element, derived once per group from its rotation data.
+def age(group: FiniteGroup, class_index: int) -> int:
+    """Age of a conjugacy class from the rotation data of its representative.
 
     An element of order r > 1 has eigenvalues zeta_r^k, zeta_r^(r-k) with
-    0 < k < r, so its age is k/r + (r-k)/r = 1; the identity has age 0.
+    0 < k < r, so its age is k/r + (r-k)/r = 1; the identity (r = 1) has age 0.
     """
-    ages = _AGES.get(group)
-    if ages is None:
-        ages = _AGES[group] = tuple(0 if r == 1 else 1 for r, _ in group.rotation_data)
-    return ages
-
-
-def age(group: FiniteGroup, class_index: int) -> int:
-    """Age of a conjugacy class from the eigenvalue weights of its representative."""
-    return _element_ages(group)[group.conjugacy.representatives[class_index]]
+    r, _ = group.rotation_data[group.conjugacy.representatives[class_index]]
+    return 0 if r == 1 else 1
 
 
 def obstruction_class(group: FiniteGroup, g: int, h: int) -> ObstructionEntry:
@@ -66,8 +56,11 @@ def obstruction_class(group: FiniteGroup, g: int, h: int) -> ObstructionEntry:
     The joint fixed locus is the whole surface for (id, id) and an isolated
     point otherwise.
     """
-    ages = _element_ages(group)
-    total = ages[g] + ages[h] + ages[group.inverse[group.cayley[g][h]]]
+    rotation = group.rotation_data
+    total = sum(
+        0 if rotation[x][0] == 1 else 1
+        for x in (g, h, group.inverse[group.cayley[g][h]])
+    )
     fixed_dim = 2 if g == 0 and h == 0 else 0
     rank = total + fixed_dim - 2
     if rank < 0:
@@ -86,24 +79,23 @@ def class_label(class_index: int) -> str:
 def local_orbifold_algebra(group: FiniteGroup) -> GradedAlgebra:
     """The pre-invariant orbifold ring: unit, one sector per g != id, point class.
 
-    Sector products are derived from the obstruction classes: a pair with a
-    rank-zero obstruction bundle multiplies to the point class of the
-    (necessarily identity) target sector; every positive rank kills the
-    product.
+    Only the inverse pairs (g, g^-1) can multiply to a nonzero class.  For
+    g, h != id the joint fixed locus is the isolated point, so the
+    obstruction rank is age(g) + age(h) + age((gh)^-1) - 2 = age((gh)^-1),
+    every nonidentity age being 1.  That is 0, with top Chern class 1, iff
+    gh = id, and 1, with class 0, otherwise.  So e_g * e_g^-1 = [pt] and
+    every other sector product vanishes.  The obstruction class is still
+    evaluated at each inverse pair, so a nonidentity element of age 0 fails
+    there with an impossible (negative) rank.
     """
     n = group.order
     labels = ["1"] + [sector_label(i) for i in range(1, n)] + ["[pt]"]
     degrees = [0] + [1] * (n - 1) + [2]
     products = {}
     for g in range(1, n):
-        for h in range(1, n):
-            entry = obstruction_class(group, g, h)
-            if entry.c == 1:
-                if group.cayley[g][h] != 0:
-                    raise OrbifoldError(
-                        "rank-zero obstruction outside the identity sector"
-                    )
-                products[(sector_label(g), sector_label(h))] = [("[pt]", 1)]
+        h = group.inverse[g]
+        if obstruction_class(group, g, h).c == 1:
+            products[(sector_label(g), sector_label(h))] = [("[pt]", 1)]
     return GradedAlgebra.build(labels, degrees, products)
 
 
@@ -128,7 +120,7 @@ def invariant_subalgebra(algebra: GradedAlgebra, group: FiniteGroup) -> GradedAl
     nclasses = len(conj.classes)
     labels = ["1"] + [class_label(c) for c in range(1, nclasses)] + ["[pt]"]
     degrees = [0] + [1] * (nclasses - 1) + [2]
-    one = algebra.structure[(0, 0)][0][1]  # exact 1 with the right scalar type
+    one = rational(1)
     sums = {
         c: {sector_index[g]: one for g in conj.classes[c]}
         for c in range(1, nclasses)

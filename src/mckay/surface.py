@@ -114,7 +114,10 @@ def parse_surface(data: dict, name: str = "surface") -> SurfaceModel:
 
 def load_surface(path) -> SurfaceModel:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:  # JSON nested deeper than the parser recurses
+            raise SurfaceConfigError(str(path), "JSON nested too deeply") from exc
     return parse_surface(data, name=str(path))
 
 

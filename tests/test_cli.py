@@ -303,6 +303,19 @@ def test_bad_json_group_file_exits_2(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "command", [("minor", "--group"), ("verify", "global", "--config")]
+)
+def test_deeply_nested_json_exits_2_naming_the_file(tmp_path, capsys, command):
+    # deeper than json.load can recurse
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: ")
+
+
 def test_group_file_conductor_above_bound_exits_2(tmp_path, capsys):
     big = {"conductor": MAX_CONDUCTOR + 1, "coeffs": {"1": "1"}}
     one = {"conductor": 1, "coeffs": {"0": "1"}}
@@ -347,6 +360,7 @@ SHORT_ROW = {"cayley": [[0, 1], [1]]}
         {},
         BAD_COLUMN,
         SHORT_ROW,
+        {"generators": [[[{"conductor": True, "coeffs": {"0": "1"}}] * 2] * 2]},
     ],
 )
 def test_malformed_group_file_exits_2_naming_the_file(tmp_path, capsys, body):

@@ -428,6 +428,8 @@ def test_from_json_rejects_conductor_above_bound():
         {"conductor": 4, "coeffs": {"0": "1/0"}},
         {"conductor": 4, "coeffs": {"0": None}},
         {"conductor": 4, "coeffs": {"0": float("inf")}},
+        {"conductor": True, "coeffs": {"0": "1"}},
+        {"conductor": 4, "coeffs": {"0": True}},
     ],
 )
 def test_from_json_rejects_malformed_input(blob):

@@ -4,15 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from mckay.catalog import ade_bundle
+from mckay import orbifold
+from mckay.algebra import GradedAlgebra
+from mckay.catalog import ade_bundle, ade_group
 from mckay.cyclo import rational
 from mckay.groups import ADE_SUITE, build_binary_polyhedral
 from mckay.linalg import determinant
 from mckay.orbifold import (
+    OrbifoldError,
     age,
     invariant_subalgebra,
     local_orbifold_algebra,
     obstruction_class,
+    sector_label,
 )
 
 MEDIUM = ("A1", "A2", "A3", "D4", "D5", "E6")
@@ -93,6 +97,72 @@ def test_sector_products():
     assert dict(alg.product(0, e1)) == {e1: rational(1)}
     assert not alg.product(pt, e1)
     assert not alg.product(pt, pt)
+
+
+def _orbifold_oracle(group):
+    """The ring built from all (|G|-1)^2 sector pairs, as before the inverse-pair
+    construction, with its check that rank zero occurs only at gh = id."""
+    n = group.order
+    labels = ["1"] + [sector_label(i) for i in range(1, n)] + ["[pt]"]
+    degrees = [0] + [1] * (n - 1) + [2]
+    products = {}
+    for g in range(1, n):
+        for h in range(1, n):
+            entry = obstruction_class(group, g, h)
+            if entry.c == 1:
+                if group.cayley[g][h] != 0:
+                    raise OrbifoldError("rank-zero obstruction outside the identity sector")
+                products[(sector_label(g), sector_label(h))] = [("[pt]", 1)]
+    return GradedAlgebra.build(labels, degrees, products)
+
+
+def _structure_keys(alg):
+    return [
+        (ij, tuple((k, c.key()) for k, c in terms)) for ij, terms in alg.structure.items()
+    ]
+
+
+@pytest.mark.parametrize("label", ADE_SUITE + ("A15", "D16", "A20", "D20"))
+def test_inverse_pair_ring_matches_the_all_pairs_oracle(label):
+    group = ade_group(label)
+    alg = local_orbifold_algebra(group)
+    expected = _orbifold_oracle(group)
+    assert alg.labels == expected.labels
+    assert alg.degrees == expected.degrees
+    assert alg.point == expected.point
+    # same keys in the same insertion order, and the same stored coefficients
+    assert _structure_keys(alg) == _structure_keys(expected)
+
+
+@pytest.mark.parametrize("label", ("A5", "D10", "E8"))
+def test_one_obstruction_class_per_nonidentity_element(monkeypatch, label):
+    group = ade_group(label)
+    calls = []
+    original = orbifold.obstruction_class
+
+    def counted(grp, g, h):
+        calls.append((g, h))
+        return original(grp, g, h)
+
+    monkeypatch.setattr(orbifold, "obstruction_class", counted)
+    local_orbifold_algebra(group)
+    assert calls == [(g, group.inverse[g]) for g in range(1, group.order)]
+
+
+@pytest.mark.parametrize("label", ("D4", "E6", "A5"))
+@pytest.mark.parametrize("involution", (True, False))
+def test_nonidentity_age_zero_is_rejected(label, involution):
+    # a fresh group: rotation_data is cached per instance, so the tamper
+    # reaches no other test
+    group = build_binary_polyhedral(label)
+    x = next(
+        i for i in range(1, group.order) if (group.element_order[i] == 2) == involution
+    )
+    rotation = list(group.rotation_data)
+    rotation[x] = (1, 0)
+    group.__dict__["rotation_data"] = tuple(rotation)
+    with pytest.raises(OrbifoldError, match="impossible obstruction rank"):
+        local_orbifold_algebra(group)
 
 
 @pytest.mark.parametrize("label", MEDIUM + ("E8",))
