@@ -127,13 +127,15 @@ class GradedAlgebra:
         for i in ones:
             row = []
             for j in ones:
-                coeff = zero
+                # rational(0) + c has the stored form of c, so an entry starts
+                # from its first point term and only duplicate terms add
+                coeff = None
                 for k, c in self.product(i, j):
                     if k == self.point:
-                        coeff = coeff + c
+                        coeff = c if coeff is None else coeff + c
                     elif not c.is_zero():
                         raise AlgebraError("degree-1 product leaves the point line")
-                row.append(coeff)
+                row.append(zero if coeff is None else coeff)
             matrix.append(row)
         return ones, matrix
 

@@ -238,6 +238,24 @@ def char_minor_determinant(table: CharacterTable) -> CycNum:
     return rational(1) if not minor else linalg.determinant(minor)
 
 
+@_per_table
+def _scaled_minor_determinant(table: CharacterTable) -> CycNum | None:
+    """det diag(s)·Y^T = prod_c s(g_c) · det Y, lifted to conductor
+    2*exponent, computed once per table; None when det Y = 0."""
+    det = char_minor_determinant(table)
+    if det.is_zero():
+        return None
+    for c in range(1, table.size):
+        det = det * branch_sqrt(table, c)
+    return det.lift(2 * table.conj.exponent)
+
+
+@_per_table
+def _scaled_minor_complex(table: CharacterTable) -> tuple[tuple[complex, ...], ...]:
+    """The complex values of ``_scaled_minor(table)``, computed once per table."""
+    return tuple(tuple(v.complex_value() for v in row) for row in _scaled_minor(table))
+
+
 # -- verification --------------------------------------------------------------
 
 
@@ -256,6 +274,17 @@ def _check_multiplicativity(cmap: CorrespondenceMap, exact) -> CheckResult:
     product of images is formed only for a failing pair's witness.  ``exact``
     is (M^T G_orb M, |G| G_res), or None when the certificate has proven them
     equal (see ``verify_correspondence``).
+
+    The unit and point laws are read off the structure constants.  Let K be
+    the union of the images' supports and v = sum_{k in K} v_k f_k an image.
+    If every row (unit, k), k in K, is the one term (k, 1) and every term of
+    the rows (point, k), k in K, and (point, point) is zero, then by
+    bilinearity unit * v = sum_k v_k (unit * f_k) = sum_k v_k f_k = v,
+    point * v = sum_k v_k (point * f_k) = 0 and point * point = 0, which is
+    what ``mult_vec`` returns term by term (it sums v_k * 1 * c per term and
+    drops zero sums).  So no law can fail, and the check passes with no
+    product formed.  Otherwise ``_unit_and_point_witness`` forms the products
+    with ``mult_vec``, image by image, and reports the first failing one.
     """
     target = cmap.target
     labels = cmap.col_labels
@@ -275,44 +304,52 @@ def _check_multiplicativity(cmap: CorrespondenceMap, exact) -> CheckResult:
                             "scaled_source_product": expected[a][b].to_json(),
                         },
                     )
-    # degenerate degrees: unit acts as unit on images, the point class kills them
+    support = {
+        target.index(cmap.row_labels[c])
+        for c, row in enumerate(cmap.matrix)
+        if any(not row[a].is_zero() for a in range(len(labels)))
+    }
+    if _unit_and_point_rows_hold(target, support):
+        return CheckResult("multiplicativity", True)
+    witness = _unit_and_point_witness(cmap)
+    return CheckResult("multiplicativity", witness is None, witness=witness)
+
+
+def _unit_and_point_rows_hold(target: GradedAlgebra, support) -> bool:
+    """unit * f_k = f_k with coefficient 1 in stored form, and point * f_k = 0,
+    for every k in ``support``, and point * point = 0, all read off the
+    structure constants."""
+    structure = target.structure
+    for k in support:
+        terms = structure.get((target.unit, k), ())
+        if len(terms) != 1 or terms[0][0] != k or not _scaled_is(terms[0][1], 1, 1):
+            return False
+    rows = [structure.get((target.point, k), ()) for k in support]
+    rows.append(structure.get((target.point, target.point), ()))
+    return all(c.is_zero() for terms in rows for _, c in terms)
+
+
+def _unit_and_point_witness(cmap: CorrespondenceMap) -> dict | None:
+    """The first image the unit does not fix or the point class does not
+    kill, or point * point != 0, by exact products; None if every law holds."""
+    target = cmap.target
     unit = {target.unit: rational(1)}
     point = {target.point: rational(1)}
-    for a, la in enumerate(labels):
+    for a, la in enumerate(cmap.col_labels):
         image = cmap.column_image(a)
         upod = target.mult_vec(unit, image)
         if upod != image:
-            return CheckResult(
-                "multiplicativity", False,
-                witness={"left": "1", "right": la, "image_product": _vec_json(target, upod)},
-            )
+            return {"left": "1", "right": la, "image_product": _vec_json(target, upod)}
         ppod = target.mult_vec(point, image)
         if ppod:
-            return CheckResult(
-                "multiplicativity", False,
-                witness={"left": "[pt]", "right": la, "image_product": _vec_json(target, ppod)},
-            )
+            return {"left": "[pt]", "right": la, "image_product": _vec_json(target, ppod)}
     if target.mult_vec(point, point):
-        return CheckResult("multiplicativity", False, witness={"left": "[pt]", "right": "[pt]"})
-    return CheckResult("multiplicativity", True)
+        return {"left": "[pt]", "right": "[pt]"}
+    return None
 
 
 def _stored_form(matrix) -> list:
     return [[(v.conductor, v.num, v.den) for v in row] for row in matrix]
-
-
-def _factored_determinant(cmap: CorrespondenceMap, is_scaled_minor: bool) -> CycNum | None:
-    """det M as prod_c s(g_c) · det Y (see ``_check_additive``), or None when
-    M is not diag(s)·Y^T in stored form or det Y = 0."""
-    table = cmap.table
-    if table.size < 2 or not is_scaled_minor:
-        return None
-    det = char_minor_determinant(table)
-    if det.is_zero():
-        return None
-    for c in range(1, table.size):
-        det = det * branch_sqrt(table, c)
-    return det.lift(2 * table.conj.exponent)
 
 
 def _check_additive(cmap: CorrespondenceMap, is_scaled_minor: bool) -> CheckResult:
@@ -326,16 +363,18 @@ def _check_additive(cmap: CorrespondenceMap, is_scaled_minor: bool) -> CheckResu
     s(g) = zeta_2r^k - zeta_2r^-k = 2i·sin(pi k / r) with 0 < k <= r/2, so
     s(g) != 0, and det Y != 0 gives det M != 0; an invertible M has rank
     m - 1.  det Y comes from ``char_minor_determinant``, one elimination per
-    table shared with ``minor-determinant``, and the product is lifted to
-    conductor 2*exponent.  An elimination of M would stay at that conductor,
-    where every entry lives, and a value has one stored form per conductor,
-    so the reported determinant is the one elimination returns.
+    table shared with ``minor-determinant``, and the product, lifted to
+    conductor 2*exponent, is formed once per table by
+    ``_scaled_minor_determinant``.  An elimination of M would stay at that
+    conductor, where every entry lives, and a value has one stored form per
+    conductor, so the reported determinant is the one elimination returns.
 
     On a mismatch or det Y = 0, M itself is eliminated, so a failing report
     carries M's own determinant and rank as its witness.
     """
     n = len(cmap.matrix)
-    det = _factored_determinant(cmap, is_scaled_minor)
+    table = cmap.table
+    det = _scaled_minor_determinant(table) if is_scaled_minor and table.size > 1 else None
     if det is not None:
         rk = n
     else:
@@ -405,10 +444,18 @@ def _check_equivariance(cmap: CorrespondenceMap) -> CheckResult:
     return CheckResult("equivariance", True)
 
 
-def _check_float(cmap: CorrespondenceMap, target_gram, source_gram) -> CheckResult:
-    """Re-evaluate the product and pairing identities at machine precision."""
+def _check_float(
+    cmap: CorrespondenceMap, target_gram, source_gram, is_scaled_minor: bool
+) -> CheckResult:
+    """Re-evaluate the product and pairing identities at machine precision.
+
+    When M is ``_scaled_minor(table)`` in stored form its complex values are
+    read from the per-table memo: the same stored form gives the same bits."""
     n = len(cmap.matrix)
-    mc = [[v.complex_value() for v in row] for row in cmap.matrix]
+    if is_scaled_minor:
+        mc = _scaled_minor_complex(cmap.table)
+    else:
+        mc = [[v.complex_value() for v in row] for row in cmap.matrix]
     sg = [[v.complex_value() for v in row] for row in source_gram]
     scale = cmap.scale
     max_err = 0.0
@@ -547,7 +594,7 @@ def verify_correspondence(cmap: CorrespondenceMap) -> VerificationReport:
         _check_additive(cmap, is_scaled_minor),
         _check_isometry(cmap, exact),
         _check_equivariance(cmap),
-        _check_float(cmap, target_gram, source_gram),
+        _check_float(cmap, target_gram, source_gram, is_scaled_minor),
     )
     elapsed = time.perf_counter() - t0
     group = cmap.group

@@ -113,9 +113,13 @@ def parse_surface(data: dict, name: str = "surface") -> SurfaceModel:
 
 
 def load_surface(path) -> SurfaceModel:
+    """Read and parse a surface configuration; a file that is not UTF-8 JSON
+    is rejected with its path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SurfaceConfigError(str(path), str(exc)) from exc
         except RecursionError as exc:  # JSON nested deeper than the parser recurses
             raise SurfaceConfigError(str(path), "JSON nested too deeply") from exc
     return parse_surface(data, name=str(path))

@@ -316,6 +316,23 @@ def test_deeply_nested_json_exits_2_naming_the_file(tmp_path, capsys, command):
     assert err.startswith(f"error: {path}: ")
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"picard_rank": 1, "intersection_matrix": [[1]], ', "Expecting property name"),
+        (b"\xff\xfe", "'utf-8' codec can't decode"),
+    ],
+    ids=["truncated", "not-utf-8"],
+)
+def test_undecodable_surface_config_exits_2_naming_the_file(tmp_path, capsys, content, message):
+    path = tmp_path / "surface.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "verify", "global", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: {message}")
+
+
 def test_group_file_conductor_above_bound_exits_2(tmp_path, capsys):
     big = {"conductor": MAX_CONDUCTOR + 1, "coeffs": {"1": "1"}}
     one = {"conductor": 1, "coeffs": {"0": "1"}}

@@ -20,7 +20,7 @@ from mckay.correspondence import (
     verify_correspondence,
     verify_local,
 )
-from mckay.cyclo import integer_sqrt_embed, rational, zeta
+from mckay.cyclo import CycNum, integer_sqrt_embed, rational, zeta
 from mckay.groups import ADE_SUITE, FiniteGroup, build_binary_polyhedral
 from mckay.linalg import determinant_and_rank, rank
 
@@ -447,6 +447,147 @@ def test_duplicate_point_terms_pass_every_check():
     assert report.check("float-sanity").detail == verify_correspondence(cmap).check(
         "float-sanity"
     ).detail
+
+
+# -- the unit and point laws from the structure rows --------------------------------
+
+
+def unit_point_oracle(cmap):
+    """The unit and point laws by exact products of every image: the witness
+    of the first failing law, or None."""
+    target = cmap.target
+    unit = {target.unit: rational(1)}
+    point = {target.point: rational(1)}
+    vec_json = correspondence._vec_json
+    for a, la in enumerate(cmap.col_labels):
+        image = cmap.column_image(a)
+        upod = target.mult_vec(unit, image)
+        if upod != image:
+            return {"left": "1", "right": la, "image_product": vec_json(target, upod)}
+        ppod = target.mult_vec(point, image)
+        if ppod:
+            return {"left": "[pt]", "right": la, "image_product": vec_json(target, ppod)}
+    if target.mult_vec(point, point):
+        return {"left": "[pt]", "right": "[pt]"}
+    return None
+
+
+def _with_rows(cmap, rows):
+    """cmap with target structure rows replaced; keys and terms by label."""
+    target = cmap.target
+
+    def index(label):
+        return target.point if label == "[pt]" else target.index(label)
+
+    structure = dict(target.structure)
+    for (la, lb), terms in rows.items():
+        structure[(index(la), index(lb))] = tuple((index(lc), rational(c)) for lc, c in terms)
+    return dataclasses.replace(cmap, target=dataclasses.replace(target, structure=structure))
+
+
+@pytest.mark.parametrize("label", ADE_SUITE + SCALING)
+def test_unit_and_point_laws_match_the_product_oracle(label):
+    cmap = ade_bundle(label).cmap
+    assert unit_point_oracle(cmap) is None
+    assert correspondence._check_multiplicativity(cmap, None).passed
+
+
+UNIT_POINT_TAMPERS = {
+    "unit-doubled": (
+        {("1", "f1"): [("f1", 2)]},
+        {
+            "left": "1",
+            "right": "E1",
+            "image_product": {
+                "f1": _cyc(8, {"1": "-2", "3": "-2"}),
+                "f2": _cyc(8, {"2": "2"}),
+                "f3": _cyc(8, {"1": "-1", "3": "-1"}),
+            },
+        },
+    ),
+    "point-times-f1": (
+        {("[pt]", "f1"): [("[pt]", 1)]},
+        {"left": "[pt]", "right": "E1", "image_product": {"[pt]": _cyc(8, {"1": "-1", "3": "-1"})}},
+    ),
+    "point-squared": ({("[pt]", "[pt]"): [("[pt]", 1)]}, {"left": "[pt]", "right": "[pt]"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_POINT_TAMPERS))
+def test_tampered_unit_or_point_row_fails_with_its_witness(name):
+    rows, witness = UNIT_POINT_TAMPERS[name]
+    cmap = _with_rows(ade_bundle("A3").cmap, rows)
+    report = verify_correspondence(cmap)
+    assert [c.name for c in report.checks if not c.passed] == ["multiplicativity"]
+    assert report.check("multiplicativity").witness == witness
+    assert unit_point_oracle(cmap) == witness
+
+
+def test_unit_row_with_a_zero_term_passes_through_the_products(monkeypatch):
+    # unit * f1 = f1 + 0 [pt] is not the one-term row, so the laws are
+    # decided by exact products, which drop the zero term
+    cmap = _with_rows(ade_bundle("A3").cmap, {("1", "f1"): [("f1", 1), ("[pt]", 0)]})
+    calls = []
+    original = GradedAlgebra.mult_vec
+
+    def counted(self, u, v):
+        calls.append(1)
+        return original(self, u, v)
+
+    monkeypatch.setattr(GradedAlgebra, "mult_vec", counted)
+    assert verify_correspondence(cmap).passed
+    assert calls
+    assert unit_point_oracle(cmap) is None
+
+
+def _gram_oracle(algebra):
+    """The Gram matrix with a rational(0) accumulator per entry."""
+    matrix = []
+    for i in algebra.degree_one:
+        row = []
+        for j in algebra.degree_one:
+            coeff = rational(0)
+            for k, c in algebra.product(i, j):
+                if k == algebra.point:
+                    coeff = coeff + c
+            row.append(coeff)
+        matrix.append(row)
+    return matrix
+
+
+def _keys(matrix):
+    return [[v.key() for v in row] for row in matrix]
+
+
+@pytest.mark.parametrize("label", ADE_SUITE)
+def test_gram_matches_the_zero_fold(label):
+    bundle = ade_bundle(label)
+    for ring in (bundle.resolution, bundle.orbifold, bundle.invariant):
+        assert _keys(ring.gram()[1]) == _keys(_gram_oracle(ring))
+
+
+def test_gram_matches_the_zero_fold_on_duplicate_point_terms():
+    source = ade_bundle("A1").cmap.source
+    split = source.replaced_product("E1", "E1", [("[pt]", -1), ("[pt]", -1)])
+    assert _keys(split.gram()[1]) == _keys(_gram_oracle(split)) == [[rational(-2).key()]]
+
+
+@pytest.mark.parametrize("label", ("D20", "E8", "A15"))
+def test_passing_verification_does_no_cyclotomic_arithmetic(monkeypatch, label):
+    cmap = ade_bundle(label).cmap
+    assert verify_correspondence(cmap).passed  # warm-up: per-table memos
+    calls = []
+    names = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "lift")
+    for cls, name in [(CycNum, n) for n in names] + [(GradedAlgebra, "mult_vec")]:
+        original = getattr(cls, name)
+
+        def counted(*args, _fn=original, _name=name):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    assert verify_correspondence(cmap).passed
+    assert calls == []
 
 
 # -- the matrix products, the sparse float transport, the factored determinant ------
