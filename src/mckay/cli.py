@@ -17,15 +17,9 @@ import time
 from math import lcm
 
 from . import __version__
-from .catalog import EXTRA_GROUPS, ade_bundle, ade_group, ade_table, extra_group, extra_table
-from .chartab import (
-    CharacterTable,
-    CharacterTableError,
-    EigenSplitError,
-    TableConsistencyError,
-    character_table,
-)
-from .correspondence import minor_report, verify_correspondence
+from .catalog import EXTRA_GROUPS, ade_bundle, extra_bundle
+from .chartab import CharacterTableError, EigenSplitError, TableConsistencyError
+from .correspondence import Bundle, minor_report, verify_correspondence
 from .cyclo import MAX_CONDUCTOR, CycNum
 from .groups import (
     ADE_SUITE,
@@ -33,6 +27,7 @@ from .groups import (
     GroupError,
     group_from_cayley,
     group_from_generators,
+    parse_ade_label,
 )
 from .orbifold import OrbifoldError
 from .surface import SurfaceConfigError, load_surface, verify_global
@@ -109,23 +104,17 @@ def _parse_group_file(data, name: str) -> FiniteGroup:
     raise GroupError("group file needs a 'cayley' table or 'generators' matrices")
 
 
-def _resolve_group(args) -> FiniteGroup:
+def _resolve_bundle(args) -> Bundle:
+    """The cached bundle of an ADE type (any spelling) or stock group, or a new
+    one of a group file; a bundle builds only the fields a handler reads."""
     if args.type:
-        return ade_group(args.type.strip().upper())
+        kind, n = parse_ade_label(args.type)
+        return ade_bundle(f"{kind}{n}")
     if args.group:
-        return _load_group_file(args.group)
+        return Bundle(_load_group_file(args.group))
     if args.name:
-        return extra_group(args.name)
+        return extra_bundle(args.name)
     raise GroupError("no group specified; use --type, --group or --name")
-
-
-def _resolve_table(args) -> CharacterTable:
-    """The cached table of an ADE type or stock group, or a group file's table."""
-    if args.type:
-        return ade_table(args.type.strip().upper())
-    if args.name:
-        return extra_table(args.name)
-    return character_table(_resolve_group(args))
 
 
 def _group_info(group: FiniteGroup) -> dict:
@@ -187,19 +176,19 @@ def _graph_payload(graph) -> dict:
 
 
 def _cmd_group(args) -> int:
-    group = _resolve_group(args)
+    group = _resolve_bundle(args).group
     _dump({"schema": 1, "command": "group", "group": _group_info(group)}, args.out)
     return 0
 
 
 def _cmd_chartable(args) -> int:
-    table = _resolve_table(args)
+    table = _resolve_bundle(args).table
     _dump({"schema": 1, "command": "chartable", "table": _table_payload(table)}, args.out)
     return 0
 
 
 def _cmd_mckay(args) -> int:
-    graph = ade_bundle(args.type.strip().upper()).graph
+    graph = _resolve_bundle(args).graph
     if args.format == "json":
         _dump({"schema": 1, "command": "mckay", "graph": _graph_payload(graph)}, args.out)
     elif args.out or not args.dot:
@@ -210,8 +199,7 @@ def _cmd_mckay(args) -> int:
 
 
 def _cmd_local(args) -> int:
-    label = args.type.strip().upper()
-    bundle = ade_bundle(label)
+    bundle = _resolve_bundle(args)
     payload: dict = {"schema": 1, "command": "local", "group": _group_info(bundle.group)}
     if args.dump_orbifold:
         algebra = bundle.orbifold if args.full else bundle.invariant
@@ -238,8 +226,7 @@ def _verify_payload(report, seed: int, command: str) -> dict:
 
 
 def _cmd_verify_local(args) -> int:
-    label = args.type.strip().upper()
-    bundle = ade_bundle(label)
+    bundle = _resolve_bundle(args)
     report = verify_correspondence(bundle.cmap)
     payload = _verify_payload(report, args.seed, "verify local")
     payload["phi"] = bundle.cmap.to_json()
@@ -255,7 +242,7 @@ def _cmd_verify_global(args) -> int:
 
 
 def _cmd_minor(args) -> int:
-    report = minor_report(_resolve_table(args))
+    report = minor_report(_resolve_bundle(args).table)
     payload = _verify_payload(report, args.seed, "minor")
     payload["determinant"] = report.checks[0].detail["determinant"]
     _dump(payload, args.out)
@@ -278,7 +265,7 @@ def _corpus_entry_ade(label: str) -> dict:
 
 
 def _corpus_entry_extra(name: str) -> dict:
-    table = extra_table(name)
+    table = extra_bundle(name).table
     minor = minor_report(table)
     return {
         "label": name,
@@ -325,7 +312,10 @@ def _add_common(parser):
 def _add_source(parser):
     """--type, --group and --name: at most one of them names the group."""
     source = parser.add_mutually_exclusive_group()
-    source.add_argument("--type", help="ADE label (A1..A10, D4..D10, E6, E7, E8)")
+    source.add_argument(
+        "--type",
+        help="ADE label: A_n (n >= 1), D_n (n >= 4), E6, E7 or E8, of order at most 2000",
+    )
     source.add_argument("--group", help="JSON file with a Cayley table or SL2 generators")
     source.add_argument("--name", choices=EXTRA_GROUPS, help="stock corpus group")
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import wraps
+from functools import cached_property, wraps
 from weakref import WeakKeyDictionary
 
 from . import linalg
@@ -35,7 +35,6 @@ __all__ = [
     "VerificationReport",
     "CorrespondenceMap",
     "Bundle",
-    "build_local",
     "branch_sqrt",
     "phi_local",
     "verify_local",
@@ -167,7 +166,7 @@ def _per_table(build):
 def _scaled_minor(table: CharacterTable) -> tuple[tuple[CycNum, ...], ...]:
     """diag(s)·Y^T at conductor 2*exponent, for Y the character table without
     its trivial row and identity column: entry [c-1][r-1] is s(g_c)·chi_r(g_c).
-    Built once per table: ``build_local`` stores it as M and ``verify_correspondence``
+    Built once per table: ``Bundle.cmap`` stores it as M and ``verify_correspondence``
     compares M with it."""
     m = table.size
     conductor = 2 * table.conj.exponent
@@ -178,52 +177,52 @@ def _scaled_minor(table: CharacterTable) -> tuple[tuple[CycNum, ...], ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Bundle:
-    """The local data of one SL2 subgroup; ``cmap`` maps ``resolution`` to
-    ``invariant`` and shares them, so each object exists once."""
+    """The local data of one SL2 subgroup.  Each object is built on its first
+    read, once, and shared: ``cmap`` maps ``resolution`` to ``invariant``.
+    Assigning a field before its first read (say ``table``) supplies it."""
 
     group: FiniteGroup
-    table: CharacterTable
-    graph: McKayGraph
-    resolution: GradedAlgebra
-    orbifold: GradedAlgebra
-    invariant: GradedAlgebra
-    cmap: CorrespondenceMap
 
+    @cached_property
+    def table(self) -> CharacterTable:
+        return character_table(self.group)
 
-def build_local(group: FiniteGroup, table: CharacterTable) -> Bundle:
-    """Build the McKay graph, both rings and the scaled correspondence matrix
-    of one SL2 subgroup, each exactly once."""
-    graph = mckay_graph(table)
-    resolution = local_resolution_algebra(graph)
-    orbifold = local_orbifold_algebra(group)
-    invariant = invariant_subalgebra(orbifold, group)
-    m = table.size
-    cmap = CorrespondenceMap(
-        group=group,
-        table=table,
-        source=resolution,
-        target=invariant,
-        matrix=_scaled_minor(table),
-        row_labels=tuple(class_label(c) for c in range(1, m)),
-        col_labels=tuple(exceptional_label(r) for r in range(1, m)),
-        scale=group.order,
-    )
-    return Bundle(
-        group=group,
-        table=table,
-        graph=graph,
-        resolution=resolution,
-        orbifold=orbifold,
-        invariant=invariant,
-        cmap=cmap,
-    )
+    @cached_property
+    def graph(self) -> McKayGraph:
+        return mckay_graph(self.table)
+
+    @cached_property
+    def resolution(self) -> GradedAlgebra:
+        return local_resolution_algebra(self.graph)
+
+    @cached_property
+    def orbifold(self) -> GradedAlgebra:
+        return local_orbifold_algebra(self.group)
+
+    @cached_property
+    def invariant(self) -> GradedAlgebra:
+        return invariant_subalgebra(self.orbifold, self.group)
+
+    @cached_property
+    def cmap(self) -> CorrespondenceMap:
+        m = self.table.size
+        return CorrespondenceMap(
+            group=self.group,
+            table=self.table,
+            source=self.resolution,
+            target=self.invariant,
+            matrix=_scaled_minor(self.table),
+            row_labels=tuple(class_label(c) for c in range(1, m)),
+            col_labels=tuple(exceptional_label(r) for r in range(1, m)),
+            scale=self.group.order,
+        )
 
 
 def phi_local(group: FiniteGroup) -> CorrespondenceMap:
     """Build the scaled correspondence matrix for one SL2 subgroup."""
-    return build_local(group, character_table(group)).cmap
+    return Bundle(group).cmap
 
 
 @_per_table
@@ -447,7 +446,12 @@ def _check_equivariance(cmap: CorrespondenceMap) -> CheckResult:
 def _check_float(
     cmap: CorrespondenceMap, target_gram, source_gram, is_scaled_minor: bool
 ) -> CheckResult:
-    """Re-evaluate the product and pairing identities at machine precision.
+    """Re-evaluate the degree-one identity M^T G_orb M = |G| G_res at machine
+    precision, twice: once through the target's Gram matrix G_orb, and once,
+    over i <= j, as sum_c |C_c| M[c][i] M[c*][j] with c* the class of
+    g_c^-1.  The second sum reads the table's class sizes and inverses and no
+    structure constant; the two agree when G_orb is the class-size monomial
+    matrix.
 
     When M is ``_scaled_minor(table)`` in stored form its complex values are
     read from the per-table memo: the same stored form gives the same bits."""
@@ -474,7 +478,7 @@ def _check_float(
             for a, b, g in support:
                 acc += mc[a][i] * g * mc[b][j]
             max_err = max(max_err, abs(acc - scale * sg[i][j]))
-    # multiplicativity against the structure constants
+    # the same identity through the class-size monomial form, from the table
     inv_class = cmap.table.conj.class_inverse
     sizes = cmap.table.conj.sizes
     for i in range(n):

@@ -301,6 +301,77 @@ def _cross_witness(assembly: GlobalAssembly) -> dict | None:
     return None
 
 
+def _same_product(left, right) -> bool:
+    """Two term lists give one product: the same terms in order (assembly
+    copies each coefficient object), or equal sums in stored form."""
+    if len(left) == len(right):
+        for (k, c), (l, d) in zip(left, right):
+            if k != l or c is not d:
+                break
+        else:
+            return True
+    left, right = (
+        {k: (c.conductor, c.num, c.den) for k, c in _summed(t).items()} for t in (left, right)
+    )
+    return left == right
+
+
+def _block_witness(assembly: GlobalAssembly) -> dict | None:
+    """The least key (i, j) of A_Y's, then A_orb's, structure constants on two
+    degree-one classes of one point that is not the point's local product
+    with its indices renamed (each local degree-one class to the point's
+    global one, the unit and the point class to the global ones).
+
+    The per-point checks verify the local rings; this ties the global rings
+    to them.  Each point's local structure and each ring's structure are
+    walked once, so the cost is linear in the structure entries.
+    """
+    for name, ring, side in (
+        ("resolution", assembly.a_y, lambda b: (b.cmap.source, b.cmap.col_labels, b.y_labels)),
+        ("orbifold", assembly.a_orb, lambda b: (b.cmap.target, b.cmap.row_labels, b.orb_labels)),
+    ):
+        index = {lbl: i for i, lbl in enumerate(ring.labels)}
+        point_of, expected = {}, {}
+        for blk in assembly.blocks:
+            local, local_labels, global_labels = side(blk)
+            local_index = {lbl: i for i, lbl in enumerate(local.labels)}
+            rename = {local.unit: ring.unit, local.point: ring.point}
+            for lbl, glbl in zip(local_labels, global_labels):
+                rename[local_index[lbl]] = index[glbl]
+                point_of[index[glbl]] = blk.point.id
+            for (i, j), terms in local.structure.items():
+                if local.degrees[i] == local.degrees[j] == 1:
+                    expected[rename[i], rename[j]] = [(rename[k], c) for k, c in terms]
+        structure = ring.structure
+        failing = [
+            key
+            for key, terms in expected.items()
+            if not _same_product(terms, structure.get(key, ()))
+        ] + [
+            key
+            for key, terms in structure.items()
+            if key not in expected
+            and key[0] in point_of
+            and point_of.get(key[1]) == point_of[key[0]]
+            and not _same_product((), terms)
+        ]
+        if failing:
+            i, j = min(failing)
+            global_side, local_side = (
+                {ring.labels[k]: c.to_json() for k, c in _summed(terms).items()}
+                for terms in (structure.get((i, j), ()), expected.get((i, j), ()))
+            )
+            return {
+                "ring": name,
+                "point": point_of[i],
+                "left": ring.labels[i],
+                "right": ring.labels[j],
+                "global_side": global_side,
+                "local_side": local_side,
+            }
+    return None
+
+
 def verify_assembly(assembly: GlobalAssembly) -> VerificationReport:
     """Blockwise and cross-block checks for an assembled surface model."""
     t0 = time.perf_counter()
@@ -329,6 +400,10 @@ def verify_assembly(assembly: GlobalAssembly) -> VerificationReport:
     # cross-block degree-1 products vanish on both sides
     cross = _cross_witness(assembly)
     checks.append(CheckResult("cross-products", cross is None, witness=cross))
+
+    # each point's degree-one products are its local ring's, renamed
+    block = _block_witness(assembly)
+    checks.append(CheckResult("block-products", block is None, witness=block))
 
     # unit and grading bookkeeping of the block map
     grading_ok = (

@@ -10,7 +10,7 @@ import json
 import time
 
 from mckay import catalog
-from mckay.catalog import EXTRA_GROUPS, ade_bundle, extra_table
+from mckay.catalog import EXTRA_GROUPS, ade_bundle, extra_bundle
 from mckay.chartab import classify_affine_ade
 from mckay.cli import main as cli_main
 from mckay.correspondence import (
@@ -100,7 +100,7 @@ def test_criterion_4_minor_corpus():
         for label in ADE_SUITE:
             assert not char_minor_determinant(ade_bundle(label).table).is_zero(), label
         for name in EXTRA_GROUPS:
-            assert not char_minor_determinant(extra_table(name)).is_zero(), name
+            assert not char_minor_determinant(extra_bundle(name).table).is_zero(), name
         elapsed = time.perf_counter() - t0
         assert elapsed < MINOR_BUDGET_S, f"minor corpus took {elapsed:.1f}s"
 

@@ -11,14 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mckay import catalog, chartab, cli
-from mckay.catalog import (
-    EXTRA_GROUPS,
-    ade_bundle,
-    ade_group,
-    ade_table,
-    extra_group,
-    extra_table,
-)
+from mckay.catalog import EXTRA_GROUPS, ade_bundle, extra_bundle
 from mckay.chartab import (
     EigenSplitError,
     NotAffineADEError,
@@ -35,7 +28,7 @@ from mckay.chartab import (
     mckay_graph,
     tensor_multiplicity,
 )
-from mckay.correspondence import build_local
+from mckay.correspondence import Bundle
 from mckay.cyclo import _galois_steps, rational, zeta
 from mckay.groups import (
     ADE_SUITE,
@@ -133,8 +126,8 @@ def _oracle_group(name):
     if name in RELABELED_GROUPS:
         return RELABELED_GROUPS[name]()
     if name in EXTRA_GROUPS:
-        return extra_group(name)
-    return ade_group(name)
+        return extra_bundle(name).group
+    return ade_bundle(name).group
 
 
 ORACLE_GROUPS = ADE_SUITE + EXTRA_GROUPS + tuple(RELABELED_GROUPS)
@@ -233,9 +226,9 @@ def test_table_global_invariants(label):
 
 
 RELABELED_TABLES = {
-    "S4": lambda: extra_group("S4").cayley,
-    "Dih8": lambda: extra_group("Dih8").cayley,
-    "Z6": lambda: extra_group("Z6").cayley,
+    "S4": lambda: extra_bundle("S4").group.cayley,
+    "Dih8": lambda: extra_bundle("Dih8").group.cayley,
+    "Z6": lambda: extra_bundle("Z6").group.cayley,
     "A5xS3": lambda: _direct_product_table(
         alternating_group(5).cayley, symmetric_group(3).cayley
     ),
@@ -379,13 +372,13 @@ def test_unsplittable_class_matrices_raise():
 
 @pytest.mark.parametrize("name", EXTRA_GROUPS)
 def test_tables_of_extra_groups(name):
-    table = extra_table(name)
-    g = extra_group(name)
+    table = extra_bundle(name).table
+    g = extra_bundle(name).group
     assert sum(d * d for d in table.degrees) == g.order
 
 
 def test_s3_character_values():
-    table = extra_table("S3")
+    table = extra_bundle("S3").table
     assert sorted(table.degrees) == [1, 1, 2]
     # all S3 character values are rational integers
     for row in table.rows:
@@ -434,7 +427,7 @@ def _pairing(values, conj_values, sizes):
 @lru_cache(maxsize=None)
 def _oracle_table(label):
     if label in EXTRA_GROUPS:
-        return extra_table(label)
+        return extra_bundle(label).table
     if label in ("A30", "D30"):
         return character_table(build_binary_polyhedral(label))
     return ade_bundle(label).table
@@ -568,9 +561,13 @@ def test_non_integral_value_is_rejected():
 def test_tampered_table_exits_3(monkeypatch, capsys, name):
     label, tamper, _ = TAMPERS[name]
     table = ade_bundle(label).table
-    monkeypatch.setattr(
-        cli, "ade_bundle", lambda _: build_local(ade_group(label), tamper(table))
-    )
+
+    def tampered_bundle(_):
+        bundle = Bundle(ade_bundle(label).group)
+        bundle.table = tamper(table)
+        return bundle
+
+    monkeypatch.setattr(cli, "ade_bundle", tampered_bundle)
     code = cli.main(["verify", "local", "--type", label])
     captured = capsys.readouterr()
     assert code == cli.INTERNAL_ERROR == 3
@@ -610,7 +607,7 @@ def test_mckay_matches_construction_and_null_vector(label):
 
 
 def test_natural_character_required():
-    table = extra_table("Z6")
+    table = extra_bundle("Z6").table
     with pytest.raises(Exception):
         mckay_graph(table)
 
@@ -933,7 +930,7 @@ def test_classifier_matches_the_oracle_on_perturbed_references(label):
 
 @pytest.mark.parametrize("label", ["A29", "D32", "A41"])
 def test_real_graphs_past_the_oracle_are_classified(label):
-    assert mckay_graph(ade_table(label)).affine_label == label
+    assert mckay_graph(ade_bundle(label).table).affine_label == label
 
 
 def test_relabeled_41_cycle_is_affine_a40():
@@ -953,5 +950,5 @@ def test_failed_classification_in_mckay_graph_exits_3(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("internal error: TableConsistencyError:")
     with pytest.raises(TableConsistencyError) as err:
-        mckay_graph(ade_table("A2"))
+        mckay_graph(ade_bundle("A2").table)
     assert err.value.witness == ("mckay-graph", "rejected for the test")

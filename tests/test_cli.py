@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from mckay import catalog, chartab, cli, correspondence
+from mckay import catalog, chartab, cli, correspondence, linalg, orbifold, resolution
 from mckay.catalog import EXTRA_GROUPS, ade_bundle
 from mckay.chartab import EigenSplitError, TableConsistencyError
 from mckay.cli import main
@@ -432,12 +432,27 @@ def test_large_non_associative_loop_exits_2_with_witness(tmp_path, capsys):
     assert table[table[a][b]][c] != table[a][table[b][c]]
 
 
-def test_group_and_minor_by_type_build_no_bundle(monkeypatch, capsys):
-    # group --type needs the group only, and minor --type the table only
-    calls = {"character_table": 0, "build_local": 0}
+# every builder a bundle field calls, and the one minor elimination
+BUILDERS = (
+    (chartab, "character_table"),
+    (chartab, "mckay_graph"),
+    (resolution, "local_resolution_algebra"),
+    (orbifold, "local_orbifold_algebra"),
+    (orbifold, "invariant_subalgebra"),
+    (correspondence, "_scaled_minor"),
+    (linalg, "determinant"),
+)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Calls per builder, counted in every module that holds it, from empty
+    caches."""
+    calls = {}
     modules = [m for n, m in sys.modules.items() if n.startswith("mckay.")]
-    for name, owner in (("character_table", chartab), ("build_local", correspondence)):
+    for owner, name in BUILDERS:
         original = getattr(owner, name)
+        calls[name] = 0
 
         def counted(*args, _fn=original, _name=name):
             calls[_name] += 1
@@ -447,14 +462,51 @@ def test_group_and_minor_by_type_build_no_bundle(monkeypatch, capsys):
             if vars(mod).get(name) is original:
                 monkeypatch.setattr(mod, name, counted)
     catalog.clear_caches()
-    assert run(capsys, "group", "--type", "D4")[0] == 0
-    assert calls == {"character_table": 0, "build_local": 0}
-    assert run(capsys, "minor", "--type", "D4")[0] == 0
-    assert calls == {"character_table": 1, "build_local": 0}
-    # verify local then reuses the table that minor built
+    yield calls
+    catalog.clear_caches()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    (
+        (("group", "--type", "D4"), {}),
+        (("chartable", "--type", "D4"), {"character_table": 1}),
+        (("minor", "--type", "D4"), {"character_table": 1, "determinant": 1}),
+        (("mckay", "--type", "D4"), {"character_table": 1, "mckay_graph": 1}),
+        (
+            ("local", "--type", "D4", "--dump-resolution"),
+            {"character_table": 1, "mckay_graph": 1, "local_resolution_algebra": 1},
+        ),
+    ),
+    ids=("group", "chartable", "minor", "mckay", "local-dump-resolution"),
+)
+def test_each_command_builds_only_what_it_reads(built, capsys, argv, expected):
+    assert run(capsys, *argv)[0] == 0
+    assert {name: n for name, n in built.items() if n} == expected
+
+
+def test_verify_local_then_minor_build_one_table_and_one_determinant(built, capsys):
     assert run(capsys, "verify", "local", "--type", "D4")[0] == 0
-    assert calls == {"character_table": 1, "build_local": 1}
-    assert catalog.ade_bundle("D4").table is catalog.ade_table("D4")
+    assert run(capsys, "minor", "--type", "D4")[0] == 0
+    assert built["character_table"] == built["determinant"] == 1
+
+
+def test_q8_is_the_d4_bundle(built, capsys):
+    assert catalog.extra_bundle("Q8") is catalog.ade_bundle("D4")
+    assert run(capsys, "minor", "--name", "Q8")[0] == 0
+    assert run(capsys, "chartable", "--type", "D4")[0] == 0
+    assert built["character_table"] == 1
+
+
+def test_label_spellings_share_one_bundle(capsys):
+    catalog.clear_caches()
+    reports = []
+    for spelling in ("a_3", "A_3", "A3"):
+        code, out, _ = run(capsys, "verify", "local", "--type", spelling)
+        reports.append((code, strip_volatile(json.loads(out))))
+    assert catalog.ade_bundle.cache_info().currsize == 1
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0][0] == 0
 
 
 @pytest.mark.parametrize("command", ("group", "chartable", "minor"))
@@ -478,8 +530,7 @@ def test_chartable_and_minor_by_name_share_one_table(monkeypatch, capsys):
         calls.append(group.name)
         return original(group)
 
-    monkeypatch.setattr(catalog, "character_table", counted)
-    monkeypatch.setattr(cli, "character_table", counted)
+    monkeypatch.setattr(correspondence, "character_table", counted)
     catalog.clear_caches()
     code, out, _ = run(capsys, "chartable", "--name", "S4")
     assert code == 0 and json.loads(out)["table"]["group"]["order"] == 24

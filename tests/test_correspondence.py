@@ -8,12 +8,11 @@ import pytest
 
 from mckay import catalog, correspondence, linalg
 from mckay.algebra import GradedAlgebra
-from mckay.catalog import EXTRA_GROUPS, ade_bundle, extra_table
-from mckay.chartab import character_table
+from mckay.catalog import EXTRA_GROUPS, ade_bundle, extra_bundle
 from mckay.correspondence import (
     FLOAT_TOLERANCE,
+    Bundle,
     branch_sqrt,
-    build_local,
     char_minor_determinant,
     minor_report,
     phi_local,
@@ -143,7 +142,12 @@ def test_bundle_builds_each_object_once(monkeypatch):
             if vars(mod).get(name) is original:
                 monkeypatch.setattr(mod, name, counted)
     catalog.clear_caches()
-    ade_bundle("D4")
+    bundle = ade_bundle("D4")
+    assert calls == dict.fromkeys(calls, 0)
+    # each field is built on its first read, and read again from the bundle
+    for _ in range(2):
+        assert bundle.cmap.source is bundle.resolution and bundle.cmap.target is bundle.invariant
+        assert bundle.graph is not None and bundle.orbifold is not None
     assert calls == dict.fromkeys(calls, 1)
 
 
@@ -206,7 +210,7 @@ def test_minor_z3():
 
 @pytest.mark.parametrize("name", EXTRA_GROUPS)
 def test_minor_extra_groups(name):
-    det = char_minor_determinant(extra_table(name))
+    det = char_minor_determinant(extra_bundle(name).table)
     assert not det.is_zero()
 
 
@@ -695,10 +699,9 @@ def test_one_determinant_per_table(monkeypatch):
             return _fn(matrix)
 
         monkeypatch.setattr(linalg, name, counted)
-    group = build_binary_polyhedral("D5")
-    table = character_table(group)
-    assert verify_correspondence(build_local(group, table).cmap).passed
-    assert minor_report(table).passed
+    bundle = Bundle(build_binary_polyhedral("D5"))
+    assert verify_correspondence(bundle.cmap).passed
+    assert minor_report(bundle.table).passed
     assert calls == {"determinant": 1, "determinant_and_rank": 0}
 
 
@@ -738,8 +741,6 @@ def test_natural_character_off_the_branch_roots_takes_the_product(matmul_calls):
 
 
 def test_scaled_minor_built_once_per_table():
-    group = build_binary_polyhedral("D5")
-    table = character_table(group)
-    cmap = build_local(group, table).cmap
+    cmap = Bundle(build_binary_polyhedral("D5")).cmap
     assert verify_correspondence(cmap).passed
-    assert cmap.matrix is correspondence._scaled_minor(table)
+    assert cmap.matrix is correspondence._scaled_minor(cmap.table)

@@ -6,7 +6,7 @@ import pytest
 
 from mckay import orbifold
 from mckay.algebra import GradedAlgebra
-from mckay.catalog import ade_bundle, ade_group
+from mckay.catalog import ade_bundle
 from mckay.cyclo import rational
 from mckay.groups import ADE_SUITE, build_binary_polyhedral
 from mckay.linalg import determinant
@@ -124,7 +124,7 @@ def _structure_keys(alg):
 
 @pytest.mark.parametrize("label", ADE_SUITE + ("A15", "D16", "A20", "D20"))
 def test_inverse_pair_ring_matches_the_all_pairs_oracle(label):
-    group = ade_group(label)
+    group = ade_bundle(label).group
     alg = local_orbifold_algebra(group)
     expected = _orbifold_oracle(group)
     assert alg.labels == expected.labels
@@ -136,7 +136,7 @@ def test_inverse_pair_ring_matches_the_all_pairs_oracle(label):
 
 @pytest.mark.parametrize("label", ("A5", "D10", "E8"))
 def test_one_obstruction_class_per_nonidentity_element(monkeypatch, label):
-    group = ade_group(label)
+    group = ade_bundle(label).group
     calls = []
     original = orbifold.obstruction_class
 

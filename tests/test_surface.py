@@ -260,11 +260,16 @@ def test_tampered_block_verified_on_its_own(matmul_calls):
     # only the tampered map forms the exact product M^T (G_orb M)
     assert len(matmul_calls) == 2
     failing = {c.name for c in report.checks if not c.passed}
+    # the global ring still holds the untampered f1 * f1 = [pt] at r
     assert failing == {
+        "block-products",
         "point[r]:multiplicativity",
         "point[r]:isometry",
         "point[r]:float-sanity",
     }
+    witness = report.check("block-products").witness
+    assert (witness["ring"], witness["point"], witness["left"]) == ("orbifold", "r", "f(r,1)")
+    assert (witness["global_side"], witness["local_side"]) == (point_json(1), point_json(2))
     assert _point_checks(report, "r") == [
         c.to_dict() for c in verify_correspondence(bad).checks
     ]
@@ -387,3 +392,111 @@ def test_cross_products_agree_with_the_image_oracle(name):
     verdict = verify_assembly(asm).check("cross-products").passed
     assert verdict == cross_products_oracle(asm)
     assert verdict == (name not in TAMPERS or TAMPERS[name][4] != "cross-products")
+
+
+# -- tamper controls for block-products ---------------------------------------------
+
+TWO_POINT = {
+    "picard_rank": 1,
+    "intersection_matrix": [[1]],
+    "points": [{"id": "p", "type": "A2"}, {"id": "q", "type": "A1"}],
+}
+
+# (ring, label, terms) replacing label * label on TWO_POINT
+BLOCK_TAMPERS = {
+    "orb-sector-square": ("a_orb", "f(p,1)", [("[pt]", 12345)]),
+    "y-curve-square": ("a_y", "E(p,1)", [("[pt]", 12345)]),
+    "y-off-line": ("a_y", "E(q,1)", [("E(p,1)", 1)]),
+}
+
+
+def block_tampered(name):
+    ring, label, terms = BLOCK_TAMPERS[name]
+    asm = assemble_global(parse_surface(TWO_POINT))
+    bad = getattr(asm, ring).replaced_product(label, label, terms)
+    return dataclasses.replace(asm, **{ring: bad})
+
+
+def block_products_oracle(asm) -> bool:
+    """Every ordered pair of a point's degree-one classes, by label: the global
+    product summed equals the local product summed under the renaming."""
+    for blk in asm.blocks:
+        for ring, local, local_labels, global_labels in (
+            (asm.a_y, blk.cmap.source, blk.cmap.col_labels, blk.y_labels),
+            (asm.a_orb, blk.cmap.target, blk.cmap.row_labels, blk.orb_labels),
+        ):
+            rename = dict(zip(local_labels, global_labels), **{"1": "1", "[pt]": "[pt]"})
+            for la, ga in zip(local_labels, global_labels):
+                for lb, gb in zip(local_labels, global_labels):
+                    want: dict = {}
+                    for k, c in local.product(local.index(la), local.index(lb)):
+                        lbl = rename[local.labels[k]]
+                        want[lbl] = want.get(lbl, rational(0)) + c
+                    got: dict = {}
+                    for k, c in ring.product(ring.index(ga), ring.index(gb)):
+                        got[ring.labels[k]] = got.get(ring.labels[k], rational(0)) + c
+                    nonzero = lambda d: {k: c for k, c in d.items() if not c.is_zero()}
+                    if nonzero(want).keys() != nonzero(got).keys() or any(
+                        nonzero(want)[k] != c for k, c in nonzero(got).items()
+                    ):
+                        return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_TAMPERS))
+def test_block_tamper_fails_block_products_alone(name):
+    ring, label, _ = BLOCK_TAMPERS[name]
+    report = verify_assembly(block_tampered(name))
+    assert {c.name for c in report.checks if not c.passed} == {"block-products"}
+    witness = report.check("block-products").witness
+    assert witness["ring"] == ("resolution" if ring == "a_y" else "orbifold")
+    assert (witness["point"], witness["left"], witness["right"]) == (label[2], label, label)
+
+
+def test_block_products_witness_gives_both_sides():
+    witness = verify_assembly(block_tampered("orb-sector-square")).check("block-products").witness
+    # f1 * f1 vanishes on A2: class 1 is not its own inverse
+    assert witness == {
+        "ring": "orbifold",
+        "point": "p",
+        "left": "f(p,1)",
+        "right": "f(p,1)",
+        "global_side": point_json(12345),
+        "local_side": {},
+    }
+    witness = verify_assembly(block_tampered("y-curve-square")).check("block-products").witness
+    assert witness == {
+        "ring": "resolution",
+        "point": "p",
+        "left": "E(p,1)",
+        "right": "E(p,1)",
+        "global_side": point_json(12345),
+        "local_side": point_json(-2),
+    }
+    witness = verify_assembly(block_tampered("y-off-line")).check("block-products").witness
+    assert witness["global_side"] == {"E(p,1)": rational(1).to_json()}
+    assert witness["local_side"] == point_json(-2)
+
+
+def test_block_products_sum_duplicate_terms():
+    # -1 + -1 is E1 * E1 = -2 [pt] on A2, summed as the local side is
+    asm = assemble_global(parse_surface(TWO_POINT))
+    split = asm.a_y.replaced_product("E(p,1)", "E(p,1)", [("[pt]", -1), ("[pt]", -1)])
+    assert verify_assembly(dataclasses.replace(asm, a_y=split)).passed
+    # a zero term where the local product vanishes (f1 * f1 on A2) sums to nothing
+    zero = asm.a_orb.replaced_product("f(p,1)", "f(p,1)", [("[pt]", 0)])
+    assert verify_assembly(dataclasses.replace(asm, a_orb=zero)).passed
+
+
+@pytest.mark.parametrize("name", ["two-point", "three-point", "repeated"] + sorted(BLOCK_TAMPERS))
+def test_block_products_agree_with_the_all_pairs_oracle(name):
+    if name == "two-point":
+        asm = assemble_global(parse_surface(TWO_POINT))
+    elif name == "three-point":
+        asm = assemble_global(three_point_model())
+    elif name == "repeated":
+        asm = assemble_global(parse_surface(REPEATED))
+    else:
+        asm = block_tampered(name)
+    verdict = verify_assembly(asm).check("block-products").passed
+    assert verdict == block_products_oracle(asm) == (name not in BLOCK_TAMPERS)
