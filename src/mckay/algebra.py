@@ -57,10 +57,9 @@ class GradedAlgebra:
             raise AlgebraError("at most one degree-2 basis element")
         point = points[0] if points else None
         structure = {}
-        n = len(labels)
-        for i in range(n):
-            structure[(0, i)] = ((i, rational(1)),)
-            structure[(i, 0)] = ((i, rational(1)),)
+        one = rational(1)  # CycNum is immutable, so the unit rows share it
+        for i in range(len(labels)):
+            structure[(0, i)] = structure[(i, 0)] = ((i, one),)
         for (la, lb), terms in products.items():
             i, j = index[la], index[lb]
             if degrees[i] != 1 or degrees[j] != 1:

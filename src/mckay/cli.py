@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 from math import lcm
 
 from . import __version__
@@ -320,7 +321,10 @@ def _add_source(parser):
     source.add_argument("--name", choices=EXTRA_GROUPS, help="stock corpus group")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` reads it
+    and returns a new namespace each call, so no value passes between calls."""
     parser = argparse.ArgumentParser(
         prog="mckay",
         description="Exact verification of the multiplicative McKay correspondence",

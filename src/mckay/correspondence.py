@@ -249,12 +249,6 @@ def _scaled_minor_determinant(table: CharacterTable) -> CycNum | None:
     return det.lift(2 * table.conj.exponent)
 
 
-@_per_table
-def _scaled_minor_complex(table: CharacterTable) -> tuple[tuple[complex, ...], ...]:
-    """The complex values of ``_scaled_minor(table)``, computed once per table."""
-    return tuple(tuple(v.complex_value() for v in row) for row in _scaled_minor(table))
-
-
 # -- verification --------------------------------------------------------------
 
 
@@ -420,32 +414,102 @@ def _check_equivariance(cmap: CorrespondenceMap) -> CheckResult:
     (r, k) = (r', k'), both fractions being in lowest terms.  Comparing
     (class, (r, k)) therefore gives the verdict and the first failing
     (h, g, h g h^-1) that comparing the branch roots themselves gives.
+
+    The key is compared under conjugation by the group's generating set S
+    alone, |S| |G| conjugations with |S| <= log2 |G|.  This decides the
+    verdict: let H be the set of h with key(h g h^-1) = key(g) for every g.
+    If h, h' are in H, then key((hh') g (hh')^-1) = key(h (h' g h'^-1) h^-1)
+    = key(h' g h'^-1) = key(g), so H is closed under products; a finite set
+    closed under products is a subgroup, and one that contains S is the
+    whole group.  So every h passes iff every element of S does.  When some
+    element of S fails, the h-major loop over every h runs, so the witness
+    is the first failing (h, g, h g h^-1) in that order whether or not its h
+    is in S.
     """
     group = cmap.group
     class_of = cmap.table.conj.class_of
     rotation = group.rotation_data
     keys = [None] + [(class_of[x], rotation[x]) for x in range(1, group.order)]
-    for h in range(group.order):
-        for g in range(1, group.order):
-            c = group.conjugate(h, g)
-            if keys[c] != keys[g]:
-                return CheckResult(
-                    "equivariance",
-                    False,
-                    witness={
-                        "conjugator": h,
-                        "element": g,
-                        "conjugated": c,
-                        "element_key": str(keys[g]),
-                        "conjugated_key": str(keys[c]),
-                    },
-                )
-    return CheckResult("equivariance", True)
+    triple = _conjugation_witness(group, keys)
+    if triple is None:
+        return CheckResult("equivariance", True)
+    h, g, c = triple
+    return CheckResult(
+        "equivariance",
+        False,
+        witness={
+            "conjugator": h,
+            "element": g,
+            "conjugated": c,
+            "element_key": str(keys[g]),
+            "conjugated_key": str(keys[c]),
+        },
+    )
 
 
-def _check_float(
-    cmap: CorrespondenceMap, target_gram, source_gram, is_scaled_minor: bool
-) -> CheckResult:
+def _conjugation_witness(group: FiniteGroup, keys) -> tuple[int, int, int] | None:
+    """The first (h, g, h g h^-1), h-major over every h and g != 1, with
+    keys[h g h^-1] != keys[g]; None if conjugation by each element of the
+    generating set keeps every key (proof in ``_check_equivariance``)."""
+    conjugate = group.conjugate
+    nonidentity = range(1, group.order)
+    if all(keys[conjugate(s, g)] == keys[g] for s in group.generating_set for g in nonidentity):
+        return None
+    triples = ((h, g, conjugate(h, g)) for h in range(group.order) for g in nonidentity)
+    return next((h, g, c) for h, g, c in triples if keys[c] != keys[g])
+
+
+def _float_sums(mc, support, conj) -> tuple[tuple, tuple]:
+    """The two sides of the float layer that do not read G_res.
+
+    ``transported[i][j]`` is sum_{(a, b, g) in support} M[a][i] g M[b][j],
+    over the exactly nonzero entries g of G_orb in (a, b) order: a skipped
+    term is an exact (signed) zero, so the sum is the dense O(m^4) one.
+    ``class_sums[i][j - i]``, j >= i, is sum_c |C_c| M[c][i] M[c*][j], with
+    c* the class of g_c^-1: it reads the class sizes and inverses and no
+    structure constant.
+    """
+    n = len(mc)
+    transported = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = 0j
+            for a, b, g in support:
+                acc += mc[a][i] * g * mc[b][j]
+            row.append(acc)
+        transported.append(tuple(row))
+    inv_class, sizes = conj.class_inverse, conj.sizes
+    class_sums = []
+    for i in range(n):
+        row = []
+        for j in range(i, n):
+            acc = 0j
+            for c in range(n):
+                cstar = inv_class[c + 1] - 1
+                acc += mc[c][i] * mc[cstar][j] * sizes[c + 1]
+            row.append(acc)
+        class_sums.append(tuple(row))
+    return tuple(transported), tuple(class_sums)
+
+
+@_per_table
+def _table_float_sums(table: CharacterTable) -> tuple[tuple, tuple]:
+    """``_float_sums`` for M = ``_scaled_minor(table)`` and G_orb the
+    class-size monomial matrix, computed once per table.  That G_orb has
+    one nonzero entry per row a, the size of class a at the class of its
+    inverses, whose complex value is complex(size); so its support, in
+    (a, b) order, is read off the table."""
+    mc = [[v.complex_value() for v in row] for row in _scaled_minor(table)]
+    conj = table.conj
+    support = [
+        (a, conj.class_inverse[a + 1] - 1, complex(conj.sizes[a + 1]))
+        for a in range(table.size - 1)
+    ]
+    return _float_sums(mc, support, conj)
+
+
+def _check_float(cmap: CorrespondenceMap, target_gram, source_gram, monomial: bool) -> CheckResult:
     """Re-evaluate the degree-one identity M^T G_orb M = |G| G_res at machine
     precision, twice: once through the target's Gram matrix G_orb, and once,
     over i <= j, as sum_c |C_c| M[c][i] M[c*][j] with c* the class of
@@ -453,41 +517,35 @@ def _check_float(
     structure constant; the two agree when G_orb is the class-size monomial
     matrix.
 
-    When M is ``_scaled_minor(table)`` in stored form its complex values are
-    read from the per-table memo: the same stored form gives the same bits."""
+    ``monomial`` says that M is ``_scaled_minor(table)`` in stored form and
+    G_orb is exactly the class-size monomial matrix (the test
+    ``verify_correspondence`` makes before the certificate).  Then both sums
+    depend on the table alone and are read from the per-table memo
+    ``_table_float_sums``, built once in the same accumulation order, so each
+    further call compares them with |G| G_res in O(m^2) and ``max_error`` is
+    bit-identical.  Any other input forms both sums from M and G_orb here.
+    """
     n = len(cmap.matrix)
-    if is_scaled_minor:
-        mc = _scaled_minor_complex(cmap.table)
+    if monomial:
+        transported, class_sums = _table_float_sums(cmap.table)
     else:
         mc = [[v.complex_value() for v in row] for row in cmap.matrix]
+        support = [
+            (a, b, v.complex_value())
+            for a, row in enumerate(target_gram)
+            for b, v in enumerate(row)
+            if not v.is_zero()
+        ]
+        transported, class_sums = _float_sums(mc, support, cmap.table.conj)
     sg = [[v.complex_value() for v in row] for row in source_gram]
     scale = cmap.scale
     max_err = 0.0
-    # pairing transport over the exactly nonzero entries of the target
-    # pairing, in (a, b) order: a skipped term is an exact (signed) zero, so
-    # max_error is the one the dense O(m^4) sum gives
-    support = [
-        (a, b, v.complex_value())
-        for a, row in enumerate(target_gram)
-        for b, v in enumerate(row)
-        if not v.is_zero()
-    ]
     for i in range(n):
         for j in range(n):
-            acc = 0j
-            for a, b, g in support:
-                acc += mc[a][i] * g * mc[b][j]
-            max_err = max(max_err, abs(acc - scale * sg[i][j]))
-    # the same identity through the class-size monomial form, from the table
-    inv_class = cmap.table.conj.class_inverse
-    sizes = cmap.table.conj.sizes
+            max_err = max(max_err, abs(transported[i][j] - scale * sg[i][j]))
     for i in range(n):
         for j in range(i, n):
-            acc = 0j
-            for c in range(n):
-                cstar = inv_class[c + 1] - 1
-                acc += mc[c][i] * mc[cstar][j] * sizes[c + 1]
-            max_err = max(max_err, abs(acc - sg[i][j] * scale))
+            max_err = max(max_err, abs(class_sums[i][j - i] - sg[i][j] * scale))
     ok = max_err <= FLOAT_TOLERANCE
     return CheckResult(
         "float-sanity",
@@ -524,25 +582,28 @@ def _scaled_is(v: CycNum, scale: int, k: int) -> bool:
     return not any(v.num[1:]) and v.num[0] * scale == k * v.den
 
 
-def _certified_identity(cmap: CorrespondenceMap, target_gram, source_gram) -> bool:
-    """True when G_orb is the class-size monomial matrix and the certified
-    pairing equals |G|·G_res at every entry; M = diag(s)·Y^T is checked by
-    the caller."""
+def _is_class_size_monomial(table: CharacterTable, gram) -> bool:
+    """gram is the class-size monomial matrix in stored form: |C_c| at
+    (c, c*) for c* the class of g_c^-1, and 0 elsewhere, over the
+    nonidentity classes."""
+    n = table.size - 1
+    sizes, inverse = table.conj.sizes, table.conj.class_inverse
+    return len(gram) == n and all(
+        len(row) == n
+        and all(_scaled_is(v, 1, sizes[c] if d == inverse[c] else 0) for d, v in enumerate(row, 1))
+        for c, row in enumerate(gram, 1)
+    )
+
+
+def _certified_identity(cmap: CorrespondenceMap, source_gram) -> bool:
+    """True when the certified pairing equals |G|·G_res at every entry; that
+    M = diag(s)·Y^T and that G_orb is the class-size monomial matrix are
+    checked by the caller."""
     pairing = _certified_pairing(cmap.table)
-    if pairing is None:
+    if pairing is None or len(source_gram) != len(pairing):
         return False
-    n = len(pairing)
-    conj = cmap.table.conj
-    sizes, inverse = conj.sizes, conj.class_inverse
-    if len(target_gram) != n or len(source_gram) != n:
-        return False
-    for c, row in enumerate(target_gram, 1):
-        if len(row) != n or not all(
-            _scaled_is(v, 1, sizes[c] if d == inverse[c] else 0) for d, v in enumerate(row, 1)
-        ):
-            return False
     return all(
-        len(row) == n and all(_scaled_is(v, cmap.scale, x) for v, x in zip(row, prow))
+        len(row) == len(pairing) and all(_scaled_is(v, cmap.scale, x) for v, x in zip(row, prow))
         for row, prow in zip(source_gram, pairing)
     )
 
@@ -579,6 +640,12 @@ def verify_correspondence(cmap: CorrespondenceMap) -> VerificationReport:
     entry differs, M^T (G_orb M) is formed exactly and both checks compare
     it entry by entry, so a failing report carries the product's own values.
 
+    The same two preconditions on M and G_orb make the float layer a
+    function of the table: ``_check_float`` then reads both of its sums from
+    a per-table memo and compares them with |G| G_res in O(m^2), so a warm
+    re-verification of a map (a surface point whose type was seen before)
+    does no O(m^3) work; see ``_check_float``.
+
     Failures are reported with witnesses, never raised, so tampered inputs
     produce a failing report that pinpoints the first broken identity.
     """
@@ -586,8 +653,9 @@ def verify_correspondence(cmap: CorrespondenceMap) -> VerificationReport:
     _, target_gram = cmap.target.gram()
     _, source_gram = cmap.source.gram()
     is_scaled_minor = _stored_form(cmap.matrix) == _stored_form(_scaled_minor(cmap.table))
+    monomial = is_scaled_minor and _is_class_size_monomial(cmap.table, target_gram)
     exact = None
-    if not (is_scaled_minor and _certified_identity(cmap, target_gram, source_gram)):
+    if not (monomial and _certified_identity(cmap, source_gram)):
         matrix = [list(row) for row in cmap.matrix]
         exact = (
             linalg.matmul(linalg.transpose(matrix), linalg.matmul(target_gram, matrix)),
@@ -598,7 +666,7 @@ def verify_correspondence(cmap: CorrespondenceMap) -> VerificationReport:
         _check_additive(cmap, is_scaled_minor),
         _check_isometry(cmap, exact),
         _check_equivariance(cmap),
-        _check_float(cmap, target_gram, source_gram, is_scaled_minor),
+        _check_float(cmap, target_gram, source_gram, monomial),
     )
     elapsed = time.perf_counter() - t0
     group = cmap.group

@@ -43,6 +43,10 @@ ADE_SUITE = tuple(
 )
 
 
+#: the most elements a matrix closure enumerates
+CLOSURE_CAP = 2000
+
+
 class GroupError(ValueError):
     pass
 
@@ -123,6 +127,13 @@ class FiniteGroup:
         return self.cayley[self.cayley[h][g]][self.inverse[h]]
 
     @cached_property
+    def generating_set(self) -> tuple[int, ...]:
+        """A generating set of at most floor(log2 |G|) elements: each element
+        outside the subgroup generated by those before it, in index order,
+        as Light's test picks them (see :func:`_greedy_generators`)."""
+        return tuple(_greedy_generators(self.cayley, 0))
+
+    @cached_property
     def conjugacy(self) -> ConjugacyStructure:
         n = self.order
         class_of = [-1] * n
@@ -159,10 +170,14 @@ class FiniteGroup:
         """Per element: (r, k) with eigenvalues zeta_r^k, zeta_r^-k, 0 < k <= r/2.
 
         r is the order of the element; the identity reports (1, 0).  Requires
-        the matrix representation.
+        the matrix representation.  The trace zeta_r^k + zeta_r^-k =
+        2 cos(2 pi k / r) is distinct for each such k with gcd(k, r) = 1, so
+        each element's k is one lookup of its trace in a map built once per
+        (order, trace conductor).
         """
         if self.matrix_rep is None:
             raise GroupError("group carries no matrix representation")
+        lookups = {}
         data = []
         for i in range(self.order):
             r = self.element_order[i]
@@ -170,25 +185,35 @@ class FiniteGroup:
                 data.append((1, 0))
                 continue
             t = self.trace(i)
-            found = None
-            for k in range(1, r // 2 + 1):
-                if gcd(k, r) != 1:
-                    continue
-                if t == zeta(r, k) + zeta(r, r - k):
-                    found = (r, k)
-                    break
-            if found is None:
+            if (r, t.conductor) not in lookups:
+                lookups[r, t.conductor] = _trace_lookup(r, t.conductor)
+            conductor, k_of = lookups[r, t.conductor]
+            k = k_of.get(t.lift(conductor).key())
+            if k is None:
                 raise GroupError(
                     f"element {i} of order {r} has no SL2 rotation eigenvalues"
                 )
-            data.append(found)
+            data.append((r, k))
         return tuple(data)
+
+
+def _trace_lookup(r: int, conductor: int) -> tuple[int, dict]:
+    """The common conductor of order-r traces stored at ``conductor``, and
+    the map from the key of zeta_r^k + zeta_r^-k there to k, over
+    0 < k <= r/2 with gcd(k, r) = 1.  Keys are canonical per conductor, so a
+    key lookup decides the equality that ``==`` decides at that conductor."""
+    common = lcm(r, conductor)
+    k_of = {}
+    for k in range(1, r // 2 + 1):
+        if gcd(k, r) == 1:
+            k_of[(zeta(r, k) + zeta(r, r - k)).lift(common).key()] = k
+    return common, k_of
 
 
 # -- matrix closure ---------------------------------------------------------
 
 
-def _closure_from_matrices(gens: list[Mat2], cap: int = 2000):
+def _closure_from_matrices(gens: list[Mat2], cap: int = CLOSURE_CAP):
     conductor = 1
     for m in gens:
         for row in m:
@@ -230,7 +255,7 @@ def _closure_from_matrices(gens: list[Mat2], cap: int = 2000):
     return zip(*cols), elems
 
 
-def group_from_generators(matrices, name: str = "G", cap: int = 2000) -> FiniteGroup:
+def group_from_generators(matrices, name: str = "G", cap: int = CLOSURE_CAP) -> FiniteGroup:
     """Enumerate the group generated by 2x2 cyclotomic matrices.
 
     Every generator must have determinant 1.  Raises GroupError if the
@@ -255,7 +280,19 @@ def group_from_generators(matrices, name: str = "G", cap: int = 2000) -> FiniteG
 _ADE_RE = re.compile(r"^([ADE])[_\s]?(\d+)$")
 
 
+def _ade_order(kind: str, n: int) -> int:
+    if kind == "A":
+        return n + 1
+    if kind == "D":
+        return 4 * (n - 2)
+    return {6: 24, 7: 48, 8: 120}[n]
+
+
 def parse_ade_label(label: str) -> tuple[str, int]:
+    """(kind, n) of an ADE label in any spelling (``a_3``, ``A 3``, ``A3``).
+
+    A label whose group has more than CLOSURE_CAP elements is rejected from
+    its order, before any closure runs."""
     m = _ADE_RE.match(label.strip().upper())
     if not m:
         raise GroupError(f"unknown ADE label {label!r}")
@@ -266,6 +303,13 @@ def parse_ade_label(label: str) -> tuple[str, int]:
         raise GroupError("D_n requires n >= 4")
     if kind == "E" and n not in (6, 7, 8):
         raise GroupError("E_n requires n in {6, 7, 8}")
+    order = _ade_order(kind, n)
+    if order > CLOSURE_CAP:
+        bound = CLOSURE_CAP - 1 if kind == "A" else CLOSURE_CAP // 4 + 2
+        raise GroupError(
+            f"{kind}{n} has order {order}, above the limit {CLOSURE_CAP}; "
+            f"{kind}_n requires n <= {bound}"
+        )
     return kind, n
 
 
@@ -306,12 +350,7 @@ def build_binary_polyhedral(label: str) -> FiniteGroup:
             )
             gens = [w, g5]
     group = group_from_generators(gens, name=f"{kind}{n}")
-    if kind == "A":
-        expected = n + 1
-    elif kind == "D":
-        expected = 4 * (n - 2)
-    else:
-        expected = {6: 24, 7: 48, 8: 120}[n]
+    expected = _ade_order(kind, n)
     if group.order != expected:
         raise GroupError(
             f"{label}: closure produced order {group.order}, expected {expected}"
@@ -322,6 +361,39 @@ def build_binary_polyhedral(label: str) -> FiniteGroup:
 # -- Cayley-table ingestion ---------------------------------------------------
 
 
+def _greedy_generators(rows, identity: int):
+    """Yield each b = 0, 1, ... outside the closure of the elements yielded
+    before it; when the caller resumes after b, b joins them.
+
+    ``rows`` is a Latin square with two-sided identity ``identity``, and
+    row x lists the products x * y.  The closure grows from the identity by
+    right multiplication with the elements yielded so far.  In a group it is
+    the subgroup they generate: a finite set closed under products.  Its
+    order divides n (its cosets partition the group), so each yielded
+    element at least doubles it, and at most floor(log2 n) elements are
+    yielded; by the last one the closure is the whole group.
+    """
+    n = len(rows)
+    closure = {identity}
+    members = [identity]
+    generators = []
+    for b in range(n):
+        if b in closure:
+            continue
+        yield b
+        generators.append(b)
+        # every member so far must also be multiplied by the new generator
+        i = 0
+        while i < len(members):
+            row_x = rows[members[i]]
+            for g in generators:
+                y = row_x[g]
+                if y not in closure:
+                    closure.add(y)
+                    members.append(y)
+            i += 1
+
+
 def _associativity_witness(table, identity: int):
     """Return a triple (a, b, c) with (ab)c != a(bc), or None if there is none.
 
@@ -329,9 +401,8 @@ def _associativity_witness(table, identity: int):
     Light's test (Clifford & Preston, The Algebraic Theory of Semigroups I,
     1961, section 1.2): b passes when row(ab) = row(a) o row(b) for every a,
     i.e. (ab)c = a(bc) for every a and c.  Elements b = 0, 1, ... outside the
-    closure of the generators found so far are tested; a passing b becomes a
-    generator, and the closure grows from the identity by right
-    multiplication with the generators.
+    closure of the generators found so far are tested
+    (:func:`_greedy_generators`); a passing b becomes a generator.
 
     Proof sketch.  If b and b' pass, so does bb': (x(bb'))y = ((xb)b')y =
     (xb)(b'y) = x(b(b'y)) = x((bb')y).  The closure H of passing generators is
@@ -344,12 +415,7 @@ def _associativity_witness(table, identity: int):
     """
     n = len(table)
     rows = [tuple(row) for row in table]
-    closure = {identity}
-    members = [identity]
-    generators = []
-    for b in range(n):
-        if b in closure:
-            continue
+    for b in _greedy_generators(rows, identity):
         # n >= 2 here (b is not the identity), so this returns tuples
         compose_b = itemgetter(*rows[b])
         for a in range(n):
@@ -359,17 +425,6 @@ def _associativity_witness(table, identity: int):
             if composed != row_ab:
                 c = next(c for c in range(n) if composed[c] != row_ab[c])
                 return (a, b, c)
-        generators.append(b)
-        # every member so far must also be multiplied by the new generator
-        i = 0
-        while i < len(members):
-            row_x = rows[members[i]]
-            for g in generators:
-                y = row_x[g]
-                if y not in closure:
-                    closure.add(y)
-                    members.append(y)
-            i += 1
     return None
 
 

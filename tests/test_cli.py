@@ -1,8 +1,11 @@
 """Command-line surface: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +69,20 @@ def test_unknown_label(capsys):
     code, _, err = run(capsys, "verify", "local", "--type", "B2")
     assert code == 2
     assert "unknown ADE label" in err
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    (
+        ("A2000", "A2000 has order 2001, above the limit 2000; A_n requires n <= 1999"),
+        ("D503", "D503 has order 2004, above the limit 2000; D_n requires n <= 502"),
+    ),
+)
+def test_label_above_the_closure_cap_exits_2_before_building(capsys, label, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "group", "--type", label)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_unknown_subcommand_exits_2():
@@ -536,3 +553,62 @@ def test_chartable_and_minor_by_name_share_one_table(monkeypatch, capsys):
     assert code == 0 and json.loads(out)["table"]["group"]["order"] == 24
     assert run(capsys, "minor", "--name", "S4")[0] == 0
     assert len(calls) == 1
+
+
+# -- one parser per process -----------------------------------------------------------
+
+
+def _call_outcome(code, out_path, err):
+    report = strip_volatile(json.loads(out_path.read_text())) if out_path.exists() else None
+    return code, report, err
+
+
+def test_successive_calls_in_one_process_match_separate_processes(tmp_path, capsys):
+    """The parser is built once per process; no option value of one call
+    reaches the next, so each report is the one a fresh process writes."""
+    config = tmp_path / "surface.json"
+    config.write_text(json.dumps({
+        "picard_rank": 1,
+        "intersection_matrix": [[1]],
+        "points": [{"id": "p", "type": "A1"}, {"id": "q", "type": "E6"}],
+    }))
+    argvs = (
+        ["group", "--name", "S4", "--seed", "7"],
+        ["group", "--type", "A3"],
+        ["verify", "global", "--config", str(config)],
+        ["minor", "--type", "A3", "--name", "S4"],
+    )
+    in_process = []
+    for k, argv in enumerate(argvs):
+        out = tmp_path / f"in-process-{k}.json"
+        try:
+            code = main([*argv, "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append(_call_outcome(code, out, capsys.readouterr().err))
+    assert cli.build_parser() is cli.build_parser()
+    source = str(Path(cli.__file__).resolve().parents[1])
+    paths = [source] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    separate = []
+    for k, argv in enumerate(argvs):
+        out = tmp_path / f"separate-{k}.json"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from mckay.cli import main; sys.exit(main())",
+             *argv, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        separate.append(_call_outcome(proc.returncode, out, proc.stderr))
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 2]
+    assert in_process == separate
+    assert in_process[1][1]["group"]["name"] == "A3"
+
+
+def test_parsed_options_do_not_carry_over():
+    parser = cli.build_parser()
+    first = vars(parser.parse_args(["group", "--name", "S4", "--seed", "7", "--out", "x.json"]))
+    second = vars(parser.parse_args(["group", "--type", "A3"]))
+    assert first["name"] == "S4" and first["seed"] == 7
+    assert {k: second[k] for k in ("type", "name", "group", "seed", "out")} == {
+        "type": "A3", "name": None, "group": None, "seed": 0, "out": None,
+    }

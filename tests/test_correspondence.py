@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from mckay import catalog, correspondence, linalg
+from mckay import catalog, correspondence, groups, linalg
 from mckay.algebra import GradedAlgebra
 from mckay.catalog import EXTRA_GROUPS, ade_bundle, extra_bundle
 from mckay.correspondence import (
@@ -20,7 +20,14 @@ from mckay.correspondence import (
     verify_local,
 )
 from mckay.cyclo import CycNum, integer_sqrt_embed, rational, zeta
-from mckay.groups import ADE_SUITE, FiniteGroup, build_binary_polyhedral
+from mckay.groups import (
+    ADE_SUITE,
+    FiniteGroup,
+    build_binary_polyhedral,
+    cyclic_group,
+    group_from_cayley,
+    group_from_generators,
+)
 from mckay.linalg import determinant_and_rank, rank
 
 SMALL = ("A1", "A2", "A3", "D4", "D5", "E6")
@@ -338,7 +345,7 @@ def test_singular_matrix_fails_additive_rank(matmul_calls):
     assert failing.detail == {"determinant": rational(0).to_json(), "rank": 1}
 
 
-def test_tampered_matrix_rep_fails_equivariance_only():
+def d7_tamper():
     """D7 with the matrix of a^-1 replaced by that of a^3, for a its first
     element of order 10: the Cayley table and the table of characters are
     untouched, so only the per-element branch data sees the change."""
@@ -348,7 +355,11 @@ def test_tampered_matrix_rep_fails_equivariance_only():
     rep = list(group.matrix_rep)
     rep[group.inverse[a]] = rep[group.cayley[group.cayley[a][a]][a]]
     fake = FiniteGroup(group.cayley, matrix_rep=rep, name=group.name)
-    report = verify_correspondence(dataclasses.replace(cmap, group=fake))
+    return dataclasses.replace(cmap, group=fake)
+
+
+def test_tampered_matrix_rep_fails_equivariance_only():
+    report = verify_correspondence(d7_tamper())
     assert [c.name for c in report.checks if not c.passed] == ["equivariance"]
     witness = report.check("equivariance").witness
     assert (witness["conjugator"], witness["element"], witness["conjugated"]) == (2, 1, 19)
@@ -387,19 +398,125 @@ def test_equivariance_matches_the_branch_root_oracle(label):
 
 
 def test_equivariance_matches_the_oracle_on_the_d7_tamper():
-    """The tamper of test_tampered_matrix_rep_fails_equivariance_only."""
-    cmap = ade_bundle("D7").cmap
-    group = cmap.group
-    a = next(x for x in range(group.order) if group.element_order[x] == 10)
-    rep = list(group.matrix_rep)
-    rep[group.inverse[a]] = rep[group.cayley[group.cayley[a][a]][a]]
-    cmap = dataclasses.replace(
-        cmap, group=FiniteGroup(group.cayley, matrix_rep=rep, name=group.name)
-    )
+    cmap = d7_tamper()
     assert _equivariance_triple(cmap) == _equivariance_oracle(cmap) == (2, 1, 19)
     witness = correspondence._check_equivariance(cmap).witness
     assert witness["element_key"] == "(1, (10, 1))"
     assert witness["conjugated_key"] == "(1, (10, 3))"
+
+
+def generated_order(group, generators) -> int:
+    """The order of the subgroup the generators generate, by closure."""
+    members, seen = [0], {0}
+    for x in members:
+        for s in generators:
+            y = group.cayley[x][s]
+            if y not in seen:
+                seen.add(y)
+                members.append(y)
+    return len(members)
+
+
+def test_equivariance_witness_does_not_depend_on_the_generating_set():
+    """The greedy generating set holds the first failing conjugator h: the
+    conjugators that keep every key form a subgroup, which holds every index
+    below h, so h lies outside the subgroup those indices generate, and the
+    greedy choice takes it.  With another generating set that leaves h out,
+    the h-major loop still reports the same first (h, g, h g h^-1)."""
+    cmap = d7_tamper()
+    group = cmap.group
+    assert group.generating_set == (1, 2)
+    other = next(y for y in range(3, group.order) if generated_order(group, (1, y)) == group.order)
+    group.__dict__["generating_set"] = (1, other)
+    assert _equivariance_triple(cmap) == _equivariance_oracle(cmap) == (2, 1, 19)
+
+
+def conjugation_oracle(group, keys):
+    """The first (h, g, h g h^-1), h-major over every h and g != 1, whose
+    keys differ, or None."""
+    for h in range(group.order):
+        for g in range(1, group.order):
+            c = group.conjugate(h, g)
+            if keys[c] != keys[g]:
+                return (h, g, c)
+    return None
+
+
+def _direct_product(a, b):
+    m = len(b)
+    return [
+        [a[i][k] * m + b[j][l] for k in range(len(a)) for l in range(m)]
+        for i in range(len(a))
+        for j in range(m)
+    ]
+
+
+def _relabeled(table, seed):
+    sigma = list(range(len(table)))
+    random.Random(seed).shuffle(sigma)
+    out = [[0] * len(table) for _ in table]
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            out[sigma[i]][sigma[j]] = sigma[v]
+    return out
+
+
+def _perms(n, even=False):
+    from itertools import permutations
+
+    return [p for p in permutations(range(n)) if not even or groups._parity(p) == 1]
+
+
+def _other_presentation(label):
+    """The ADE group closed from J s^-1 J^-1 over its generators s in
+    reverse, J = [[0, 1], [-1, 0]]: the same group, enumerated in another
+    order, as a generator file may give it."""
+    group = build_binary_polyhedral(label)
+    gens = []
+    for s in reversed(group.generating_set):
+        (a, b), (c, d) = group.matrix_rep[group.inverse[s]]
+        gens.append(((d, -c), (-b, a)))
+    return group_from_generators(gens, name=label)
+
+
+# the groups the CLI reads from files in the benchmark's ingest workload
+INGEST_GROUPS = {
+    "A5xS3": lambda: _direct_product(groups._perm_table(_perms(5, True)), groups._perm_table(_perms(3))),
+    "S5xZ4": lambda: _direct_product(groups._perm_table(_perms(5)), cyclic_group(4).cayley),
+    "S4xS4": lambda: _direct_product(groups._perm_table(_perms(4)), groups._perm_table(_perms(4))),
+    "S6": lambda: groups._perm_table(_perms(6)),
+}
+
+
+def conjugation_subject(name):
+    if name in ADE_SUITE:
+        return ade_bundle(name).group
+    if name in EXTRA_GROUPS:
+        return extra_bundle(name).group
+    if name in INGEST_GROUPS:
+        return group_from_cayley(_relabeled(INGEST_GROUPS[name](), name), name=name)
+    return _other_presentation(name.removesuffix("-generators"))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ADE_SUITE + EXTRA_GROUPS + tuple(INGEST_GROUPS) + ("E7-generators", "E8-generators"),
+)
+def test_generating_set_verdict_matches_the_full_loop(name):
+    """Class keys pass; element labels, and class keys with the last element
+    moved off its class, fail unless the group is abelian; the rotation keys
+    of equivariance pass.  Each verdict and witness is the full loop's."""
+    group = conjugation_subject(name)
+    assert generated_order(group, group.generating_set) == group.order
+    class_of = group.conjugacy.class_of
+    key_sets = [list(class_of), list(range(group.order)), list(class_of[:-1]) + [-1]]
+    if group.matrix_rep is not None:
+        key_sets.append([(class_of[x], group.rotation_data[x]) for x in range(group.order)])
+    for keys in key_sets:
+        assert correspondence._conjugation_witness(group, keys) == conjugation_oracle(group, keys)
+    assert conjugation_oracle(group, key_sets[0]) is None
+    abelian = all(len(c) == 1 for c in group.conjugacy.classes)
+    assert (conjugation_oracle(group, key_sets[1]) is None) == abelian
 
 
 @pytest.mark.parametrize("label", ("A5", "D6", "E6", "E7", "E8"))
@@ -662,6 +779,63 @@ def test_float_transport_matches_the_dense_loop(label):
     cmap = ade_bundle(label).cmap
     detail = verify_correspondence(cmap).check("float-sanity").detail
     assert detail == {"max_error": float_oracle(cmap), "tolerance": FLOAT_TOLERANCE}
+
+
+@pytest.fixture
+def float_sums_calls(monkeypatch) -> list:
+    """Names of the float-layer builders called by the test, in order:
+    ``_table_float_sums`` (the per-table memo) and ``_float_sums`` (the sums
+    themselves, formed on a memo miss or for any other input)."""
+    calls = []
+    for name in ("_table_float_sums", "_float_sums"):
+        original = getattr(correspondence, name)
+
+        def counted(*args, _fn=original, _name=name):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(correspondence, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("label", ADE_SUITE + SCALING + ("A40", "D40"))
+def test_float_memo_matches_the_dense_loop(float_sums_calls, label):
+    cmap = ade_bundle(label).cmap
+    _, target_gram = cmap.target.gram()
+    _, source_gram = cmap.source.gram()
+    assert correspondence._is_class_size_monomial(cmap.table, target_gram)
+    memo = correspondence._check_float(cmap, target_gram, source_gram, True)
+    built = len(float_sums_calls)
+    again = correspondence._check_float(cmap, target_gram, source_gram, True)
+    assert float_sums_calls[built:] == ["_table_float_sums"]
+    loop = correspondence._check_float(cmap, target_gram, source_gram, False)
+    assert float_sums_calls[built + 1:] == ["_float_sums"]
+    expected = {"max_error": float_oracle(cmap), "tolerance": FLOAT_TOLERANCE}
+    assert memo.detail == again.detail == loop.detail == expected
+
+
+def test_warm_verification_reads_the_float_memo(float_sums_calls):
+    cmap = Bundle(build_binary_polyhedral("E7")).cmap
+    first = verify_correspondence(cmap)
+    assert float_sums_calls == ["_table_float_sums", "_float_sums"]
+    second = verify_correspondence(cmap)
+    assert float_sums_calls[2:] == ["_table_float_sums"]
+    assert [c.to_dict() for c in first.checks] == [c.to_dict() for c in second.checks]
+
+
+def test_non_monomial_target_gram_takes_the_float_loop(float_sums_calls):
+    """f1 f1 = 5 [pt] on A3 sets one entry of G_orb that the class-size
+    monomial matrix has at 0 (class 1 is inverse to class 3)."""
+    bundle = ade_bundle("A3")
+    tampered = dataclasses.replace(
+        bundle.cmap, target=bundle.invariant.replaced_product("f1", "f1", [("[pt]", 5)])
+    )
+    _, target_gram = tampered.target.gram()
+    assert not correspondence._is_class_size_monomial(tampered.table, target_gram)
+    check = verify_correspondence(tampered).check("float-sanity")
+    assert float_sums_calls == ["_float_sums"]
+    assert check.detail == {"max_error": 9.999999999999998, "tolerance": FLOAT_TOLERANCE}
+    assert check.detail["max_error"] == float_oracle(tampered)
 
 
 @pytest.mark.parametrize("label", ADE_SUITE + SCALING)

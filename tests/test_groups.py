@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,6 +75,94 @@ def test_bad_labels_rejected():
         build_binary_polyhedral("E9")
     with pytest.raises(GroupError):
         build_binary_polyhedral("F4")
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    (
+        ("A2000", "A2000 has order 2001, above the limit 2000; A_n requires n <= 1999"),
+        ("D503", "D503 has order 2004, above the limit 2000; D_n requires n <= 502"),
+    ),
+)
+def test_labels_above_the_closure_cap_are_rejected_from_their_order(monkeypatch, label, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the label is rejected before any closure")
+
+    monkeypatch.setattr(groups, "_closure_from_matrices", unreachable)
+    with pytest.raises(GroupError) as err:
+        build_binary_polyhedral(label)
+    assert str(err.value) == message
+
+
+def test_labels_at_the_closure_cap_are_accepted():
+    assert groups.CLOSURE_CAP == 2000
+    assert parse_ade_label("A1999") == ("A", 1999)
+    assert parse_ade_label("d_502") == ("D", 502)
+
+
+def _rotation_oracle(group):
+    """Per element, the first 0 < k <= r/2 prime to r with trace
+    zeta_r^k + zeta_r^-k, compared with ``==``."""
+    data = []
+    for i in range(group.order):
+        r = group.element_order[i]
+        if r == 1:
+            data.append((1, 0))
+            continue
+        t = group.trace(i)
+        ks = [k for k in range(1, r // 2 + 1) if gcd(k, r) == 1 and t == zeta(r, k) + zeta(r, r - k)]
+        data.append((r, ks[0]) if ks else None)
+    return tuple(data)
+
+
+@pytest.mark.parametrize("label", ADE_SUITE + ("A15", "D16", "A40", "D40"))
+def test_rotation_data_matches_the_trace_scan(label):
+    group = build_binary_polyhedral(label)
+    assert group.rotation_data == _rotation_oracle(group)
+
+
+def test_rotation_data_rejects_a_trace_off_sl2():
+    # diag(zeta_3, zeta_3) has order 3 and trace 2 zeta_3, not zeta_3^k + zeta_3^-k
+    z = zeta(3)
+    zero = rational(0)
+    rep = [((rational(1), zero), (zero, rational(1))), ((z, zero), (zero, z)), ((z * z, zero), (zero, z * z))]
+    group = groups.FiniteGroup(cyclic_group(3).cayley, matrix_rep=rep, name="Z3")
+    with pytest.raises(GroupError) as err:
+        group.rotation_data
+    assert str(err.value) == "element 1 of order 3 has no SL2 rotation eigenvalues"
+
+
+def _generated(group, generators) -> set:
+    members, seen = [0], {0}
+    for x in members:
+        for s in generators:
+            y = group.cayley[x][s]
+            if y not in seen:
+                seen.add(y)
+                members.append(y)
+    return seen
+
+
+STOCK = {
+    "S4": lambda: symmetric_group(4),
+    "A4": lambda: alternating_group(4),
+    "Dih12": lambda: dihedral_group(6),
+    "Z12": lambda: cyclic_group(12),
+    "Z1": lambda: group_from_cayley([[0]]),
+}
+
+
+@pytest.mark.parametrize("name", ("A1", "A9", "D4", "D10", "E6", "E7", "E8") + tuple(STOCK))
+def test_generating_set_is_greedy_and_generates(name):
+    """Each element is the least index outside the subgroup the earlier ones
+    generate, and together they generate the group."""
+    group = STOCK[name]() if name in STOCK else build_binary_polyhedral(name)
+    gens = group.generating_set
+    for count, s in enumerate(gens):
+        earlier = _generated(group, gens[:count])
+        assert s not in earlier and all(x in earlier for x in range(s))
+    assert len(_generated(group, gens)) == group.order
+    assert 2 ** len(gens) <= group.order
 
 
 @pytest.mark.parametrize("label", ADE_SUITE)
