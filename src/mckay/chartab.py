@@ -5,8 +5,11 @@ multiplication matrices are simultaneously diagonalised over a prime field
 F_p with p = 1 (mod exponent) and p > 2*sqrt(|G|), splitting eigenspaces by
 the class matrices themselves in class order, at the roots of each
 restricted operator's characteristic polynomial, so the computation is
-deterministic; eigenvalue data is then lifted to exact cyclotomic integers
-through the discrete Fourier inversion of the power map.
+deterministic.  Each value chi(g) is then lifted to an exact cyclotomic
+integer from the multiset of g's eigenvalues, d-th roots of unity for d the
+order of g: read from the n = chi(1) power sums chi(g^k) by Newton's
+identities where n < d (one lookup at n = 1), and by the inverse discrete
+Fourier transform of the power map where n >= d (:func:`_lift_row`).
 
 Every table is proven before it exists (:func:`_certify`): its values are
 checked to be algebraic integers, and Galois equivariance
@@ -405,27 +408,109 @@ def _inverse_dft(d, z, exponent, p):
     return rows, pow(d, p - 2, p)
 
 
-def _lift_row(chi_mod, degree, group, conj, pm, dft, p):
-    """The exact values of one character from its residues; ``dft`` maps
-    each element order d to its ``_inverse_dft``, shared by every row."""
+def _roots_of_unity(d, z, exponent, p):
+    """The residue of zeta_d^t for each t < d, with zeta_d = z^(exponent/d),
+    and the map from each residue back to its t."""
+    zd = pow(z, exponent // d, p)
+    powers = [1] * d
+    for t in range(1, d):
+        powers[t] = powers[t - 1] * zd % p
+    return powers, {w: t for t, w in enumerate(powers)}
+
+
+def _newton_roots(power_sums, roots, p):
+    """The multiplicities {t: m_t} of the d-th roots of unity zeta_d^t whose
+    multiset has the power sums ``power_sums`` = (P_1, ..., P_n) mod p;
+    ``roots`` is the order's ``_roots_of_unity``.  If no multiset of n of
+    them has these power sums, the multiplicities found add up to less
+    than n.
+
+    Newton's identities k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) P_i give the
+    elementary symmetric functions e_1..e_n of the multiset (k <= n < p, so
+    k is invertible mod p), hence f(x) = prod_i (x - w_i) =
+    sum_k (-1)^k e_k x^(n-k).  While f has degree >= 2, the d-th roots of
+    unity are tried in order, each divided out as often as it is a root;
+    the root of the last, linear factor is one lookup.  At n = 1 that
+    lookup is all: the root is P_1.
+    """
+    powers, index = roots
+    n = len(power_sums)
+    e = [1]
+    for k in range(1, n + 1):
+        s = 0
+        for i in range(1, k + 1):
+            term = e[k - i] * power_sums[i - 1]
+            s += term if i % 2 else -term
+        e.append(s * pow(k, p - 2, p) % p)
+    # monic f, coefficients from x^n down to x^0
+    f = [c if k % 2 == 0 else -c % p for k, c in enumerate(e)]
+    mults = {}
+    t = 0
+    while len(f) > 2 and t < len(powers):
+        w = powers[t]
+        value = 0
+        for c in f:
+            value = (value * w + c) % p
+        if value:
+            t += 1
+            continue
+        quotient = [1]
+        for c in f[1:-1]:
+            quotient.append((quotient[-1] * w + c) % p)
+        f = quotient
+        mults[t] = mults.get(t, 0) + 1
+    if len(f) == 2:
+        t = index.get(-f[1] % p)
+        if t is not None:
+            mults[t] = mults.get(t, 0) + 1
+    return mults
+
+
+def _lift_row(chi_mod, degree, group, conj, pm, dft, roots, p):
+    """The exact values of one character from its residues.
+
+    ``dft`` maps each element order d to its ``_inverse_dft`` and ``roots``
+    to its ``_roots_of_unity``, shared by every row.  At a class of order d,
+    chi(g) is a sum of n = chi(1) d-th roots of unity, the eigenvalues of
+    g, and the multiset of their exponents t is read from the residues:
+
+    * n < d: from the n power sums chi(g^k), k <= n, by Newton's
+      identities (:func:`_newton_roots`); at n = 1, chi(g) is one root,
+      found by one lookup of its residue;
+    * n >= d: by the inverse DFT m_t = (1/d) sum_u chi(g^u) zeta_d^(-tu)
+      of the power map, cheaper there than Newton's O(d n).
+
+    Both give the same multiset.  p = 1 (mod E) and z has order E, so
+    the images zeta_d^t of the d-th roots are distinct in F_p.  If the
+    eigenvalues are w_1..w_n, their images have the power sums chi(g^k) mod
+    p, so the DFT's m_t counts the w_i with image zeta_d^t (m_t <= n < p,
+    so the residue is the count); and f(x) = prod_i (x - w_i) mod p has
+    the e_k of Newton's identities as coefficients, and F_p[x] factors
+    uniquely, so its roots with multiplicity are the same multiset.  Every
+    path is checked to give n roots summing to chi(g) mod p, or raises
+    TableConsistencyError.
+    """
     values = []
     for j, rep in enumerate(conj.representatives):
         d = group.element_order[rep]
-        rows, d_inv = dft[d]
-        chi_powers = [chi_mod[pm[j][u]] for u in range(d)]
-        mults = {}
-        for t, row in enumerate(rows):
-            m_t = sum(map(mul, chi_powers, row)) * d_inv % p
-            if m_t > degree:
-                raise TableConsistencyError("eigenvalue multiplicity out of range")
-            if m_t:
-                mults[t] = m_t
+        if degree < d:
+            power_sums = [chi_mod[pm[j][k]] for k in range(1, degree + 1)]
+            mults = _newton_roots(power_sums, roots[d], p)
+        else:
+            rows, d_inv = dft[d]
+            chi_powers = [chi_mod[pm[j][u]] for u in range(d)]
+            mults = {}
+            for t, row in enumerate(rows):
+                m_t = sum(map(mul, chi_powers, row)) * d_inv % p
+                if m_t > degree:
+                    raise TableConsistencyError("eigenvalue multiplicity out of range")
+                if m_t:
+                    mults[t] = m_t
         if sum(mults.values()) != degree:
             raise TableConsistencyError("eigenvalue multiplicities do not sum to degree")
-        # consistency: the lifted value must reproduce chi mod p; row 1 % d
-        # holds zeta_d^-u, so zeta_d^t is its entry at -t mod d
-        inv_powers = rows[1 % d]
-        check = sum(m * inv_powers[-t % d] for t, m in mults.items()) % p
+        # consistency: the lifted value must reproduce chi mod p
+        powers = roots[d][0]
+        check = sum(m * powers[t] for t, m in mults.items()) % p
         if check != chi_mod[j] % p:
             raise TableConsistencyError("lifted character does not match modular data")
         values.append(CycNum(d, mults))
@@ -576,10 +661,9 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     vectors = _common_eigenvectors(matrices, p)
     pm = _power_map(group, conj)
     inv_sizes = [pow(s, p - 2, p) for s in conj.sizes]
-    dft = {
-        d: _inverse_dft(d, z, exponent, p)
-        for d in {group.element_order[rep] for rep in conj.representatives}
-    }
+    orders = {group.element_order[rep] for rep in conj.representatives}
+    dft = {d: _inverse_dft(d, z, exponent, p) for d in orders}
+    roots = {d: _roots_of_unity(d, z, exponent, p) for d in orders}
     rows = []
     degrees = []
     for v in vectors:
@@ -598,7 +682,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
             raise TableConsistencyError("degree square has no modular root")
         degree = min(root, p - root)
         chi_mod = [degree * omega[i] * inv_sizes[i] % p for i in range(m)]
-        rows.append(_lift_row(chi_mod, degree, group, conj, pm, dft, p))
+        rows.append(_lift_row(chi_mod, degree, group, conj, pm, dft, roots, p))
         degrees.append(degree)
     if sum(d * d for d in degrees) != order:
         raise TableConsistencyError("degrees do not satisfy the order sum rule")

@@ -2,11 +2,15 @@
 
 Matrix groups are enumerated by breadth-first closure from hard-coded
 generator matrices (identity first, deterministic order).  The closure
-forms each product x_i * s once, for every element x_i and generator s,
-and the full Cayley table is assembled from these right-multiplication
-permutations with no further matrix product.  Groups ingested from raw
-Cayley tables are validated exhaustively before use, at every order;
-associativity costs O(n^2 log n) by Light's test.
+multiplies stored forms: each entry is held as its integer numerators and
+denominator at the generators' common conductor, with zero entries
+skipped, and the canonical forms key the element index directly; the
+CycNum matrices are built once, at the end.  It forms each product x_i * s
+once, for every element x_i and generator s, and the full Cayley table is
+assembled from these right-multiplication permutations with no further
+matrix product.  Groups ingested from raw Cayley tables are validated
+exhaustively before use, at every order; associativity costs O(n^2 log n)
+by Light's test.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
-from operator import itemgetter
+from operator import add, itemgetter
 
-from .cyclo import CycNum, rational, zeta
+from .cyclo import CycNum, _mul_num, _new, rational, zeta
 
 __all__ = [
     "FiniteGroup",
@@ -57,17 +61,6 @@ class GroupValidationError(GroupError):
     def __init__(self, message: str, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-def _mat_mul(a: Mat2, b: Mat2) -> Mat2:
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
-
-
-def _mat_key(a: Mat2) -> tuple:
-    return (a[0][0].key(), a[0][1].key(), a[1][0].key(), a[1][1].key())
 
 
 def _mat_det(a: Mat2) -> CycNum:
@@ -213,28 +206,74 @@ def _trace_lookup(r: int, conductor: int) -> tuple[int, dict]:
 # -- matrix closure ---------------------------------------------------------
 
 
+def _form_mul(a: tuple, b: tuple, n: int) -> tuple:
+    """The stored form of the matrix product a * b at conductor n.
+
+    A matrix is held row-major as four entries, each ``(num, den)`` of a
+    CycNum at n, with ``None`` for zero.  Each entry is one ``_mul_num`` per
+    pair of nonzero factors, over the product of their denominators, then
+    one gcd normalisation; so the result is the canonical stored form of
+    the entry, as ``CycNum`` arithmetic would leave it.
+    """
+    out = []
+    for r in (0, 2):
+        for c in (0, 1):
+            num = den = None
+            for k in (0, 1):
+                x, y = a[r + k], b[2 * k + c]
+                if x is None or y is None:
+                    continue
+                term = _mul_num(x[0], y[0], n)
+                term_den = x[1] * y[1]
+                if num is None:
+                    num, den = term, term_den
+                elif den == term_den:
+                    num = tuple(map(add, num, term))
+                else:
+                    num = tuple(u * term_den + v * den for u, v in zip(num, term))
+                    den *= term_den
+            if num is None:
+                out.append(None)
+                continue
+            if den != 1:
+                g = gcd(den, *num)
+                if g != 1:
+                    num = tuple(u // g for u in num)
+                    den //= g
+            out.append((num, den) if any(num) else None)
+    return tuple(out)
+
+
 def _closure_from_matrices(gens: list[Mat2], cap: int = CLOSURE_CAP):
+    """Breadth-first closure of the generators, on stored forms.
+
+    The generators are lifted once to their common conductor N.  Elements
+    are held as :func:`_form_mul` forms, which are canonical, so they key
+    the index directly; the CycNum matrices are built once, at the end.
+    """
     conductor = 1
     for m in gens:
         for row in m:
             for e in row:
                 conductor = lcm(conductor, e.conductor)
-    gens = [tuple(tuple(e.lift(conductor) for e in row) for row in m) for m in gens]
+    forms = []
+    for m in gens:
+        entries = [e.lift(conductor) for row in m for e in row]
+        forms.append(tuple((e.num, e.den) if any(e.num) else None for e in entries))
     one = rational(1).lift(conductor)
-    zero = rational(0).lift(conductor)
-    ident: Mat2 = ((one, zero), (zero, one))
+    ident = ((one.num, 1), None, None, (one.num, 1))
     elems = [ident]
-    index = {_mat_key(ident): 0}
+    index = {ident: 0}
     parent = [(-1, -1)]
     # right[gi][i] is the index of x_i * s_gi
-    right = [[] for _ in gens]
+    right = [[] for _ in forms]
     i = 0
     while i < len(elems):
-        for gi, s in enumerate(gens):
-            m = _mat_mul(elems[i], s)
-            k = _mat_key(m)
-            if k not in index:
-                index[k] = len(elems)
+        for gi, s in enumerate(forms):
+            m = _form_mul(elems[i], s, conductor)
+            k = index.get(m)
+            if k is None:
+                k = index[m] = len(elems)
                 elems.append(m)
                 parent.append((i, gi))
                 if len(elems) > cap:
@@ -242,7 +281,7 @@ def _closure_from_matrices(gens: list[Mat2], cap: int = CLOSURE_CAP):
                         f"matrix closure exceeded {cap} elements; generators do not "
                         "span a small finite group"
                     )
-            right[gi].append(index[k])
+            right[gi].append(k)
         i += 1
     n = len(elems)
     # x_j = x_p * s_g gives x_i * x_j = (x_i * x_p) * s_g: column j of the
@@ -252,7 +291,18 @@ def _closure_from_matrices(gens: list[Mat2], cap: int = CLOSURE_CAP):
         p, gi = parent[j]
         # n >= 2 here, so the getter returns a tuple
         cols[j] = itemgetter(*cols[p])(right[gi])
-    return zip(*cols), elems
+    # one CycNum per distinct stored form, shared by the matrices: fewer
+    # objects alive for the life of the group
+    entries = {None: rational(0).lift(conductor)}
+
+    def entry(form):
+        e = entries.get(form)
+        if e is None:
+            e = entries[form] = _new(conductor, *form)
+        return e
+
+    matrices = [((entry(a), entry(b)), (entry(c), entry(d))) for a, b, c, d in elems]
+    return zip(*cols), matrices
 
 
 def group_from_generators(matrices, name: str = "G", cap: int = CLOSURE_CAP) -> FiniteGroup:

@@ -29,7 +29,7 @@ from mckay.chartab import (
     tensor_multiplicity,
 )
 from mckay.correspondence import Bundle
-from mckay.cyclo import _galois_steps, rational, zeta
+from mckay.cyclo import CycNum, _galois_steps, rational, zeta
 from mckay.groups import (
     ADE_SUITE,
     alternating_group,
@@ -368,6 +368,134 @@ def test_unsplittable_class_matrices_raise():
     identity = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
     with pytest.raises(EigenSplitError):
         _common_eigenvectors([identity] * 3, 7)
+
+
+# -- the character lift ----------------------------------------------------------
+
+
+def _lift_row_oracle(chi_mod, degree, group, conj, pm, dft, p):
+    """The exact values of one character by the inverse DFT of the power map
+    at every class: m_t = (1/d) sum_u chi(g^u) zeta_d^(-tu)."""
+    values = []
+    for j, rep in enumerate(conj.representatives):
+        d = group.element_order[rep]
+        rows, d_inv = dft[d]
+        chi_powers = [chi_mod[pm[j][u]] for u in range(d)]
+        mults = {}
+        for t, row in enumerate(rows):
+            m_t = sum(x * y for x, y in zip(chi_powers, row)) * d_inv % p
+            if m_t > degree:
+                raise TableConsistencyError("eigenvalue multiplicity out of range")
+            if m_t:
+                mults[t] = m_t
+        if sum(mults.values()) != degree:
+            raise TableConsistencyError("eigenvalue multiplicities do not sum to degree")
+        inv_powers = rows[1 % d]
+        check = sum(m * inv_powers[-t % d] for t, m in mults.items()) % p
+        if check != chi_mod[j] % p:
+            raise TableConsistencyError("lifted character does not match modular data")
+        values.append(CycNum(d, mults))
+    return tuple(values)
+
+
+def _stored(values):
+    return [(v.conductor, v.num, v.den) for v in values]
+
+
+LIFT_GROUPS = {
+    **{label: (lambda label=label: ade_bundle(label).group) for label in ADE_SUITE},
+    **{
+        label: (lambda label=label: build_binary_polyhedral(label))
+        for label in ("A15", "D16", "A20", "D20", "A40", "D40")
+    },
+    **{name: (lambda name=name: extra_bundle(name).group) for name in EXTRA_GROUPS},
+    **{
+        f"relabeled-{name}": (lambda name=name: _relabeled_group(RELABELED_TABLES[name](), 1))
+        for name in RELABELED_TABLES
+    },
+}
+
+
+@pytest.mark.parametrize("name", LIFT_GROUPS)
+def test_lift_matches_the_inverse_dft(monkeypatch, name):
+    """Every row lifts to the values of the inverse DFT at every class, in
+    stored form, whether it is read by lookup, by Newton's identities or by
+    the DFT itself."""
+    lift = chartab._lift_row
+    degrees = []
+
+    def checked(chi_mod, degree, group, conj, pm, dft, roots, p):
+        out = lift(chi_mod, degree, group, conj, pm, dft, roots, p)
+        assert _stored(out) == _stored(_lift_row_oracle(chi_mod, degree, group, conj, pm, dft, p))
+        degrees.append(degree)
+        return out
+
+    monkeypatch.setattr(chartab, "_lift_row", checked)
+    group = LIFT_GROUPS[name]()
+    table = character_table(group)
+    assert sorted(degrees) == sorted(table.degrees)
+
+
+@st.composite
+def _root_multisets(draw):
+    d = draw(st.integers(2, 40))
+    p = chartab._prime_above(draw(st.integers(d, 2000)), d)
+    n = draw(st.integers(1, d - 1))
+    ts = draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
+    return d, p, ts
+
+
+@settings(max_examples=150, deadline=None)
+@given(_root_multisets())
+def test_newton_roots_match_the_inverse_dft(case):
+    """n < d roots of unity zeta_d^t mod a prime p = 1 (mod d): the n power
+    sums give the multiset by Newton's identities, as all d give it by the
+    inverse DFT."""
+    d, p, ts = case
+    z = pow(chartab._primitive_root(p), (p - 1) // d, p)
+    roots = chartab._roots_of_unity(d, z, d, p)
+    powers, index = roots
+    assert len(index) == d
+    power_sums = [sum(powers[t * k % d] for t in ts) % p for k in range(d)]
+    expected = {t: ts.count(t) for t in set(ts)}
+    assert chartab._newton_roots(power_sums[1 : len(ts) + 1], roots, p) == expected
+    rows, d_inv = chartab._inverse_dft(d, z, d, p)
+    dft = {t: sum(x * y for x, y in zip(power_sums, row)) * d_inv % p for t, row in enumerate(rows)}
+    assert {t: m for t, m in dft.items() if m} == expected
+
+
+def _unread_class(group, conj, pm, degree):
+    """A class of least order above ``degree`` that no other class's lift
+    reads: few sums of its roots of unity, and one class to fail."""
+    read = set()
+    for j, rep in enumerate(conj.representatives):
+        d = group.element_order[rep]
+        read.update(pm[j][k] for k in (range(1, degree + 1) if degree < d else range(d)) if pm[j][k] != j)
+    orders = {j: group.element_order[rep] for j, rep in enumerate(conj.representatives)}
+    return min((d, j) for j, d in orders.items() if d > degree and j not in read)[1]
+
+
+@pytest.mark.parametrize("label, degree", [("A5", 1), ("D10", 2), ("E8", 2), ("E8", 3)])
+def test_residue_off_every_root_sum_is_rejected(monkeypatch, label, degree):
+    """Negative control: one residue of a degree-n row moved off every sum
+    of n d-th roots of unity fails the lift with the pinned message."""
+    lift = chartab._lift_row
+    tampered = []
+
+    def tamper(chi_mod, n, group, conj, pm, dft, roots, p):
+        if n == degree and not tampered:
+            j = _unread_class(group, conj, pm, n)
+            powers, _ = roots[group.element_order[conj.representatives[j]]]
+            sums = {sum(c) % p for c in product(powers, repeat=n)}
+            chi_mod = list(chi_mod)
+            chi_mod[j] = next(r for r in range(p) if r not in sums)
+            tampered.append(j)
+        return lift(chi_mod, n, group, conj, pm, dft, roots, p)
+
+    monkeypatch.setattr(chartab, "_lift_row", tamper)
+    with pytest.raises(TableConsistencyError, match="^eigenvalue multiplicities do not sum to degree$"):
+        character_table(build_binary_polyhedral(label))
+    assert tampered
 
 
 @pytest.mark.parametrize("name", EXTRA_GROUPS)

@@ -2,7 +2,7 @@
 
 import random
 import tracemalloc
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,16 +198,126 @@ def test_closure_forms_one_product_per_element_and_generator(monkeypatch, label,
     """The Cayley table comes from the closure's own products x_i * s; no
     second pass of matrix products is made."""
     calls = 0
-    mat_mul = groups._mat_mul
+    form_mul = groups._form_mul
 
-    def counted(a, b):
+    def counted(a, b, n):
         nonlocal calls
         calls += 1
-        return mat_mul(a, b)
+        return form_mul(a, b, n)
 
-    monkeypatch.setattr(groups, "_mat_mul", counted)
+    monkeypatch.setattr(groups, "_form_mul", counted)
     g = build_binary_polyhedral(label)
     assert calls == g.order * gens
+
+
+# -- the dense closure as an oracle ------------------------------------------------
+
+
+def _mat_mul(a, b):
+    return (
+        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
+        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
+    )
+
+
+def _mat_key(a):
+    return (a[0][0].key(), a[0][1].key(), a[1][0].key(), a[1][1].key())
+
+
+def _closure_oracle(gens):
+    """The closure by dense CycNum matrix products keyed by ``CycNum.key``,
+    zero factors included: its Cayley rows and its matrices.  Each x_i * s
+    is formed once, and the table follows from x_i * x_j = (x_i * x_p) * s
+    for x_j = x_p * s."""
+    conductor = 1
+    for m in gens:
+        for row in m:
+            for e in row:
+                conductor = lcm(conductor, e.conductor)
+    gens = [tuple(tuple(e.lift(conductor) for e in row) for row in m) for m in gens]
+    one, zero = rational(1).lift(conductor), rational(0).lift(conductor)
+    elems = [((one, zero), (zero, one))]
+    index = {_mat_key(elems[0]): 0}
+    parent = [None]
+    right = [[] for _ in gens]
+    i = 0
+    while i < len(elems):
+        for gi, s in enumerate(gens):
+            m = _mat_mul(elems[i], s)
+            k = _mat_key(m)
+            if k not in index:
+                index[k] = len(elems)
+                elems.append(m)
+                parent.append((i, gi))
+            right[gi].append(index[k])
+        i += 1
+    n = len(elems)
+    cols = [list(range(n))]
+    for j in range(1, n):
+        p, gi = parent[j]
+        cols.append([right[gi][x] for x in cols[p]])
+    rows = [tuple(col[i] for col in cols) for i in range(n)]
+    return rows, elems
+
+
+def _stored_forms(matrices):
+    return [tuple((e.conductor, e.num, e.den) for row in m for e in row) for m in matrices]
+
+
+def _assert_closure_matches_oracle(group, gens):
+    rows, elems = _closure_oracle(gens)
+    assert list(group.cayley) == rows
+    assert _stored_forms(group.matrix_rep) == _stored_forms(elems)
+
+
+class _Generators(Exception):
+    pass
+
+
+def _generators_of(label):
+    """The generator matrices build_binary_polyhedral closes for a label."""
+
+    def capture(gens, cap):
+        raise _Generators(gens)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "_closure_from_matrices", capture)
+        with pytest.raises(_Generators) as info:
+            build_binary_polyhedral(label)
+    return info.value.args[0]
+
+
+@pytest.mark.parametrize("label", ADE_SUITE + ("A15", "D16", "A20", "D20", "A300", "D300"))
+def test_closure_matches_the_dense_oracle(label):
+    """Same element order, same stored forms (conductor, num, den) and same
+    Cayley rows as dense CycNum products keyed by ``CycNum.key``."""
+    _assert_closure_matches_oracle(build_binary_polyhedral(label), _generators_of(label))
+
+
+def _sl2_inverse(m):
+    (a, b), (c, d) = m
+    return ((d, -b), (-c, a))
+
+
+def _j_conjugate(m):
+    """J m J^-1 for J = [[0, 1], [-1, 0]]."""
+    (a, b), (c, d) = m
+    return ((d, -c), (-b, a))
+
+
+@pytest.mark.parametrize("label", ["E7", "E8"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_closure_of_generator_variants_matches_the_dense_oracle(label, data):
+    """Presentations of E7 and E8 by each generator or its inverse, in either
+    order, maybe conjugated by J, close like the dense oracle."""
+    gens = [_sl2_inverse(m) if data.draw(st.booleans()) else m for m in _generators_of(label)]
+    gens = data.draw(st.permutations(gens))
+    if data.draw(st.booleans()):
+        gens = [_j_conjugate(m) for m in gens]
+    g = group_from_generators(gens, name=label)
+    assert g.order == expected_order(label)
+    _assert_closure_matches_oracle(g, gens)
 
 
 @pytest.mark.parametrize("label", ADE_SUITE)
