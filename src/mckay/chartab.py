@@ -313,19 +313,37 @@ def _split_space(space: _Subspace, op, p) -> list[_Subspace]:
     """The eigenspaces of ``op`` on ``space``, by eigenvalue 0, 1, ..., p - 1.
 
     With A the restricted d x d operator, lambda has a nonzero eigenspace
-    exactly when det(lambda I - A) = 0 over F_p.  So the characteristic
-    polynomial is formed once (:func:`_charpoly`) and evaluated at each
-    lambda in increasing order, and the nullspace of A - lambda I is
-    computed only at its roots, where it is never empty.  The early stop
-    once the eigenspaces fill the space is kept.  Raises EigenSplitError
-    unless they fill it, i.e. unless A is diagonalisable over F_p.
+    exactly when chi_A(lambda) = det(lambda I - A) = 0 over F_p.  So the
+    characteristic polynomial is formed once (:func:`_charpoly`) and
+    evaluated at each lambda in increasing order; only its roots are split
+    off.  The early stop once the eigenspaces fill the space is kept.
+    Raises EigenSplitError unless they fill it, i.e. unless A is
+    diagonalisable over F_p.
+
+    On the whole space the rref basis is the unit basis, so A is ``op``
+    itself and the invariance check of :func:`_restriction` is vacuous.
+
+    At a simple root lambda (q(lambda) != 0 for q = chi_A / (x - lambda), by
+    synthetic division) the eigenspace is the line of u = q(A) e_0, read
+    from the Krylov sequence e_0, A e_0, ..., A^(d-1) e_0, built once per
+    split on the first simple root.  By Cayley-Hamilton
+    (A - lambda) u = chi_A(A) e_0 = 0, so u is an eigenvector when it is
+    nonzero; and lambda is a simple root, so its eigenspace is a line,
+    whose rref basis is the one the nullspace of A - lambda I gives.  u = 0
+    exactly when the minimal polynomial of e_0 under A divides q; then, and at
+    multiple roots, the eigenspace is the nullspace of A - lambda I.  (On
+    the whole space e_0 never gives u = 0: see :func:`_common_eigenvectors`.)
     """
     d = space.dim
-    # images[i] = sum_j coords[i][j] B_j, so the operator acts on coordinate
-    # columns by the transpose of coords
-    coords = _restriction(op, space, p)
-    coords = [[coords[j][i] for j in range(d)] for i in range(d)]
+    if d == len(op):
+        coords = op
+    else:
+        # images[i] = sum_j coords[i][j] B_j, so the operator acts on
+        # coordinate columns by the transpose of coords
+        coords = _restriction(op, space, p)
+        coords = [[coords[j][i] for j in range(d)] for i in range(d)]
     charpoly = _charpoly(coords, p)
+    krylov = None  # krylov[i][k]: coordinate i of A^k e_0
     out = []
     found = 0
     for lam in range(p):
@@ -334,9 +352,29 @@ def _split_space(space: _Subspace, op, p) -> list[_Subspace]:
             value = (value * lam + c) % p
         if value:
             continue
-        shifted = [[(coords[i][j] - (lam if i == j else 0)) % p for j in range(d)] for i in range(d)]
+        # q = chi_A / (x - lambda), coefficients from x^(d-1) down, and q(lambda)
+        quotient = [1]
+        for c in charpoly[1:-1]:
+            quotient.append((quotient[-1] * lam + c) % p)
+        q_lam = 0
+        for c in quotient:
+            q_lam = (q_lam * lam + c) % p
+        null = None
+        if q_lam:
+            if krylov is None:
+                powers = [[1] + [0] * (d - 1)]
+                for _ in range(d - 1):
+                    powers.append(_apply(coords, powers[-1], p))
+                krylov = list(zip(*powers))
+            quotient.reverse()
+            u = [sum(map(mul, quotient, row)) % p for row in krylov]
+            if any(u):
+                null = [u]
+        if null is None:
+            shifted = [[(coords[i][j] - (lam if i == j else 0)) % p for j in range(d)] for i in range(d)]
+            null = _nullspace(shifted, p)
         vectors = []
-        for coeffs in _nullspace(shifted, p):
+        for coeffs in null:
             v = [0] * len(space.basis[0])
             for j, cj in enumerate(coeffs):
                 if cj:
@@ -355,19 +393,34 @@ def _split_space(space: _Subspace, op, p) -> list[_Subspace]:
 def _common_eigenvectors(matrices, p):
     """The common eigenvectors of the class matrices K_0, K_1, ... over F_p.
 
-    Every space of dimension > 1 is split by the eigenspaces of K_0, K_1,
-    ... in class order, until all spaces are 1-dimensional.  This always
-    finishes when p = 1 (mod exponent): every prime divisor of |G| divides
-    the exponent, so p does not divide |G|, and F_p holds the exponent-th
-    roots of unity.  Hence Z(F_p G) is split semisimple, isomorphic to F_p^m
-    through m distinct central characters.  The class sums span Z(F_p G),
-    so any two of those characters differ on some K_i, and the eigenspaces
-    of all the K_i together are lines.  Raises EigenSplitError if spaces of
-    dimension > 1 remain after the last K_i.
+    K_0, multiplication by the class sum of the identity, must be the
+    identity matrix (checked exactly, else TableConsistencyError); it splits
+    nothing and is skipped.  The space is F_p^m, m the size of the
+    matrices.  Every space of dimension > 1 is split by the eigenspaces of
+    K_1, K_2, ... in class order, until all spaces are 1-dimensional.  This
+    always finishes when p = 1 (mod exponent): every prime divisor of |G|
+    divides the exponent, so p does not divide |G|, and F_p holds the
+    exponent-th roots of unity.  Hence Z(F_p G) is split semisimple,
+    isomorphic to F_p^m through m distinct central characters.  The class
+    sums span Z(F_p G), so any two of those characters differ on some K_i,
+    and the eigenspaces of all the K_i together are lines.  Raises
+    EigenSplitError if spaces of dimension > 1 remain after the last K_i.
+
+    The first split acts on the whole space, where e_0 is the class sum of
+    the identity, the algebra's 1.  It is a cyclic vector: K_i is
+    multiplication by the class sum k_i, so f(K_i) e_0 = f(k_i) for every
+    polynomial f, and f(K_i) e_0 = 0 only if f(k_i) = 0, that is f(K_i) = 0.
+    So at a simple root lambda of K_i's characteristic polynomial, with
+    quotient q, q(K_i) e_0 = 0 would make the minimal polynomial of K_i,
+    which has lambda as a root, divide q, which has not; hence the Krylov
+    eigenvector of :func:`_split_space` is nonzero there.
     """
-    m = len(matrices)
-    spaces = [_Subspace([[int(i == j) for j in range(m)] for i in range(m)], list(range(m)))]
-    for op in matrices:
+    m = len(matrices[0])
+    identity = [[int(i == j) for j in range(m)] for i in range(m)]
+    if [list(row) for row in matrices[0]] != identity:
+        raise TableConsistencyError("class matrix K_0 is not the identity")
+    spaces = [_Subspace(identity, list(range(m)))]
+    for op in matrices[1:]:
         if all(s.dim == 1 for s in spaces):
             break
         spaces = [

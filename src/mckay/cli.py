@@ -50,8 +50,53 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_key(key) -> str:
+    """A dict key as the json module writes it: str, float, bool, None and
+    int keys become strings, any other key is a TypeError."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json_text(value, indent: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, nested at ``indent``
+    (a newline and the spaces of the enclosing level).
+
+    One recursive pass in place of the pure-Python encoder that ``indent``
+    forces on ``json.dumps``: strings through the C string escaper, ints by
+    ``int.__repr__`` as ``json`` writes them, other scalars through
+    ``json.dumps``; lists and tuples are arrays, and dict items are sorted
+    by key as ``json.dumps`` sorts them.  Each container is joined from its
+    items' text, so no list of small pieces outlives it.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [
+            f"{_encode_str(k if type(k) is str else _json_key(k))}: {_json_text(v, inner)}"
+            for k, v in sorted(value.items())
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return f"[{inner}{(',' + inner).join([_json_text(v, inner) for v in value])}{indent}]"
+    return json.dumps(value)
+
+
 def _dump(payload: dict, out_path: str | None) -> None:
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out_path)
+    _emit(_json_text(payload, "\n") + "\n", out_path)
 
 
 def _load_group_file(path: str) -> FiniteGroup:

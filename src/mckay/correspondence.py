@@ -142,8 +142,7 @@ def branch_sqrt(table: CharacterTable, class_index: int) -> CycNum:
     """
     if class_index == 0:
         raise ValueError("branch square root is defined on nonidentity classes only")
-    r, k = table.group.rotation_data[table.conj.representatives[class_index]]
-    return zeta(2 * r, k) - zeta(2 * r, 2 * r - k)
+    return _branch_sqrts(table)[class_index]
 
 
 def _per_table(build):
@@ -160,6 +159,18 @@ def _per_table(build):
             return value
 
     return cached
+
+
+@_per_table
+def _branch_sqrts(table: CharacterTable) -> tuple[CycNum | None, ...]:
+    """s(g_c) for every class c, None at the identity class (see
+    :func:`branch_sqrt`), built once per table."""
+    rotation = table.group.rotation_data
+    roots = [None]
+    for rep in table.conj.representatives[1:]:
+        r, k = rotation[rep]
+        roots.append(zeta(2 * r, k) - zeta(2 * r, 2 * r - k))
+    return tuple(roots)
 
 
 @_per_table

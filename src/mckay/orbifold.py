@@ -6,7 +6,8 @@ products between sectors are weighted by the top Chern class of the virtual
 obstruction bundle, which on an isolated fixed point is 1 exactly when the
 bundle has rank zero, so only the inverse pairs e_g * e_g^-1 are evaluated.
 The ring is built before invariants are taken, and the invariant subalgebra
-(basis of class sums) is derived from it by actually multiplying class sums.
+(basis of class sums) is derived from it by summing its sector products
+class by class.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import GradedAlgebra
-from .cyclo import rational
 from .groups import FiniteGroup
 
 __all__ = [
@@ -105,8 +105,18 @@ def invariant_subalgebra(algebra: GradedAlgebra, group: FiniteGroup) -> GradedAl
     The degree-1 basis of ``algebra`` must consist of the sectors of the
     nonidentity elements of ``group`` (as produced by
     :func:`local_orbifold_algebra`); conjugation permutes those labels, so
-    the class sums span the invariants.  Their products are computed inside
+    the class sums span the invariants.  Their products are read from
     ``algebra``, not assumed.
+
+    By bilinearity the product of the class sums f_c and f_d is the sum of
+    the structure entries e_g e_h over g in C_c and h in C_d.  Every
+    structure entry on a pair of sectors belongs to exactly one pair of
+    classes, so one pass over the entries, adding each into its (c, d),
+    forms every product with the same terms as multiplying the sums term
+    by term, in another order; exact addition does not depend on the
+    order.  Pairs with no entry multiply to zero.  A product with a nonzero
+    term off the point class raises AlgebraError
+    (:meth:`GradedAlgebra.point_coefficient`).
     """
     conj = group.conjugacy
     sector_index = {}
@@ -117,19 +127,25 @@ def invariant_subalgebra(algebra: GradedAlgebra, group: FiniteGroup) -> GradedAl
         sector_index[int(label[1:])] = i
     if set(sector_index) != set(range(1, group.order)):
         raise OrbifoldError("algebra sectors do not match the group elements")
+    class_at = [None] * algebra.dim
+    for g, i in sector_index.items():
+        class_at[i] = conj.class_of[g]
     nclasses = len(conj.classes)
     labels = ["1"] + [class_label(c) for c in range(1, nclasses)] + ["[pt]"]
     degrees = [0] + [1] * (nclasses - 1) + [2]
-    one = rational(1)
-    sums = {
-        c: {sector_index[g]: one for g in conj.classes[c]}
-        for c in range(1, nclasses)
-    }
+    sums: dict = {}
+    for (i, j), terms in algebra.structure.items():
+        c, d = class_at[i], class_at[j]
+        if c is None or d is None or not terms:
+            continue
+        acc = sums.setdefault((c, d), {})
+        for k, coeff in terms:
+            prev = acc.get(k)
+            acc[k] = coeff if prev is None else prev + coeff
     products = {}
-    for c in range(1, nclasses):
-        for d in range(1, nclasses):
-            vec = algebra.mult_vec(sums[c], sums[d])
-            coeff = algebra.point_coefficient(vec)
-            if not coeff.is_zero():
-                products[(class_label(c), class_label(d))] = [("[pt]", coeff)]
+    for c, d in sorted(sums):
+        vec = {k: v for k, v in sums[(c, d)].items() if not v.is_zero()}
+        coeff = algebra.point_coefficient(vec)
+        if not coeff.is_zero():
+            products[(class_label(c), class_label(d))] = [("[pt]", coeff)]
     return GradedAlgebra.build(labels, degrees, products)

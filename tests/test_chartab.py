@@ -34,6 +34,7 @@ from mckay.groups import (
     ADE_SUITE,
     alternating_group,
     build_binary_polyhedral,
+    cyclic_group,
     group_from_cayley,
     symmetric_group,
 )
@@ -118,6 +119,9 @@ RELABELED_GROUPS = {
     ),
     "S4xS4": lambda: _relabeled_group(
         _direct_product_table(symmetric_group(4).cayley, symmetric_group(4).cayley), 7
+    ),
+    "S5xZ4": lambda: _relabeled_group(
+        _direct_product_table(symmetric_group(5).cayley, cyclic_group(4).cayley), 8
     ),
 }
 
@@ -345,11 +349,28 @@ def _split_space_oracle(space, op, p):
     return out
 
 
+def _counting_nullspace(monkeypatch):
+    """Patch chartab._nullspace to count its calls in the returned list."""
+    calls = []
+
+    def counted(matrix, p):
+        calls.append(len(matrix))
+        return _nullspace(matrix, p)
+
+    monkeypatch.setattr(chartab, "_nullspace", counted)
+    return calls
+
+
+# groups whose splits meet multiple roots, so the nullspace path is compared too
+MULTIPLE_ROOT_GROUPS = ("S4xS4", "S5xZ4")
+
+
 @pytest.mark.parametrize("name", ORACLE_GROUPS)
 def test_split_space_matches_the_lambda_scan(monkeypatch, name):
     """Every split made while building the table gives the subspaces of the
     scan over all of F_p, in the same order."""
     split = chartab._split_space
+    nullspaces = _counting_nullspace(monkeypatch)
     calls = []
 
     def checked(space, op, p):
@@ -362,6 +383,66 @@ def test_split_space_matches_the_lambda_scan(monkeypatch, name):
     monkeypatch.setattr(chartab, "_split_space", checked)
     character_table(_oracle_group(name))
     assert calls
+    if name in MULTIPLE_ROOT_GROUPS:
+        assert nullspaces
+
+
+def test_krylov_fallback_splits_through_the_nullspace(monkeypatch):
+    """Negative control: with A = diag(1, 2), e_0 is an eigenvector, so at
+    lambda = 2 the Krylov vector (A - 1) e_0 is zero and the line comes from
+    the nullspace of A - 2I."""
+    nullspaces = _counting_nullspace(monkeypatch)
+    space = _Subspace([[1, 0], [0, 1]], [0, 1])
+    op = [[1, 0], [0, 2]]
+    out = chartab._split_space(space, op, 7)
+    assert [(s.basis, s.pivots) for s in out] == [([[1, 0]], [0]), ([[0, 1]], [1])]
+    assert nullspaces == [2]
+    expected = _split_space_oracle(space, op, 7)
+    assert [(s.basis, s.pivots) for s in out] == [(s.basis, s.pivots) for s in expected]
+
+
+def test_first_split_of_a20_needs_no_nullspace(monkeypatch):
+    """The first split acts on the whole space from the algebra's 1, a
+    cyclic vector; A20's class matrices have only simple roots there, so
+    every eigenline is a Krylov vector."""
+    split = chartab._split_space
+    nullspaces = _counting_nullspace(monkeypatch)
+    first = []
+
+    def recorded(space, op, p):
+        before = len(nullspaces)
+        out = split(space, op, p)
+        first.append((space.dim, len(out), len(nullspaces) - before))
+        return out
+
+    monkeypatch.setattr(chartab, "_split_space", recorded)
+    character_table(build_binary_polyhedral("A20"))
+    assert first[0] == (21, 21, 0)
+
+
+def test_k0_off_the_identity_is_an_internal_error(monkeypatch, capsys):
+    """K_0, multiplication by the identity's class sum, is checked to be the
+    identity matrix; a tampered one exits 3."""
+    identity = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+    scaled = [[2 * x for x in row] for row in identity]
+    with pytest.raises(TableConsistencyError, match="K_0 is not the identity"):
+        _common_eigenvectors([scaled, identity, identity], 7)
+    group = build_binary_polyhedral("A3")
+    tensor = [[list(r) for r in plane] for plane in class_multiplication_tensor(group)]
+    tensor[0][1][0] = 1  # K_0[0][1]
+    monkeypatch.setattr(chartab, "class_multiplication_tensor", lambda _: tensor)
+    with pytest.raises(TableConsistencyError, match="K_0 is not the identity"):
+        character_table(group)
+
+    def tampered_bundle(_):
+        return Bundle(build_binary_polyhedral("A3"))
+
+    monkeypatch.setattr(cli, "ade_bundle", tampered_bundle)
+    code = cli.main(["chartable", "--type", "A3"])
+    captured = capsys.readouterr()
+    assert code == cli.INTERNAL_ERROR == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: TableConsistencyError:")
 
 
 def test_unsplittable_class_matrices_raise():

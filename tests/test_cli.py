@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mckay import catalog, chartab, cli, correspondence, linalg, orbifold, resolution
 from mckay.catalog import EXTRA_GROUPS, ade_bundle
@@ -248,6 +249,61 @@ def test_corpus_command(capsys):
     code, out2, _ = run(capsys, "corpus", "--jobs", "2")
     assert code == 0
     assert strip_volatile(json.loads(out2)) == strip_volatile(payload)
+    # the report writer gives the bytes of json.dumps(sort_keys=True, indent=2)
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _written(value):
+    return cli._json_text(value, "\n")
+
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_report_writer_matches_json_dumps(value):
+    assert _written(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        (1, 2, -30),
+        (0.5, 1.5, float("inf")),
+        (True,),
+        (False,),
+        (None,),
+        (10**30, 7),
+    ],
+)
+def test_report_writer_non_str_keys_match_json_dumps(keys):
+    value = {"outer": {k: [k, "\u00e9\n"] for k in keys}, "é": {}}
+    assert _written(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "bad", [{(1, 2): 0}, {"a": {frozenset(): 1}}, {"a": object()}, [{1, 2}], {None: 1, True: 2}]
+)
+def test_report_writer_rejects_what_json_dumps_rejects(bad):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(bad, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as got:
+        _written(bad)
+    assert str(got.value) == str(expected.value)
 
 
 def test_byte_determinism_same_seed(capsys):

@@ -77,6 +77,20 @@ def test_branch_coherence(label):
         assert s * s_inv == table.natural_character[c] - 2
 
 
+@pytest.mark.parametrize("label", ADE_SUITE + SCALING)
+def test_branch_sqrt_is_the_rotation_formula_on_every_class(label):
+    # s(g) = zeta_2r^k - zeta_2r^-k from g's rotation data (r, k), in stored form
+    table = ade_bundle(label).table
+    rotation = table.group.rotation_data
+    for c in range(1, table.size):
+        r, k = rotation[table.conj.representatives[c]]
+        s = branch_sqrt(table, c)
+        expected = zeta(2 * r, k) - zeta(2 * r, 2 * r - k)
+        assert (s.conductor, s.num, s.den) == (expected.conductor, expected.num, expected.den)
+    # one tuple per table, shared by every read
+    assert correspondence._branch_sqrts(table) is correspondence._branch_sqrts(table)
+
+
 # -- the matrix --------------------------------------------------------------------
 
 

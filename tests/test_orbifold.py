@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mckay import orbifold
-from mckay.algebra import GradedAlgebra
+from mckay.algebra import AlgebraError, GradedAlgebra
 from mckay.catalog import ade_bundle
 from mckay.cyclo import rational
 from mckay.groups import ADE_SUITE, build_binary_polyhedral
@@ -13,6 +13,7 @@ from mckay.linalg import determinant
 from mckay.orbifold import (
     OrbifoldError,
     age,
+    class_label,
     invariant_subalgebra,
     local_orbifold_algebra,
     obstruction_class,
@@ -223,3 +224,64 @@ def test_invariant_algebra_axioms(label):
     assert inv.check_commutative() is None
     assert inv.check_graded() is None
     assert inv.check_unital() is None
+
+
+def _invariant_oracle(algebra, group):
+    """The invariant ring by multiplying every pair of class sums inside
+    ``algebra`` with ``mult_vec``, as before the one pass over the entries."""
+    conj = group.conjugacy
+    sector_index = {int(algebra.labels[i][1:]): i for i in algebra.degree_one}
+    nclasses = len(conj.classes)
+    labels = ["1"] + [class_label(c) for c in range(1, nclasses)] + ["[pt]"]
+    degrees = [0] + [1] * (nclasses - 1) + [2]
+    one = rational(1)
+    sums = {c: {sector_index[g]: one for g in conj.classes[c]} for c in range(1, nclasses)}
+    products = {}
+    for c in range(1, nclasses):
+        for d in range(1, nclasses):
+            coeff = algebra.point_coefficient(algebra.mult_vec(sums[c], sums[d]))
+            if not coeff.is_zero():
+                products[(class_label(c), class_label(d))] = [("[pt]", coeff)]
+    return GradedAlgebra.build(labels, degrees, products)
+
+
+def _stored_structure(alg):
+    return [
+        (ij, tuple((k, c.conductor, c.num, c.den) for k, c in terms))
+        for ij, terms in alg.structure.items()
+    ]
+
+
+@pytest.mark.parametrize("label", ADE_SUITE + ("A15", "D16", "A20", "D20", "A30", "D30"))
+def test_invariant_ring_matches_the_class_sum_products(label):
+    group = ade_bundle(label).group
+    algebra = local_orbifold_algebra(group)
+    inv = invariant_subalgebra(algebra, group)
+    expected = _invariant_oracle(algebra, group)
+    assert (inv.labels, inv.degrees, inv.point) == (
+        expected.labels,
+        expected.degrees,
+        expected.point,
+    )
+    # same keys in the same insertion order, and the same stored coefficients
+    assert _stored_structure(inv) == _stored_structure(expected)
+    assert inv.structure_json() == expected.structure_json()
+
+
+@pytest.mark.parametrize("label", ("A3", "D4", "E6"))
+def test_sector_product_off_the_point_line_is_rejected(label):
+    """Negative control: one sector product moved onto another sector makes
+    its class-sum product leave the point line, with the oracle's error."""
+    group = build_binary_polyhedral(label)
+    algebra = local_orbifold_algebra(group)
+    g = 1
+    h = group.inverse[g]
+    other = next(x for x in range(1, group.order) if x not in (g, h))
+    tampered = algebra.replaced_product(
+        sector_label(g), sector_label(h), [(sector_label(other), 1)]
+    )
+    with pytest.raises(AlgebraError) as expected:
+        _invariant_oracle(tampered, group)
+    with pytest.raises(AlgebraError) as got:
+        invariant_subalgebra(tampered, group)
+    assert str(got.value) == str(expected.value) == "vector is not a multiple of the point class"
