@@ -145,23 +145,24 @@ def branch_sqrt(table: CharacterTable, class_index: int) -> CycNum:
     return _branch_sqrts(table)[class_index]
 
 
-def _per_table(build):
-    """Memoise ``build(table)`` once per table; weak keys so dropped tables
-    are freed."""
+def _once_per_object(build):
+    """Memoise ``build(key)`` once per key object.  The keys (tables, maps)
+    are ``eq=False`` dataclasses, so they hash and compare by identity; weak
+    keys free an entry with its object."""
     cache: WeakKeyDictionary = WeakKeyDictionary()
 
     @wraps(build)
-    def cached(table: CharacterTable):
+    def cached(key):
         try:
-            return cache[table]
+            return cache[key]
         except KeyError:
-            value = cache[table] = build(table)
+            value = cache[key] = build(key)
             return value
 
     return cached
 
 
-@_per_table
+@_once_per_object
 def _branch_sqrts(table: CharacterTable) -> tuple[CycNum | None, ...]:
     """s(g_c) for every class c, None at the identity class (see
     :func:`branch_sqrt`), built once per table."""
@@ -173,7 +174,7 @@ def _branch_sqrts(table: CharacterTable) -> tuple[CycNum | None, ...]:
     return tuple(roots)
 
 
-@_per_table
+@_once_per_object
 def _scaled_minor(table: CharacterTable) -> tuple[tuple[CycNum, ...], ...]:
     """diag(s)·Y^T at conductor 2*exponent, for Y the character table without
     its trivial row and identity column: entry [c-1][r-1] is s(g_c)·chi_r(g_c).
@@ -236,7 +237,7 @@ def phi_local(group: FiniteGroup) -> CorrespondenceMap:
     return Bundle(group).cmap
 
 
-@_per_table
+@_once_per_object
 def char_minor_determinant(table: CharacterTable) -> CycNum:
     """Exact determinant of the character table with the trivial row and
     identity column removed, computed once per table.
@@ -248,10 +249,9 @@ def char_minor_determinant(table: CharacterTable) -> CycNum:
     return rational(1) if not minor else linalg.determinant(minor)
 
 
-@_per_table
 def _scaled_minor_determinant(table: CharacterTable) -> CycNum | None:
     """det diag(s)·Y^T = prod_c s(g_c) · det Y, lifted to conductor
-    2*exponent, computed once per table; None when det Y = 0."""
+    2*exponent; None when det Y = 0."""
     det = char_minor_determinant(table)
     if det.is_zero():
         return None
@@ -367,11 +367,11 @@ def _check_additive(cmap: CorrespondenceMap, is_scaled_minor: bool) -> CheckResu
     s(g) = zeta_2r^k - zeta_2r^-k = 2i·sin(pi k / r) with 0 < k <= r/2, so
     s(g) != 0, and det Y != 0 gives det M != 0; an invertible M has rank
     m - 1.  det Y comes from ``char_minor_determinant``, one elimination per
-    table shared with ``minor-determinant``, and the product, lifted to
-    conductor 2*exponent, is formed once per table by
-    ``_scaled_minor_determinant``.  An elimination of M would stay at that
-    conductor, where every entry lives, and a value has one stored form per
-    conductor, so the reported determinant is the one elimination returns.
+    table shared with ``minor-determinant``, and ``_scaled_minor_determinant``
+    forms the product, lifted to conductor 2*exponent.  An elimination of M
+    would stay at that conductor, where every entry lives, and a value has
+    one stored form per conductor, so the reported determinant is the one
+    elimination returns.
 
     On a mismatch or det Y = 0, M itself is eliminated, so a failing report
     carries M's own determinant and rank as its witness.
@@ -504,50 +504,23 @@ def _float_sums(mc, support, conj) -> tuple[tuple, tuple]:
     return tuple(transported), tuple(class_sums)
 
 
-@_per_table
-def _table_float_sums(table: CharacterTable) -> tuple[tuple, tuple]:
-    """``_float_sums`` for M = ``_scaled_minor(table)`` and G_orb the
-    class-size monomial matrix, computed once per table.  That G_orb has
-    one nonzero entry per row a, the size of class a at the class of its
-    inverses, whose complex value is complex(size); so its support, in
-    (a, b) order, is read off the table."""
-    mc = [[v.complex_value() for v in row] for row in _scaled_minor(table)]
-    conj = table.conj
-    support = [
-        (a, conj.class_inverse[a + 1] - 1, complex(conj.sizes[a + 1]))
-        for a in range(table.size - 1)
-    ]
-    return _float_sums(mc, support, conj)
-
-
-def _check_float(cmap: CorrespondenceMap, target_gram, source_gram, monomial: bool) -> CheckResult:
+def _check_float(cmap: CorrespondenceMap, target_gram, source_gram) -> CheckResult:
     """Re-evaluate the degree-one identity M^T G_orb M = |G| G_res at machine
     precision, twice: once through the target's Gram matrix G_orb, and once,
     over i <= j, as sum_c |C_c| M[c][i] M[c*][j] with c* the class of
     g_c^-1.  The second sum reads the table's class sizes and inverses and no
     structure constant; the two agree when G_orb is the class-size monomial
-    matrix.
-
-    ``monomial`` says that M is ``_scaled_minor(table)`` in stored form and
-    G_orb is exactly the class-size monomial matrix (the test
-    ``verify_correspondence`` makes before the certificate).  Then both sums
-    depend on the table alone and are read from the per-table memo
-    ``_table_float_sums``, built once in the same accumulation order, so each
-    further call compares them with |G| G_res in O(m^2) and ``max_error`` is
-    bit-identical.  Any other input forms both sums from M and G_orb here.
+    matrix.  Both sums are formed from the map's own M and G_orb.
     """
     n = len(cmap.matrix)
-    if monomial:
-        transported, class_sums = _table_float_sums(cmap.table)
-    else:
-        mc = [[v.complex_value() for v in row] for row in cmap.matrix]
-        support = [
-            (a, b, v.complex_value())
-            for a, row in enumerate(target_gram)
-            for b, v in enumerate(row)
-            if not v.is_zero()
-        ]
-        transported, class_sums = _float_sums(mc, support, cmap.table.conj)
+    mc = [[v.complex_value() for v in row] for row in cmap.matrix]
+    support = [
+        (a, b, v.complex_value())
+        for a, row in enumerate(target_gram)
+        for b, v in enumerate(row)
+        if not v.is_zero()
+    ]
+    transported, class_sums = _float_sums(mc, support, cmap.table.conj)
     sg = [[v.complex_value() for v in row] for row in source_gram]
     scale = cmap.scale
     max_err = 0.0
@@ -567,7 +540,6 @@ def _check_float(cmap: CorrespondenceMap, target_gram, source_gram, monomial: bo
     )
 
 
-@_per_table
 def _certified_pairing(table: CharacterTable) -> tuple[tuple[int, ...], ...] | None:
     """P[a-1][b-1] = S(chi_nat chi_a, chi_b) - 2|G| delta_ab over the
     nontrivial rows a, b, from the table's certificate; None unless
@@ -651,34 +623,13 @@ def verify_correspondence(cmap: CorrespondenceMap) -> VerificationReport:
     entry differs, M^T (G_orb M) is formed exactly and both checks compare
     it entry by entry, so a failing report carries the product's own values.
 
-    The same two preconditions on M and G_orb make the float layer a
-    function of the table: ``_check_float`` then reads both of its sums from
-    a per-table memo and compares them with |G| G_res in O(m^2), so a warm
-    re-verification of a map (a surface point whose type was seen before)
-    does no O(m^3) work; see ``_check_float``.
-
     Failures are reported with witnesses, never raised, so tampered inputs
-    produce a failing report that pinpoints the first broken identity.
+    produce a failing report that pinpoints the first broken identity.  The
+    checks are decided once per map object (see ``_checks``); each call
+    builds its own report and times itself.
     """
     t0 = time.perf_counter()
-    _, target_gram = cmap.target.gram()
-    _, source_gram = cmap.source.gram()
-    is_scaled_minor = _stored_form(cmap.matrix) == _stored_form(_scaled_minor(cmap.table))
-    monomial = is_scaled_minor and _is_class_size_monomial(cmap.table, target_gram)
-    exact = None
-    if not (monomial and _certified_identity(cmap, source_gram)):
-        matrix = [list(row) for row in cmap.matrix]
-        exact = (
-            linalg.matmul(linalg.transpose(matrix), linalg.matmul(target_gram, matrix)),
-            [[v * cmap.scale for v in row] for row in source_gram],
-        )
-    checks = (
-        _check_multiplicativity(cmap, exact),
-        _check_additive(cmap, is_scaled_minor),
-        _check_isometry(cmap, exact),
-        _check_equivariance(cmap),
-        _check_float(cmap, target_gram, source_gram, monomial),
-    )
+    checks = _checks(cmap)
     elapsed = time.perf_counter() - t0
     group = cmap.group
     return VerificationReport(
@@ -697,6 +648,42 @@ def verify_correspondence(cmap: CorrespondenceMap) -> VerificationReport:
             "block_size": len(cmap.matrix),
         },
         timings={"verify_s": elapsed},
+    )
+
+
+@_once_per_object
+def _checks(cmap: CorrespondenceMap) -> tuple[CheckResult, ...]:
+    """The five checks of ``verify_correspondence``, decided once per map.
+
+    The verdict is a function of the map object alone.  Every input the
+    checks read is immutable: the map and its table (with the certificate
+    and the conjugacy structure) are frozen dataclasses of tuples, the
+    group's fields are tuples set at construction (its cached
+    ``rotation_data`` and ``generating_set`` are derived from them), and
+    ``GradedAlgebra.structure`` is made by ``build`` or ``replaced_product``
+    and never mutated afterwards.  The memo is keyed by identity
+    (``CorrespondenceMap`` is ``eq=False``), so a ``dataclasses.replace``
+    copy, the only way to make a different map from a built one, is a new
+    key and is checked from scratch.  So a surface whose points share one
+    type's map decides it once, and each point reports its checks.
+    """
+    _, target_gram = cmap.target.gram()
+    _, source_gram = cmap.source.gram()
+    is_scaled_minor = _stored_form(cmap.matrix) == _stored_form(_scaled_minor(cmap.table))
+    monomial = is_scaled_minor and _is_class_size_monomial(cmap.table, target_gram)
+    exact = None
+    if not (monomial and _certified_identity(cmap, source_gram)):
+        matrix = [list(row) for row in cmap.matrix]
+        exact = (
+            linalg.matmul(linalg.transpose(matrix), linalg.matmul(target_gram, matrix)),
+            [[v * cmap.scale for v in row] for row in source_gram],
+        )
+    return (
+        _check_multiplicativity(cmap, exact),
+        _check_additive(cmap, is_scaled_minor),
+        _check_isometry(cmap, exact),
+        _check_equivariance(cmap),
+        _check_float(cmap, target_gram, source_gram),
     )
 
 

@@ -236,7 +236,8 @@ class CycNum:
     __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor: int, coeffs):
-        if not isinstance(conductor, int) or conductor < 1:
+        # type, not isinstance: True is an int to isinstance
+        if type(conductor) is not int or conductor < 1:
             raise ValueError("conductor must be a positive integer")
         # exponents are read modulo N: Phi_N divides x^N - 1
         items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)

@@ -424,13 +424,9 @@ def verify_assembly(assembly: GlobalAssembly) -> VerificationReport:
     )
     checks.append(CheckResult("unit-grading", grading_ok))
 
-    # points of one type share one cached map: verify each distinct map once
-    verified: dict[int, VerificationReport] = {}
+    # points of one type share one cached map, whose checks are decided once
     for blk in assembly.blocks:
-        sub = verified.get(id(blk.cmap))
-        if sub is None:
-            sub = verified[id(blk.cmap)] = verify_correspondence(blk.cmap)
-        for c in sub.checks:
+        for c in verify_correspondence(blk.cmap).checks:
             checks.append(
                 CheckResult(
                     f"point[{blk.point.id}]:{c.name}",

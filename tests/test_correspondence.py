@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from collections import Counter
 import sys
 
 import pytest
@@ -359,11 +360,12 @@ def test_singular_matrix_fails_additive_rank(matmul_calls):
     assert failing.detail == {"determinant": rational(0).to_json(), "rank": 1}
 
 
-def d7_tamper():
+def d7_tamper(cmap=None):
     """D7 with the matrix of a^-1 replaced by that of a^3, for a its first
     element of order 10: the Cayley table and the table of characters are
-    untouched, so only the per-element branch data sees the change."""
-    cmap = ade_bundle("D7").cmap
+    untouched, so only the per-element branch data sees the change.  A copy
+    of ``cmap``, D7's shared map by default."""
+    cmap = cmap or ade_bundle("D7").cmap
     group = cmap.group
     a = next(x for x in range(group.order) if group.element_order[x] == 10)
     rep = list(group.matrix_rep)
@@ -710,7 +712,7 @@ def test_gram_matches_the_zero_fold_on_duplicate_point_terms():
 @pytest.mark.parametrize("label", ("D20", "E8", "A15"))
 def test_passing_verification_does_no_cyclotomic_arithmetic(monkeypatch, label):
     cmap = ade_bundle(label).cmap
-    assert verify_correspondence(cmap).passed  # warm-up: per-table memos
+    assert verify_correspondence(cmap).passed  # warm-up: the map's checks are memoised
     calls = []
     names = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "lift")
     for cls, name in [(CycNum, n) for n in names] + [(GradedAlgebra, "mult_vec")]:
@@ -723,6 +725,11 @@ def test_passing_verification_does_no_cyclotomic_arithmetic(monkeypatch, label):
         monkeypatch.setattr(cls, name, counted)
     assert verify_correspondence(cmap).passed
     assert calls == []
+    # a copy is checked afresh: beyond the per-table data its checks form only
+    # s(g_c) s(g_c*) - (chi_nat(c) - 2) per class and det M's factors
+    assert verify_correspondence(dataclasses.replace(cmap)).passed
+    m = cmap.table.size
+    assert Counter(n for n in calls if n != "lift") == {"__mul__": 2 * (m - 1), "__sub__": m - 1}
 
 
 # -- the matrix products, the sparse float transport, the factored determinant ------
@@ -788,7 +795,7 @@ def float_oracle(cmap) -> float:
     return max_err
 
 
-@pytest.mark.parametrize("label", ADE_SUITE + SCALING)
+@pytest.mark.parametrize("label", ADE_SUITE + SCALING + ("A40", "D40"))
 def test_float_transport_matches_the_dense_loop(label):
     cmap = ade_bundle(label).cmap
     detail = verify_correspondence(cmap).check("float-sanity").detail
@@ -797,44 +804,79 @@ def test_float_transport_matches_the_dense_loop(label):
 
 @pytest.fixture
 def float_sums_calls(monkeypatch) -> list:
-    """Names of the float-layer builders called by the test, in order:
-    ``_table_float_sums`` (the per-table memo) and ``_float_sums`` (the sums
-    themselves, formed on a memo miss or for any other input)."""
+    """One entry per ``_float_sums`` call the test makes."""
     calls = []
-    for name in ("_table_float_sums", "_float_sums"):
-        original = getattr(correspondence, name)
+    original = correspondence._float_sums
 
-        def counted(*args, _fn=original, _name=name):
-            calls.append(_name)
-            return _fn(*args)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-        monkeypatch.setattr(correspondence, name, counted)
+    monkeypatch.setattr(correspondence, "_float_sums", counted)
     return calls
 
 
 @pytest.mark.parametrize("label", ADE_SUITE + SCALING + ("A40", "D40"))
 def test_float_memo_matches_the_dense_loop(float_sums_calls, label):
+    """float-sanity is decided with the other checks once per map: a copy of
+    the map forms the float sums once, a repeat forms none, and both report
+    the max_error the original map reports (the dense loop's, by
+    ``test_float_transport_matches_the_dense_loop``)."""
     cmap = ade_bundle(label).cmap
-    _, target_gram = cmap.target.gram()
-    _, source_gram = cmap.source.gram()
-    assert correspondence._is_class_size_monomial(cmap.table, target_gram)
-    memo = correspondence._check_float(cmap, target_gram, source_gram, True)
+    expected = verify_correspondence(cmap).check("float-sanity")
+    copy = dataclasses.replace(cmap)
     built = len(float_sums_calls)
-    again = correspondence._check_float(cmap, target_gram, source_gram, True)
-    assert float_sums_calls[built:] == ["_table_float_sums"]
-    loop = correspondence._check_float(cmap, target_gram, source_gram, False)
-    assert float_sums_calls[built + 1:] == ["_float_sums"]
-    expected = {"max_error": float_oracle(cmap), "tolerance": FLOAT_TOLERANCE}
-    assert memo.detail == again.detail == loop.detail == expected
+    first = verify_correspondence(copy).check("float-sanity")
+    assert len(float_sums_calls) == built + 1
+    again = verify_correspondence(copy).check("float-sanity")
+    assert len(float_sums_calls) == built + 1
+    assert first == again == expected
 
 
-def test_warm_verification_reads_the_float_memo(float_sums_calls):
-    cmap = Bundle(build_binary_polyhedral("E7")).cmap
+@pytest.fixture
+def verify_work(monkeypatch) -> dict:
+    """Calls, by name, of the builders behind a verification's checks."""
+    calls = dict.fromkeys(("gram", "_float_sums", "matmul", "determinant_and_rank"), 0)
+    for owner, name in (
+        (GradedAlgebra, "gram"),
+        (correspondence, "_float_sums"),
+        (linalg, "matmul"),
+        (linalg, "determinant_and_rank"),
+    ):
+        original = getattr(owner, name)
+
+        def counted(*args, _fn=original, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _doubled_corner(cmap):
+    rows = [list(row) for row in cmap.matrix]
+    rows[0][0] = rows[0][0] * 2
+    return dataclasses.replace(cmap, matrix=tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize(
+    "tamper, products",
+    [(dataclasses.replace, (0, 0)), (_doubled_corner, (2, 1))],
+    ids=["untampered", "doubled-corner"],
+)
+def test_warm_verification_reads_the_verdict(verify_work, tamper, products):
+    """A repeat of a verification forms nothing; the first forms both Gram
+    matrices and the float sums, and a tampered map the exact product and
+    M's elimination."""
+    cmap = tamper(Bundle(build_binary_polyhedral("E7")).cmap)
     first = verify_correspondence(cmap)
-    assert float_sums_calls == ["_table_float_sums", "_float_sums"]
+    matmul, eliminations = products
+    first_work = {"gram": 2, "_float_sums": 1, "matmul": matmul, "determinant_and_rank": eliminations}
+    assert verify_work == first_work
     second = verify_correspondence(cmap)
-    assert float_sums_calls[2:] == ["_table_float_sums"]
+    assert verify_work == first_work
     assert [c.to_dict() for c in first.checks] == [c.to_dict() for c in second.checks]
+    assert first.info == second.info
 
 
 def test_non_monomial_target_gram_takes_the_float_loop(float_sums_calls):
@@ -847,9 +889,91 @@ def test_non_monomial_target_gram_takes_the_float_loop(float_sums_calls):
     _, target_gram = tampered.target.gram()
     assert not correspondence._is_class_size_monomial(tampered.table, target_gram)
     check = verify_correspondence(tampered).check("float-sanity")
-    assert float_sums_calls == ["_float_sums"]
+    assert len(float_sums_calls) == 1
     assert check.detail == {"max_error": 9.999999999999998, "tolerance": FLOAT_TOLERANCE}
     assert check.detail["max_error"] == float_oracle(tampered)
+
+
+# -- a verdict is never read for another map ----------------------------------------
+
+
+def _d5_target(cmap):
+    return dataclasses.replace(
+        cmap, target=cmap.target.replaced_product("f1", "f1", [("[pt]", 5)])
+    )
+
+
+def _d5_source(cmap):
+    return dataclasses.replace(
+        cmap, source=cmap.source.replaced_product("E1", "E1", [("[pt]", -3)])
+    )
+
+
+def _two_trivial(cmap):
+    table = dataclasses.replace(cmap.table, natural_character=(rational(2),) * cmap.table.size)
+    return dataclasses.replace(cmap, table=table)
+
+
+def _pt(value):
+    return {"[pt]": {"conductor": 24, "coeffs": {"0": str(value)}}}
+
+
+def _degree_one_witnesses(pulled_back, scaled_source, max_error):
+    """The failing checks of a D5 copy whose E1·E1 pairing is off."""
+    exact = {"conductor": 1, "coeffs": {"0": str(scaled_source)}}
+    return {
+        "multiplicativity": {
+            "left": "E1",
+            "right": "E1",
+            "image_product": _pt(pulled_back),
+            "scaled_source_product": exact,
+        },
+        "isometry": {
+            "left": "E1",
+            "right": "E1",
+            "pulled_back": _pt(pulled_back)["[pt]"],
+            "scaled_source": exact,
+        },
+        "float-sanity": {"max_error": max_error},
+    }
+
+
+STALE_TAMPERS = {
+    "doubled-corner": ("D5", _doubled_corner, _degree_one_witnesses(-30, -24, 6.0)),
+    "target-f1f1": ("D5", _d5_target, _degree_one_witnesses(-27, -24, 3.0000000000000013)),
+    "source-E1E1": ("D5", _d5_source, _degree_one_witnesses(-24, -36, 12.0)),
+    "two-trivial": ("D5", _two_trivial, {}),
+    "d7-group": (
+        "D7",
+        d7_tamper,
+        {
+            "equivariance": {
+                "conjugator": 2,
+                "element": 1,
+                "conjugated": 19,
+                "element_key": "(1, (10, 1))",
+                "conjugated_key": "(1, (10, 3))",
+            }
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", STALE_TAMPERS)
+def test_tampered_copy_is_checked_afresh(name):
+    """A copy with one field tampered gets the report it gets when it is
+    verified before its original, whose verdict is memoised: the verdict is
+    never shared between map objects."""
+    label, tamper, witnesses = STALE_TAMPERS[name]
+    fresh = Bundle(build_binary_polyhedral(label)).cmap
+    first = verify_correspondence(tamper(fresh))
+    assert verify_correspondence(fresh).passed
+    cmap = ade_bundle(label).cmap
+    assert verify_correspondence(cmap).passed
+    after = verify_correspondence(tamper(cmap))
+    assert [c.to_dict() for c in after.checks] == [c.to_dict() for c in first.checks]
+    assert {c.name: c.witness for c in after.checks if not c.passed} == witnesses
+    assert verify_correspondence(cmap).passed
 
 
 @pytest.mark.parametrize("label", ADE_SUITE + SCALING)

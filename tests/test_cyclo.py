@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic: canonical forms, field axioms, square roots."""
 
+import json
 import time
 from fractions import Fraction
 from math import gcd
@@ -168,6 +169,34 @@ def test_json_roundtrip():
     assert blob["conductor"] == 12
     assert CycNum.from_json(blob) == x
     assert CycNum.from_json(rational(Fraction(-3, 7)).to_json()) == Fraction(-3, 7)
+
+
+@given(
+    st.integers(1, 60),
+    st.dictionaries(st.integers(-100, 100), st.fractions(max_denominator=50), max_size=6),
+)
+def test_constructed_numbers_round_trip_through_json(conductor, coeffs):
+    x = CycNum(conductor, coeffs)
+    blob = json.loads(json.dumps(x.to_json()))
+    assert type(blob["conductor"]) is int
+    y = CycNum.from_json(blob)
+    assert (y.conductor, y.num, y.den) == (x.conductor, x.num, x.den)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CycNum(True, [3]),
+        lambda: CycNum(False, [3]),
+        lambda: zeta(True),
+        lambda: zeta(True, 0),
+    ],
+    ids=["CycNum(True)", "CycNum(False)", "zeta(True)", "zeta(True, 0)"],
+)
+def test_boolean_conductor_is_rejected(make):
+    # from_json rejects "conductor": true, so a constructed number may not carry it
+    with pytest.raises(ValueError, match="conductor must be a positive integer"):
+        make()
 
 
 # -- property tests ---------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Global surface models: parsing, assembly, blockwise verification."""
 
 import dataclasses
+import functools
 import itertools
 
 import pytest
 
-from mckay import surface
+from mckay import correspondence, surface
 from mckay.catalog import ade_bundle
-from mckay.correspondence import verify_correspondence
+from mckay.correspondence import Bundle, verify_correspondence
 from mckay.cyclo import rational
+from mckay.groups import build_binary_polyhedral
 from mckay.surface import (
     SurfaceConfigError,
     assemble_global,
@@ -231,16 +233,21 @@ def _point_checks(report, pid):
 
 
 def test_each_distinct_point_map_verified_once(monkeypatch):
-    seen = []
+    # fresh bundles, so no map of this surface was verified by an earlier test
+    fresh = functools.cache(lambda label: Bundle(build_binary_polyhedral(label)))
+    monkeypatch.setattr(surface, "ade_bundle", fresh)
+    built = []
+    original = correspondence._check_equivariance
 
     def counted(cmap):
-        seen.append(id(cmap))
-        return verify_correspondence(cmap)
+        built.append(cmap)
+        return original(cmap)
 
-    monkeypatch.setattr(surface, "verify_correspondence", counted)
+    # one equivariance check per build of a map's memoised checks
+    monkeypatch.setattr(correspondence, "_check_equivariance", counted)
     report = verify_global(parse_surface(REPEATED))
     assert report.passed
-    assert len(seen) == len(set(seen)) == 3
+    assert len(built) == len(set(map(id, built))) == 3
     for point in REPEATED["points"]:
         expected = verify_correspondence(ade_bundle(point["type"]).cmap)
         assert _point_checks(report, point["id"]) == [c.to_dict() for c in expected.checks]
