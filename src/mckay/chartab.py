@@ -25,8 +25,10 @@ silently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 from math import isqrt
 from operator import mul
+from weakref import WeakKeyDictionary
 
 from .cyclo import CycNum, _galois_steps, prime_factors
 from .groups import ConjugacyStructure, FiniteGroup
@@ -789,9 +791,27 @@ def tensor_multiplicity(table: CharacterTable, i: int, j: int, k: int) -> int:
     return _multiplicity(table, _pairing(cert, weighted, k), (i, j, k))
 
 
+def _once_per_object(build):
+    """Memoise ``build(key)`` once per key object.  The keys (tables, maps)
+    are ``eq=False`` dataclasses, so they hash and compare by identity; weak
+    keys free an entry with its object."""
+    cache: WeakKeyDictionary = WeakKeyDictionary()
+
+    @wraps(build)
+    def cached(key):
+        try:
+            return cache[key]
+        except KeyError:
+            value = cache[key] = build(key)
+            return value
+
+    return cached
+
+
+@_once_per_object
 def natural_pairings(table: CharacterTable) -> tuple[tuple[int, ...], ...]:
     """S(chi_nat chi_i, chi_j) = sum_c |C_c| chi_nat(c) chi_i(c) conj(chi_j(c))
-    for every pair of rows, decided by the table's certificate."""
+    for every pair of rows, decided by the table's certificate, once per table."""
     if table.natural_character is None:
         raise CharacterTableError("group carries no natural 2-dimensional character")
     cert = table.certificate

@@ -68,16 +68,20 @@ def _json_text(value, indent: str) -> str:
     (a newline and the spaces of the enclosing level).
 
     One recursive pass in place of the pure-Python encoder that ``indent``
-    forces on ``json.dumps``: strings through the C string escaper, ints by
-    ``int.__repr__`` as ``json`` writes them, other scalars through
-    ``json.dumps``; lists and tuples are arrays, and dict items are sorted
-    by key as ``json.dumps`` sorts them.  Each container is joined from its
-    items' text, so no list of small pieces outlives it.
+    forces on ``json.dumps``: strings through the C string escaper, ints,
+    finite floats (``__repr__``) and literals as ``json`` writes them, NaN
+    and ±inf through ``json.dumps``; lists and tuples are arrays, and dict
+    items are sorted by key as ``json.dumps`` sorts them.  Each container
+    is joined from its items' text, so no list of small pieces outlives it.
     """
     if isinstance(value, str):
         return _encode_str(value)
     if type(value) is int:
         return int.__repr__(value)
+    if type(value) is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
+    if type(value) is float and value - value == 0:  # finite: nan and ±inf give nan
+        return float.__repr__(value)
     if isinstance(value, dict):
         if not value:
             return "{}"

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
-from weakref import WeakKeyDictionary
+from functools import cached_property
 
 from . import linalg
 from .algebra import GradedAlgebra
 from .chartab import (
     CharacterTable,
     McKayGraph,
+    _once_per_object,
     character_table,
     mckay_graph,
     natural_pairings,
@@ -143,23 +143,6 @@ def branch_sqrt(table: CharacterTable, class_index: int) -> CycNum:
     if class_index == 0:
         raise ValueError("branch square root is defined on nonidentity classes only")
     return _branch_sqrts(table)[class_index]
-
-
-def _once_per_object(build):
-    """Memoise ``build(key)`` once per key object.  The keys (tables, maps)
-    are ``eq=False`` dataclasses, so they hash and compare by identity; weak
-    keys free an entry with its object."""
-    cache: WeakKeyDictionary = WeakKeyDictionary()
-
-    @wraps(build)
-    def cached(key):
-        try:
-            return cache[key]
-        except KeyError:
-            value = cache[key] = build(key)
-            return value
-
-    return cached
 
 
 @_once_per_object

@@ -17,6 +17,7 @@ exact; nothing is ever rounded.
 from __future__ import annotations
 
 import cmath
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -25,6 +26,7 @@ from operator import add, neg, sub
 __all__ = [
     "CycNum",
     "MAX_CONDUCTOR",
+    "MAX_EXPONENT",
     "zeta",
     "rational",
     "integer_sqrt_embed",
@@ -40,6 +42,12 @@ __all__ = [
 # 20.  At this bound parsing takes milliseconds and a dense product well
 # under a second.
 MAX_CONDUCTOR = 1024
+
+# Largest decimal exponent, in magnitude, of a coefficient string: Fraction
+# expands "1e10000000" into a power of ten for seconds, and Python's 4300-digit
+# limit on int strings, taken as the bound, does not apply there.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 @lru_cache(maxsize=None)
@@ -461,8 +469,8 @@ class CycNum:
     def from_json(data: dict) -> "CycNum":
         """Parse ``{"conductor": N, "coeffs": {"k": "p/q"}}``.
 
-        Raises ValueError on malformed input and on conductors above
-        MAX_CONDUCTOR.
+        Raises ValueError on malformed input, on conductors above
+        MAX_CONDUCTOR and on coefficient exponents beyond MAX_EXPONENT.
         """
         if not isinstance(data, dict):
             raise ValueError("a serialized cyclotomic number must be an object")
@@ -476,6 +484,9 @@ class CycNum:
             raise ValueError("coeffs must be an object")
         if any(isinstance(v, bool) for v in raw.values()):
             raise ValueError("bad coefficient: booleans are not numbers")
+        exponents = [_EXPONENT.search(v) for v in raw.values() if isinstance(v, str)]
+        if any(e and abs(int(e[1])) > MAX_EXPONENT for e in exponents):
+            raise ValueError(f"bad coefficient: decimal exponent beyond ±{MAX_EXPONENT}")
         try:
             coeffs = {int(k): Fraction(v) for k, v in raw.items()}
         except (TypeError, ZeroDivisionError, OverflowError) as exc:

@@ -253,54 +253,6 @@ def _smooth_witness(model: SurfaceModel, rings) -> dict | None:
     return None
 
 
-def _cross_witness(assembly: GlobalAssembly) -> dict | None:
-    """The least key (i, j) of A_Y's, then A_orb's, structure constants whose
-    labels lie in different groups and whose terms are not all zero.
-
-    The groups are the divisors D1..Db and each point's ``y_labels`` (A_Y) or
-    ``orb_labels`` (A_orb).  One pass decides what multiplying the images of
-    every cross-group pair of degree-one classes of A_Y decides:
-
-    * A pass here is a pass there.  An image lies on its own group (a divisor
-      maps to itself, a point's class to a column of its block's matrix on
-      ``orb_labels``), so every term of such a product, direct in A_Y or
-      transported in A_orb, is a cross-group structure constant.
-    * If every block's matrix M is invertible, the constants S_AB between
-      groups A and B vanish iff M_A^T S_AB M_B does (M is the identity on the
-      divisors).  So the verdicts differ only if some M is singular, which
-      fails that point's ``additive-rank`` in the same report, or if a ring
-      is not commutative, which ``build`` and ``replaced_product`` never make.
-    """
-    divisors = dict.fromkeys((divisor_label(i) for i in range(assembly.model.picard_rank)), 0)
-    for name, ring, block_labels in (
-        ("resolution", assembly.a_y, lambda blk: blk.y_labels),
-        ("orbifold", assembly.a_orb, lambda blk: blk.orb_labels),
-    ):
-        groups = dict(divisors)
-        for g, blk in enumerate(assembly.blocks, 1):
-            groups.update(dict.fromkeys(block_labels(blk), g))
-        group = [groups.get(lbl) for lbl in ring.labels]
-        least = None
-        for key, terms in ring.structure.items():
-            gi, gj = group[key[0]], group[key[1]]
-            if (
-                gi is not None
-                and gj is not None
-                and gi != gj
-                and (least is None or key < least)
-                and any(not c.is_zero() for _, c in terms)
-            ):
-                least = key
-        if least is not None:
-            return {
-                "ring": name,
-                "left": ring.labels[least[0]],
-                "right": ring.labels[least[1]],
-                "terms": [[ring.labels[k], c.to_json()] for k, c in ring.structure[least]],
-            }
-    return None
-
-
 def _same_product(left, right) -> bool:
     """Two term lists give one product: the same terms in order (assembly
     copies each coefficient object), or equal sums in stored form."""
@@ -316,60 +268,91 @@ def _same_product(left, right) -> bool:
     return left == right
 
 
-def _block_witness(assembly: GlobalAssembly) -> dict | None:
-    """The least key (i, j) of A_Y's, then A_orb's, structure constants on two
-    degree-one classes of one point that is not the point's local product
-    with its indices renamed (each local degree-one class to the point's
-    global one, the unit and the point class to the global ones).
+def _product_witnesses(assembly: GlobalAssembly) -> tuple[dict | None, dict | None]:
+    """The ``cross-products`` and ``block-products`` witnesses, from one walk
+    of A_Y's, then A_orb's, structure constants and one of each point's
+    local structure, so the cost is linear in the structure entries.
 
-    The per-point checks verify the local rings; this ties the global rings
-    to them.  Each point's local structure and each ring's structure are
-    walked once, so the cost is linear in the structure entries.
+    Each ring's degree-one classes fall into groups: 0 for the divisors
+    D1..Db, g for the g-th point's ``y_labels`` (A_Y) or ``orb_labels``
+    (A_orb); the unit and the point class lie in none.
+
+    ``cross-products`` fails at the least key (i, j) whose labels lie in
+    different groups and whose terms are not all zero.  This decides what
+    multiplying the images of every cross-group pair of degree-one classes
+    of A_Y decides:
+
+    * A pass here is a pass there.  An image lies on its own group (a divisor
+      maps to itself, a point's class to a column of its block's matrix on
+      ``orb_labels``), so every term of such a product, direct in A_Y or
+      transported in A_orb, is a cross-group structure constant.
+    * If every block's matrix M is invertible, the constants S_AB between
+      groups A and B vanish iff M_A^T S_AB M_B does (M is the identity on the
+      divisors).  So the verdicts differ only if some M is singular, which
+      fails that point's ``additive-rank`` in the same report, or if a ring
+      is not commutative, which ``build`` and ``replaced_product`` never make.
+
+    ``block-products`` fails at the least key (i, j) on two degree-one
+    classes of one point whose terms are not the point's local product with
+    its indices renamed (each local degree-one class to the point's global
+    one, the unit and the point class to the global ones).  The per-point
+    checks verify the local rings; this ties the global rings to them.
     """
+    divisors = dict.fromkeys((divisor_label(i) for i in range(assembly.model.picard_rank)), 0)
+    cross = block = None
     for name, ring, side in (
         ("resolution", assembly.a_y, lambda b: (b.cmap.source, b.cmap.col_labels, b.y_labels)),
         ("orbifold", assembly.a_orb, lambda b: (b.cmap.target, b.cmap.row_labels, b.orb_labels)),
     ):
         index = {lbl: i for i, lbl in enumerate(ring.labels)}
-        point_of, expected = {}, {}
-        for blk in assembly.blocks:
+        groups, expected = dict(divisors), {}
+        for g, blk in enumerate(assembly.blocks, 1):
             local, local_labels, global_labels = side(blk)
+            groups.update(dict.fromkeys(global_labels, g))
             local_index = {lbl: i for i, lbl in enumerate(local.labels)}
             rename = {local.unit: ring.unit, local.point: ring.point}
             for lbl, glbl in zip(local_labels, global_labels):
                 rename[local_index[lbl]] = index[glbl]
-                point_of[index[glbl]] = blk.point.id
             for (i, j), terms in local.structure.items():
                 if local.degrees[i] == local.degrees[j] == 1:
                     expected[rename[i], rename[j]] = [(rename[k], c) for k, c in terms]
+        group = [groups.get(lbl) for lbl in ring.labels]
         structure = ring.structure
-        failing = [
-            key
-            for key, terms in expected.items()
-            if not _same_product(terms, structure.get(key, ()))
-        ] + [
-            key
-            for key, terms in structure.items()
-            if key not in expected
-            and key[0] in point_of
-            and point_of.get(key[1]) == point_of[key[0]]
-            and not _same_product((), terms)
-        ]
-        if failing:
+        crossing, failing = [], []
+        for key, terms in expected.items():
+            if not _same_product(terms, structure.get(key, ())):
+                failing.append(key)
+        for key, terms in structure.items():
+            gi, gj = group[key[0]], group[key[1]]
+            if gi is None or gj is None:
+                continue
+            if gi != gj and any(not c.is_zero() for _, c in terms):
+                crossing.append(key)
+            elif gi == gj and gi and key not in expected and not _same_product((), terms):
+                failing.append(key)
+        if cross is None and crossing:
+            i, j = min(crossing)
+            cross = {
+                "ring": name,
+                "left": ring.labels[i],
+                "right": ring.labels[j],
+                "terms": [[ring.labels[k], c.to_json()] for k, c in structure[i, j]],
+            }
+        if block is None and failing:
             i, j = min(failing)
             global_side, local_side = (
                 {ring.labels[k]: c.to_json() for k, c in _summed(terms).items()}
                 for terms in (structure.get((i, j), ()), expected.get((i, j), ()))
             )
-            return {
+            block = {
                 "ring": name,
-                "point": point_of[i],
+                "point": assembly.blocks[group[i] - 1].point.id,
                 "left": ring.labels[i],
                 "right": ring.labels[j],
                 "global_side": global_side,
                 "local_side": local_side,
             }
-    return None
+    return cross, block
 
 
 def verify_assembly(assembly: GlobalAssembly) -> VerificationReport:
@@ -397,12 +380,10 @@ def verify_assembly(assembly: GlobalAssembly) -> VerificationReport:
     smooth = _smooth_witness(model, ((a_y, index_y), (a_orb, index_orb)))
     checks.append(CheckResult("smooth-products", smooth is None, witness=smooth))
 
-    # cross-block degree-1 products vanish on both sides
-    cross = _cross_witness(assembly)
+    # cross-block degree-1 products vanish on both sides, and each point's
+    # are its local ring's, renamed
+    cross, block = _product_witnesses(assembly)
     checks.append(CheckResult("cross-products", cross is None, witness=cross))
-
-    # each point's degree-one products are its local ring's, renamed
-    block = _block_witness(assembly)
     checks.append(CheckResult("block-products", block is None, witness=block))
 
     # unit and grading bookkeeping of the block map

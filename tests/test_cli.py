@@ -8,13 +8,13 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mckay import catalog, chartab, cli, correspondence, linalg, orbifold, resolution
 from mckay.catalog import EXTRA_GROUPS, ade_bundle
 from mckay.chartab import EigenSplitError, TableConsistencyError
 from mckay.cli import main
-from mckay.cyclo import MAX_CONDUCTOR
+from mckay.cyclo import MAX_CONDUCTOR, MAX_EXPONENT
 from mckay.groups import ADE_SUITE, GroupError
 from mckay.orbifold import OrbifoldError
 from mckay.surface import SurfaceConfigError
@@ -275,6 +275,10 @@ _json_values = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(_json_values)
+@example(-0.0)
+@example(5e-324)
+@example(1e308)
+@example([True, False, None, 0.1, float("nan"), float("-inf")])
 def test_report_writer_matches_json_dumps(value):
     assert _written(value) == json.dumps(value, sort_keys=True, indent=2)
 
@@ -417,6 +421,23 @@ def test_group_file_conductor_above_bound_exits_2(tmp_path, capsys):
     assert code == 2
     assert str(path) in err and "generators[0][0][0]" in err
     assert str(MAX_CONDUCTOR) in err
+
+
+def test_group_file_coefficient_exponent_above_bound_exits_2(tmp_path, capsys):
+    # Fraction would expand 1e10000000 into a power of ten for seconds
+    big = {"conductor": 1, "coeffs": {"0": "1e10000000"}}
+    one = {"conductor": 1, "coeffs": {"0": "1"}}
+    zero = {"conductor": 1, "coeffs": {}}
+    path = tmp_path / "hostile.json"
+    gens = [[[one, zero], [zero, one]], [[one, big], [zero, one]]]
+    path.write_text(json.dumps({"generators": gens}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "minor", "--group", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: generators[1][0][1]: ")
+    assert str(MAX_EXPONENT) in err
 
 
 def test_group_file_common_conductor_above_bound_exits_2(tmp_path, capsys):

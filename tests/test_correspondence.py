@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from mckay import catalog, correspondence, groups, linalg
+from mckay import catalog, chartab, correspondence, groups, linalg
 from mckay.algebra import GradedAlgebra
 from mckay.catalog import EXTRA_GROUPS, ade_bundle, extra_bundle
 from mckay.correspondence import (
@@ -1056,3 +1056,27 @@ def test_scaled_minor_built_once_per_table():
     cmap = Bundle(build_binary_polyhedral("D5")).cmap
     assert verify_correspondence(cmap).passed
     assert cmap.matrix is correspondence._scaled_minor(cmap.table)
+
+
+def test_natural_pairings_computed_once_per_table(monkeypatch):
+    calls = Counter()
+    pairing = chartab._pairing
+
+    def counted(cert, weighted, k):
+        calls[cert] += 1
+        return pairing(cert, weighted, k)
+
+    monkeypatch.setattr(chartab, "_pairing", counted)
+    # a cold verification: the McKay graph and the certified pairing share one matrix
+    report = verify_local(build_binary_polyhedral("D5"))
+    assert report.passed
+    m = report.info["group"]["classes"]
+    assert list(calls.values()) == [m * m]
+    # a dataclasses.replace copy is a new table and forms its own matrix
+    table = ade_bundle("D5").table
+    pairings = chartab.natural_pairings(table)
+    copy = dataclasses.replace(table)
+    calls.clear()
+    assert chartab.natural_pairings(copy) == pairings
+    assert chartab.natural_pairings(copy) is chartab.natural_pairings(copy)
+    assert sum(calls.values()) == m * m

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from mckay.cyclo import (
     MAX_CONDUCTOR,
+    MAX_EXPONENT,
     CycNum,
     cyclotomic_polynomial,
     euler_phi,
@@ -459,8 +460,29 @@ def test_from_json_rejects_conductor_above_bound():
         {"conductor": 4, "coeffs": {"0": float("inf")}},
         {"conductor": True, "coeffs": {"0": "1"}},
         {"conductor": 4, "coeffs": {"0": True}},
+        {"conductor": 1, "coeffs": {"0": "1e10000000"}},
+        {"conductor": 1, "coeffs": {"0": f"1e-{MAX_EXPONENT + 1}"}},
     ],
 )
 def test_from_json_rejects_malformed_input(blob):
+    start = time.perf_counter()
     with pytest.raises(ValueError):
         CycNum.from_json(blob)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("3", 3),
+        ("-3/4", Fraction(-3, 4)),
+        ("0.5", Fraction(1, 2)),
+        ("1e3", 1000),
+        ("1E-3", Fraction(1, 1000)),
+        (f"1e{MAX_EXPONENT}", 10**MAX_EXPONENT),
+        (f"1e-{MAX_EXPONENT}", Fraction(1, 10**MAX_EXPONENT)),
+    ],
+    ids=["p", "p/q", "decimal", "exponent", "negative-exponent", "largest", "least"],
+)
+def test_from_json_reads_coefficient_strings(text, value):
+    assert CycNum.from_json({"conductor": 1, "coeffs": {"0": text}}) == rational(value)

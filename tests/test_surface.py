@@ -507,3 +507,91 @@ def test_block_products_agree_with_the_all_pairs_oracle(name):
         asm = block_tampered(name)
     verdict = verify_assembly(asm).check("block-products").passed
     assert verdict == block_products_oracle(asm) == (name not in BLOCK_TAMPERS)
+
+
+# -- one walk decides both checks -------------------------------------------------
+
+# (ring, left, right, terms) replacements on THREE_POINT that fail cross-products
+# and block-products in one report
+BOTH_TAMPERS = {
+    "orb-cross-y-block": [
+        ("a_orb", "f(p,1)", "f(q,1)", [("[pt]", 1)]),
+        ("a_y", "E(r,2)", "E(r,3)", [("[pt]", 12345)]),
+    ],
+    "y-cross-orb-block": [
+        ("a_y", "E(p,1)", "E(r,2)", [("[pt]", 3)]),
+        ("a_orb", "f(q,1)", "f(q,1)", [("[pt]", 7)]),
+    ],
+    "y-cross-y-block": [
+        ("a_y", "D2", "E(q,4)", [("E(p,2)", 2)]),
+        ("a_y", "E(q,1)", "E(q,1)", [("[pt]", -2), ("E(q,2)", 1)]),
+    ],
+}
+
+# the (cross-products, block-products) witnesses of each BOTH_TAMPERS entry
+BOTH_WITNESSES = {
+    "orb-cross-y-block": (
+        {
+            "ring": "orbifold",
+            "left": "f(p,1)",
+            "right": "f(q,1)",
+            "terms": [["[pt]", {"conductor": 1, "coeffs": {"0": "1"}}]],
+        },
+        {
+            "ring": "resolution",
+            "point": "r",
+            "left": "E(r,2)",
+            "right": "E(r,3)",
+            "global_side": {"[pt]": {"conductor": 1, "coeffs": {"0": "12345"}}},
+            "local_side": {},
+        },
+    ),
+    "y-cross-orb-block": (
+        {
+            "ring": "resolution",
+            "left": "E(p,1)",
+            "right": "E(r,2)",
+            "terms": [["[pt]", {"conductor": 1, "coeffs": {"0": "3"}}]],
+        },
+        {
+            "ring": "orbifold",
+            "point": "q",
+            "left": "f(q,1)",
+            "right": "f(q,1)",
+            "global_side": {"[pt]": {"conductor": 1, "coeffs": {"0": "7"}}},
+            "local_side": {"[pt]": {"conductor": 1, "coeffs": {"0": "2"}}},
+        },
+    ),
+    "y-cross-y-block": (
+        {
+            "ring": "resolution",
+            "left": "D2",
+            "right": "E(q,4)",
+            "terms": [["E(p,2)", {"conductor": 1, "coeffs": {"0": "2"}}]],
+        },
+        {
+            "ring": "resolution",
+            "point": "q",
+            "left": "E(q,1)",
+            "right": "E(q,1)",
+            "global_side": {
+                "E(q,2)": {"conductor": 1, "coeffs": {"0": "1"}},
+                "[pt]": {"conductor": 1, "coeffs": {"0": "-2"}},
+            },
+            "local_side": {"[pt]": {"conductor": 1, "coeffs": {"0": "-2"}}},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOTH_TAMPERS))
+def test_one_report_fails_cross_and_block_products(name):
+    asm = assemble_global(three_point_model())
+    for ring, left, right, terms in BOTH_TAMPERS[name]:
+        bad = getattr(asm, ring).replaced_product(left, right, terms)
+        asm = dataclasses.replace(asm, **{ring: bad})
+    report = verify_assembly(asm)
+    assert {c.name for c in report.checks if not c.passed} == {"cross-products", "block-products"}
+    witnesses = (report.check("cross-products").witness, report.check("block-products").witness)
+    assert witnesses == BOTH_WITNESSES[name]
+    assert not cross_products_oracle(asm) and not block_products_oracle(asm)
