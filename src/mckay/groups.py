@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
-from operator import add, itemgetter
+from operator import add, eq, itemgetter
 
 from .cyclo import CycNum, _mul_num, _new, rational, zeta
 
@@ -128,16 +128,28 @@ class FiniteGroup:
 
     @cached_property
     def conjugacy(self) -> ConjugacyStructure:
+        """Each class is the orbit of its least element, grown breadth-first
+        by conjugating with the generators in ``generating_set``.  Conjugation
+        is a group action, so the orbit under a set that generates G is the
+        orbit under G; each element costs one conjugation per generator, at
+        most floor(log2 |G|) of them."""
         n = self.order
+        cayley = self.cayley
+        conjugators = [(cayley[s], self.inverse[s]) for s in self.generating_set]
         class_of = [-1] * n
         classes = []
         for x in range(n):
             if class_of[x] >= 0:
                 continue
-            orbit = {self.conjugate(h, x) for h in range(n)}
             idx = len(classes)
+            class_of[x] = idx
+            orbit = [x]
             for y in orbit:
-                class_of[y] = idx
+                for row_s, s_inverse in conjugators:
+                    z = cayley[row_s[y]][s_inverse]
+                    if class_of[z] < 0:
+                        class_of[z] = idx
+                        orbit.append(z)
             classes.append(tuple(sorted(orbit)))
         class_inverse = tuple(class_of[self.inverse[c[0]]] for c in classes)
         exponent = 1
@@ -415,13 +427,16 @@ def _greedy_generators(rows, identity: int):
     """Yield each b = 0, 1, ... outside the closure of the elements yielded
     before it; when the caller resumes after b, b joins them.
 
-    ``rows`` is a Latin square with two-sided identity ``identity``, and
-    row x lists the products x * y.  The closure grows from the identity by
-    right multiplication with the elements yielded so far.  In a group it is
-    the subgroup they generate: a finite set closed under products.  Its
-    order divides n (its cosets partition the group), so each yielded
-    element at least doubles it, and at most floor(log2 n) elements are
-    yielded; by the last one the closure is the whole group.
+    ``rows`` is a table with two-sided identity ``identity`` whose rows are
+    permutations, and row x lists the products x * y.  The closure grows
+    from the identity by right multiplication with the elements yielded so
+    far.  In a group it is the subgroup they generate: a finite set closed
+    under products.  Its order divides n (its cosets partition the group),
+    so each yielded element at least doubles it, and at most floor(log2 n)
+    elements are yielded; by the last one the closure is the whole group.
+    The columns need not be permutations for this bound: when every
+    yielded element passes Light's test, the closure is a group whose left
+    cosets partition the table (see :func:`_associativity_witness`).
     """
     n = len(rows)
     closure = {identity}
@@ -447,21 +462,33 @@ def _greedy_generators(rows, identity: int):
 def _associativity_witness(table, identity: int):
     """Return a triple (a, b, c) with (ab)c != a(bc), or None if there is none.
 
-    ``table`` is a Latin square with two-sided identity ``identity``.  This is
-    Light's test (Clifford & Preston, The Algebraic Theory of Semigroups I,
-    1961, section 1.2): b passes when row(ab) = row(a) o row(b) for every a,
-    i.e. (ab)c = a(bc) for every a and c.  Elements b = 0, 1, ... outside the
-    closure of the generators found so far are tested
-    (:func:`_greedy_generators`); a passing b becomes a generator.
+    ``table`` has n >= 2 rows, each a permutation of range(n), and a
+    two-sided identity ``identity``; its columns are not assumed to be
+    permutations.  This is Light's test (Clifford & Preston, The Algebraic
+    Theory of Semigroups I, 1961, section 1.2): b passes when row(ab) =
+    row(a) o row(b) for every a, i.e. (ab)c = a(bc) for every a and c.
+    Elements b = 0, 1, ... outside the closure of the generators found so
+    far are tested (:func:`_greedy_generators`); a passing b becomes a
+    generator.
 
     Proof sketch.  If b and b' pass, so does bb': (x(bb'))y = ((xb)b')y =
     (xb)(b'y) = x(b(b'y)) = x((bb')y).  The closure H of passing generators is
-    therefore a set of passing elements closed under products, hence a group;
-    when it is the whole table every b passes and the table is associative.
-    The cosets aH partition the Latin square ((ah)H = a(hH) = aH), so |H|
-    divides n and each new generator at least doubles the closure.  At most
+    therefore a finite set of passing elements, closed under products and
+    associative; left multiplication by h in H is injective (row h is a
+    permutation), hence onto H, so h has an inverse in H and H is a group.
+    When H is the whole table every b passes and the table is associative.
+    The cosets aH partition the table: each has |H| elements since row a is
+    injective, and for a' = ah' in aH, a'H = a(h'H) = aH as h' passes; as
+    a = ae lies in aH, two cosets that meet are equal.  So |H| divides n
+    and each new generator at least doubles the closure.  At most
     floor(log2 n) + 1 elements are tested, at O(n^2) each: O(n^2 log n) in
     all, at every order.
+
+    A passing table is a group, so its columns are permutations too: it is
+    associative, has an identity, and each row a holds the identity at some
+    b with ab = e, so every element has a right inverse, which in an
+    associative monoid is two-sided; right multiplication by a is then
+    undone by right multiplication by a^-1.
     """
     n = len(table)
     rows = [tuple(row) for row in table]
@@ -478,22 +505,9 @@ def _associativity_witness(table, identity: int):
     return None
 
 
-def group_from_cayley(table, name: str = "G") -> FiniteGroup:
-    """Validate a raw Cayley table and wrap it as a FiniteGroup.
-
-    Checks: a list of row lists whose entries are ints in range(n), a square
-    shape, invertible rows and columns, an identity element, and
-    associativity by Light's test (exhaustive at every order, O(n^2 log n);
-    see :func:`_associativity_witness`).  If the identity is not at index 0
-    the elements are relabeled by the transposition swapping it to 0.
-    Rejections raise GroupValidationError with a witness: the position of a
-    bad row or entry, or a triple (a, b, c) with (ab)c != a(bc).
-    """
-    if not isinstance(table, (list, tuple)):
-        raise GroupValidationError("table must be a list of rows")
-    n = len(table)
-    if n == 0:
-        raise GroupValidationError("empty table")
+def _raise_row_witness(table, n: int):
+    """Raise for the first bad row or entry, as the row checks meet them:
+    every row's shape and entries first, then each row's permutation test."""
     for i, row in enumerate(table):
         if not isinstance(row, (list, tuple)):
             raise GroupValidationError(f"row {i} is not a list", witness=("row", i))
@@ -508,41 +522,84 @@ def group_from_cayley(table, name: str = "G") -> FiniteGroup:
                 f"entry [{i}][{j}] = {row[j]!r} is not an element index in range({n})",
                 witness=("entry", i, j),
             )
-    table = [tuple(row) for row in table]
     # every entry is an int in range(n) by now, so n distinct entries are a permutation
     for i, row in enumerate(table):
         if len(set(row)) != n:
             raise GroupValidationError(
                 f"row {i} is not a permutation of range({n})", witness=("row", i)
             )
+
+
+def _check_columns(table, n: int):
+    """Raise for the first column that is not a permutation of range(n)."""
     for j, column in enumerate(zip(*table)):
         if len(set(column)) != n:
             raise GroupValidationError(
                 f"column {j} is not a permutation of range({n})", witness=("column", j)
             )
-    identity = None
-    for e in range(n):
-        if all(table[e][j] == j for j in range(n)) and all(table[j][e] == j for j in range(n)):
-            identity = e
-            break
-    if identity is None:
+
+
+def group_from_cayley(table, name: str = "G") -> FiniteGroup:
+    """Validate a raw Cayley table and wrap it as a FiniteGroup.
+
+    Checks: a list of row lists whose entries are ints in range(n), a square
+    shape, rows that are permutations, a two-sided identity, and
+    associativity by Light's test (exhaustive at every order, O(n^2 log n);
+    see :func:`_associativity_witness`).  These make the table a group, so
+    its columns are permutations too.  The elements are relabeled by the
+    transposition swapping the identity to 0 (the identity permutation when
+    it is already there) before Light's test runs.
+
+    Rejections raise GroupValidationError with a witness: the position of a
+    bad row, entry or column, or a triple (a, b, c) with (ab)c != a(bc), in
+    the table's own labels.  Each is located by the plain scan, run only
+    once the decision has failed: the row checks in row order, then, for a
+    table with no identity or one that fails Light's test, the columns, and
+    then Light's test again on the table as given.
+    """
+    if not isinstance(table, (list, tuple)):
+        raise GroupValidationError("table must be a list of rows")
+    n = len(table)
+    if n == 0:
+        raise GroupValidationError("empty table")
+    labels = set(range(n))
+    for row in table:
+        # type first: 0.0 and True compare equal to 0 and 1
+        if not (
+            isinstance(row, (list, tuple))
+            and len(row) == n
+            and set(map(type, row)) == {int}
+            and set(row) == labels
+        ):
+            _raise_row_witness(table, n)
+    # row 0 is a permutation, so a right identity e is the one column with 0 * e = 0
+    e = table[0].index(0)
+    if not (
+        all(map(eq, table[e], range(n))) and all(row[e] == i for i, row in enumerate(table))
+    ):
+        _check_columns(table, n)
         raise GroupValidationError("no identity element")
-    witness = _associativity_witness(table, identity)
-    if witness is not None:
+    if n == 1:
+        return FiniteGroup(table, name=name)
+    # relabel by sigma = (0 e), or the identity permutation when e = 0:
+    # new[i][j] = sigma(old[sigma i][sigma j]).  Every entry is then one of
+    # the n int objects in sigma, so Light's row comparisons meet equal
+    # entries as identical objects.
+    sigma = list(range(n))
+    sigma[0], sigma[e] = e, 0
+    rows = []
+    for s in sigma:
+        row = list(table[s])
+        row[0], row[e] = row[e], row[0]
+        rows.append(itemgetter(*row)(sigma))
+    # relabeling is an isomorphism: the verdict is the table's own
+    if _associativity_witness(rows, 0) is not None:
+        _check_columns(table, n)
+        witness = _associativity_witness(table, e)
         raise GroupValidationError(
             f"table is not associative at {witness}", witness=witness
         )
-    if identity != 0:
-        # relabel by the transposition sigma = (0 identity), row by row in
-        # place, so no second table is alive: new[i][j] = sigma(old[sigma i][sigma j])
-        sigma = list(range(n))
-        sigma[0], sigma[identity] = identity, 0
-        table[0], table[identity] = table[identity], table[0]
-        # n >= 2 here (the identity is not 0), so both getters return tuples
-        permute = itemgetter(*sigma)
-        for i, row in enumerate(table):
-            table[i] = itemgetter(*permute(row))(sigma)
-    return FiniteGroup(table, matrix_rep=None, name=name)
+    return FiniteGroup(rows, name=name)
 
 
 # -- stock Cayley-table groups ------------------------------------------------

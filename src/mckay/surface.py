@@ -268,10 +268,13 @@ def _same_product(left, right) -> bool:
     return left == right
 
 
-def _product_witnesses(assembly: GlobalAssembly) -> tuple[dict | None, dict | None]:
+def _product_witnesses(
+    assembly: GlobalAssembly, index_y: dict, index_orb: dict
+) -> tuple[dict | None, dict | None]:
     """The ``cross-products`` and ``block-products`` witnesses, from one walk
     of A_Y's, then A_orb's, structure constants and one of each point's
     local structure, so the cost is linear in the structure entries.
+    ``index_y`` and ``index_orb`` map each ring's labels to their indices.
 
     Each ring's degree-one classes fall into groups: 0 for the divisors
     D1..Db, g for the g-th point's ``y_labels`` (A_Y) or ``orb_labels``
@@ -300,11 +303,13 @@ def _product_witnesses(assembly: GlobalAssembly) -> tuple[dict | None, dict | No
     """
     divisors = dict.fromkeys((divisor_label(i) for i in range(assembly.model.picard_rank)), 0)
     cross = block = None
-    for name, ring, side in (
-        ("resolution", assembly.a_y, lambda b: (b.cmap.source, b.cmap.col_labels, b.y_labels)),
-        ("orbifold", assembly.a_orb, lambda b: (b.cmap.target, b.cmap.row_labels, b.orb_labels)),
+    for (name, ring, side), index in zip(
+        (
+            ("resolution", assembly.a_y, lambda b: (b.cmap.source, b.cmap.col_labels, b.y_labels)),
+            ("orbifold", assembly.a_orb, lambda b: (b.cmap.target, b.cmap.row_labels, b.orb_labels)),
+        ),
+        (index_y, index_orb),
     ):
-        index = {lbl: i for i, lbl in enumerate(ring.labels)}
         groups, expected = dict(divisors), {}
         for g, blk in enumerate(assembly.blocks, 1):
             local, local_labels, global_labels = side(blk)
@@ -382,7 +387,7 @@ def verify_assembly(assembly: GlobalAssembly) -> VerificationReport:
 
     # cross-block degree-1 products vanish on both sides, and each point's
     # are its local ring's, renamed
-    cross, block = _product_witnesses(assembly)
+    cross, block = _product_witnesses(assembly, index_y, index_orb)
     checks.append(CheckResult("cross-products", cross is None, witness=cross))
     checks.append(CheckResult("block-products", block is None, witness=block))
 

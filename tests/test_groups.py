@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from math import gcd, lcm
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -341,6 +342,79 @@ def test_cyclic_conjugacy_is_singletons():
     assert g.conjugacy.sizes == (1,) * 6
 
 
+def _conjugacy_oracle(group):
+    """The conjugacy structure with each class as {h x h^-1 : h in G}, one
+    conjugation per group element and class."""
+    n = group.order
+    class_of = [-1] * n
+    classes = []
+    for x in range(n):
+        if class_of[x] >= 0:
+            continue
+        orbit = {group.conjugate(h, x) for h in range(n)}
+        idx = len(classes)
+        for y in orbit:
+            class_of[y] = idx
+        classes.append(tuple(sorted(orbit)))
+    class_inverse = tuple(class_of[group.inverse[c[0]]] for c in classes)
+    exponent = 1
+    for o in group.element_order:
+        exponent = lcm(exponent, o)
+    return groups.ConjugacyStructure(
+        classes=tuple(classes),
+        class_of=tuple(class_of),
+        class_inverse=class_inverse,
+        sizes=tuple(len(c) for c in classes),
+        representatives=tuple(c[0] for c in classes),
+        exponent=exponent,
+    )
+
+
+def _direct_product(a, b):
+    m = len(b)
+    return [
+        [a[i][k] * m + b[j][l] for k in range(len(a)) for l in range(m)]
+        for i in range(len(a))
+        for j in range(m)
+    ]
+
+
+def _relabeled(table, seed):
+    """``table`` under a random relabeling, so the identity may sit anywhere."""
+    n = len(table)
+    sigma = list(range(n))
+    random.Random(seed).shuffle(sigma)
+    out = [[0] * n for _ in range(n)]
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            out[sigma[i]][sigma[j]] = sigma[v]
+    return out
+
+
+# the relabeled Cayley tables of 360-720 elements that ``minor --group`` ingests
+INGEST_TABLES = {
+    "A5xS3": lambda: _direct_product(alternating_group(5).cayley, symmetric_group(3).cayley),
+    "S5xZ4": lambda: _direct_product(symmetric_group(5).cayley, cyclic_group(4).cayley),
+    "S4xS4": lambda: _direct_product(symmetric_group(4).cayley, symmetric_group(4).cayley),
+    "S6": lambda: symmetric_group(6).cayley,
+}
+
+
+@pytest.mark.parametrize(
+    "name", ADE_SUITE + ("D300",) + tuple(STOCK) + tuple(INGEST_TABLES)
+)
+def test_conjugacy_by_generator_orbits_matches_the_full_orbit_oracle(name):
+    """Orbits under the generating set are the classes that conjugating by
+    every element gives, in the same order, with the same inverse map."""
+    if name in STOCK:
+        group = STOCK[name]()
+    elif name in INGEST_TABLES:
+        group = group_from_cayley(_relabeled(INGEST_TABLES[name](), len(name)))
+    else:
+        group = build_binary_polyhedral(name)
+    assert group.conjugacy == _conjugacy_oracle(group)
+
+
 def test_rotation_data():
     g = build_binary_polyhedral("A2")
     assert g.rotation_data[0] == (1, 0)
@@ -532,6 +606,186 @@ def test_cayley_associativity_matches_brute_force(table):
         with pytest.raises(GroupValidationError) as err:
             group_from_cayley(table)
         assert is_violation(table, err.value.witness)
+
+
+def _cayley_oracle(table, name="G"):
+    """``group_from_cayley`` as it validated before Light's test decided
+    alone: rows, then columns, then the identity, then Light's test on the
+    table as given, and the relabeling last."""
+    if not isinstance(table, (list, tuple)):
+        raise GroupValidationError("table must be a list of rows")
+    n = len(table)
+    if n == 0:
+        raise GroupValidationError("empty table")
+    for i, row in enumerate(table):
+        if not isinstance(row, (list, tuple)):
+            raise GroupValidationError(f"row {i} is not a list", witness=("row", i))
+        if len(row) != n:
+            raise GroupValidationError(
+                f"row {i} has length {len(row)}, expected {n}", witness=("row", i)
+            )
+        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
+            j = next(j for j, e in enumerate(row) if type(e) is not int or not 0 <= e < n)
+            raise GroupValidationError(
+                f"entry [{i}][{j}] = {row[j]!r} is not an element index in range({n})",
+                witness=("entry", i, j),
+            )
+    table = [tuple(row) for row in table]
+    for i, row in enumerate(table):
+        if len(set(row)) != n:
+            raise GroupValidationError(
+                f"row {i} is not a permutation of range({n})", witness=("row", i)
+            )
+    for j, column in enumerate(zip(*table)):
+        if len(set(column)) != n:
+            raise GroupValidationError(
+                f"column {j} is not a permutation of range({n})", witness=("column", j)
+            )
+    identity = None
+    for e in range(n):
+        if all(table[e][j] == j for j in range(n)) and all(table[j][e] == j for j in range(n)):
+            identity = e
+            break
+    if identity is None:
+        raise GroupValidationError("no identity element")
+    witness = groups._associativity_witness(table, identity)
+    if witness is not None:
+        raise GroupValidationError(
+            f"table is not associative at {witness}", witness=witness
+        )
+    if identity != 0:
+        sigma = list(range(n))
+        sigma[0], sigma[identity] = identity, 0
+        table[0], table[identity] = table[identity], table[0]
+        permute = itemgetter(*sigma)
+        for i, row in enumerate(table):
+            table[i] = itemgetter(*permute(row))(sigma)
+    return groups.FiniteGroup(table, matrix_rep=None, name=name)
+
+
+def _outcome(build, table):
+    """What ``build`` makes of ``table``: the error's type, message and
+    witness, or the group's table, inverses and element orders."""
+    try:
+        group = build(table)
+    except GroupValidationError as err:
+        return type(err), str(err), err.witness
+    return group.cayley, group.inverse, group.element_order
+
+
+def _some_cell(draw, table):
+    n = len(table)
+    return draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+
+
+def _fault_intercalate(draw, table, identity):
+    found = intercalate_avoiding(table, identity, draw(st.integers(0, len(table))))
+    if found:
+        swap_intercalate(table, *found)
+
+
+def _fault_no_identity(draw, table, identity):
+    # swap two whole columns: rows and columns stay permutations
+    n = len(table)
+    c1, c2 = draw(st.permutations(range(n)))[:2] if n > 1 else (0, 0)
+    for row in table:
+        row[c1], row[c2] = row[c2], row[c1]
+
+
+def _fault_row_swap(draw, table, identity):
+    # the row stays a permutation; its two columns repeat a value
+    i, j = _some_cell(draw, table)
+    k = draw(st.integers(0, len(table) - 1))
+    table[i][j], table[i][k] = table[i][k], table[i][j]
+
+
+def _fault_column_swap(draw, table, identity):
+    # the column stays a permutation; its two rows repeat a value
+    i, j = _some_cell(draw, table)
+    k = draw(st.integers(0, len(table) - 1))
+    table[i][j], table[k][j] = table[k][j], table[i][j]
+
+
+def _fault_repeat(draw, table, identity):
+    i, j = _some_cell(draw, table)
+    table[i][j] = table[i][draw(st.integers(0, len(table) - 1))]
+
+
+def _fault_out_of_range(draw, table, identity):
+    i, j = _some_cell(draw, table)
+    table[i][j] = draw(st.sampled_from((-1, len(table), len(table) + 7)))
+
+
+def _fault_type(draw, table, identity):
+    i, j = _some_cell(draw, table)
+    v = table[i][j]
+    table[i][j] = draw(st.sampled_from((float(v), v == 1, v != 0)))
+
+
+# Latin-preserving faults first, so an intercalate is found in a Latin square
+CAYLEY_FAULTS = (
+    _fault_intercalate,
+    _fault_no_identity,
+    _fault_row_swap,
+    _fault_column_swap,
+    _fault_repeat,
+    _fault_out_of_range,
+    _fault_type,
+)
+
+
+@st.composite
+def faulty_group_tables(draw):
+    """A relabeled group table of order <= 24 with 0-2 injected faults, its
+    rows lists or, as library callers pass ``group.cayley``, tuples."""
+    base = perm_group_table(draw(st.sampled_from(SMALL_GROUP_GENS)))
+    n = len(base)
+    sigma = draw(st.permutations(range(n)))
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            table[sigma[i]][sigma[j]] = sigma[base[i][j]]
+    faults = draw(st.lists(st.sampled_from(CAYLEY_FAULTS), max_size=2))
+    for fault in sorted(faults, key=CAYLEY_FAULTS.index):
+        fault(draw, table, sigma[0])
+    return [tuple(row) for row in table] if draw(st.booleans()) else table
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulty_group_tables())
+def test_cayley_witnesses_match_the_row_column_identity_oracle(table):
+    """Deciding by rows, identity and Light's test on relabeled rows, and
+    scanning only to name a witness, rejects with the oracle's error,
+    message and witness, and builds the oracle's group."""
+    assert _outcome(group_from_cayley, table) == _outcome(_cayley_oracle, table)
+
+
+@pytest.mark.parametrize(
+    "table, witness",
+    [
+        # non-associative with a two-sided identity 0, and columns 1 and 2
+        # repeat a value: the column is named, not the triple
+        ([[0, 1, 2, 3], [1, 3, 2, 0], [2, 3, 0, 1], [3, 0, 1, 2]], ("column", 1)),
+        # no identity (row 1 is the identity row, column 1 is not), bad column 1
+        ([[1, 0, 2], [0, 1, 2], [2, 1, 0]], ("column", 1)),
+    ],
+)
+def test_cayley_bad_column_is_named_before_identity_and_associativity(table, witness):
+    with pytest.raises(GroupValidationError) as err:
+        group_from_cayley(table)
+    assert err.value.witness == witness
+    assert _outcome(group_from_cayley, table) == _outcome(_cayley_oracle, table)
+
+
+def test_cayley_non_associative_witness_is_in_the_tables_own_labels():
+    """Light's test decides on relabeled rows; the triple is found again in
+    the file's labels, so a relabeled loop reports the oracle's triple."""
+    table = _relabeled(NONASSOCIATIVE_LOOP, 4)
+    assert table[0] != list(range(5))
+    assert _outcome(group_from_cayley, table) == _outcome(_cayley_oracle, table)
+    with pytest.raises(GroupValidationError) as err:
+        group_from_cayley(table)
+    assert is_violation(table, err.value.witness)
 
 
 def test_cayley_validation_errors():
