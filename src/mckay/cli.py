@@ -36,6 +36,10 @@ from .surface import SurfaceConfigError, load_surface, verify_global
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 
+#: the most conjugacy classes m of a group file whose character table is
+#: built: the class tensor and the class matrices hold m^3 entries each
+MAX_FILE_CLASSES = 256
+
 # Raised when the program contradicts itself, whatever the input; checked
 # before the user errors, since EigenSplitError and TableConsistencyError are
 # CharacterTableErrors.
@@ -167,6 +171,21 @@ def _resolve_bundle(args) -> Bundle:
     raise GroupError("no group specified; use --type, --group or --name")
 
 
+def _resolve_table(args):
+    """The character table of the named group.  A group file with more than
+    MAX_FILE_CLASSES classes is rejected once its classes are known, before
+    any m^3 structure is built."""
+    bundle = _resolve_bundle(args)
+    if args.group:
+        m = len(bundle.group.conjugacy.classes)
+        if m > MAX_FILE_CLASSES:
+            raise GroupError(
+                f"{args.group}: {m} conjugacy classes, above the limit "
+                f"{MAX_FILE_CLASSES} for a character table"
+            )
+    return bundle.table
+
+
 def _group_info(group: FiniteGroup) -> dict:
     conj = group.conjugacy
     return {
@@ -232,7 +251,7 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_chartable(args) -> int:
-    table = _resolve_bundle(args).table
+    table = _resolve_table(args)
     _dump({"schema": 1, "command": "chartable", "table": _table_payload(table)}, args.out)
     return 0
 
@@ -292,7 +311,7 @@ def _cmd_verify_global(args) -> int:
 
 
 def _cmd_minor(args) -> int:
-    report = minor_report(_resolve_bundle(args).table)
+    report = minor_report(_resolve_table(args))
     payload = _verify_payload(report, args.seed, "minor")
     payload["determinant"] = report.checks[0].detail["determinant"]
     _dump(payload, args.out)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from math import gcd, lcm
 from operator import add, eq, itemgetter
 
@@ -121,9 +122,10 @@ class FiniteGroup:
 
     @cached_property
     def generating_set(self) -> tuple[int, ...]:
-        """A generating set of at most floor(log2 |G|) elements: each element
-        outside the subgroup generated by those before it, in index order,
-        as Light's test picks them (see :func:`_greedy_generators`)."""
+        """A generating set of at most floor(log2 |G|) elements: the
+        index-order greedy, each element the least index outside the
+        subgroup generated by those before it (:func:`_greedy_generators` at
+        width 1)."""
         return tuple(_greedy_generators(self.cayley, 0))
 
     @cached_property
@@ -422,41 +424,104 @@ def build_binary_polyhedral(label: str) -> FiniteGroup:
 
 # -- Cayley-table ingestion ---------------------------------------------------
 
+#: how many indices outside the closure each later look-ahead generator is
+#: chosen from (:func:`_greedy_generators`)
+_LOOKAHEAD = 8
 
-def _greedy_generators(rows, identity: int):
-    """Yield each b = 0, 1, ... outside the closure of the elements yielded
-    before it; when the caller resumes after b, b joins them.
 
-    ``rows`` is a table with two-sided identity ``identity`` whose rows are
-    permutations, and row x lists the products x * y.  The closure grows
-    from the identity by right multiplication with the elements yielded so
-    far.  In a group it is the subgroup they generate: a finite set closed
-    under products.  Its order divides n (its cosets partition the group),
-    so each yielded element at least doubles it, and at most floor(log2 n)
-    elements are yielded; by the last one the closure is the whole group.
-    The columns need not be permutations for this bound: when every
-    yielded element passes Light's test, the closure is a group whose left
-    cosets partition the table (see :func:`_associativity_witness`).
+def _grown(rows, closure: set, members: list, generators: list, c: int) -> list:
+    """The elements that c adds to ``closure``, the closure of ``generators``:
+    those reached from its members by right multiplication with c, then from
+    each new element by right multiplication with c and the generators."""
+    added = []
+    seen = set()
+    for x in members:
+        y = rows[x][c]
+        if y not in closure and y not in seen:
+            seen.add(y)
+            added.append(y)
+    extended = generators + [c]
+    for y in added:
+        row_y = rows[y]
+        for g in extended:
+            z = row_y[g]
+            if z not in closure and z not in seen:
+                seen.add(z)
+                added.append(z)
+    return added
+
+
+def _greedy_generators(rows, identity: int, width: int = 1):
+    """Yield generators until their closure is the whole table; when the
+    caller resumes after b, b joins them.
+
+    ``rows`` is a table with two-sided identity ``identity`` and entries in
+    range(n); row x lists the products x * y.  The closure of the yielded
+    elements grows from the identity by right multiplication with them.
+    Each generator is chosen from the first ``width`` indices outside the
+    closure: the one whose closure with the generators already yielded is
+    largest, ties going to the least index.  At ``width`` 1 this is the
+    index-order greedy.
+
+    Each yielded b is meant to pass Light's test before the caller resumes
+    (:func:`_associativity_witness`).  Then the closure at least doubles
+    with every generator, whether or not the table is a group:
+
+    - Products of passing elements pass, so every element of the closure H
+      passes.
+    - For h in H, the row L_h is a composition of generator rows, since
+      (xg)c = x(gc) for a passing g.  When the generator rows are
+      permutations, L_h maps H injectively into itself, hence onto H, and H
+      is a group.
+    - Take a new generator b outside H that passes and whose row is a
+      permutation.  Hb and H are disjoint: hb = h' gives b = (h^-1 h)b =
+      h^-1(hb) in H.  And |Hb| = |H|: hb = h'b gives b = kb with
+      k = h^-1 h', so k(bc) = (kb)c = bc for every c; row b is onto, so k
+      fixes every element, and k = ke = e.
+
+    So at most floor(log2 n) generators pass, and at most floor(log2 n) + 1
+    are tested, even on adversarial input.  Choosing one costs O(width * n *
+    k) set operations for k generators; a Light round costs n^2.
     """
     n = len(rows)
     closure = {identity}
     members = [identity]
     generators = []
-    for b in range(n):
-        if b in closure:
-            continue
-        yield b
-        generators.append(b)
-        # every member so far must also be multiplied by the new generator
-        i = 0
-        while i < len(members):
-            row_x = rows[members[i]]
-            for g in generators:
-                y = row_x[g]
-                if y not in closure:
-                    closure.add(y)
-                    members.append(y)
-            i += 1
+    low = 0  # the least index that may lie outside the closure
+    while True:
+        while low < n and low in closure:
+            low += 1
+        if low == n:
+            return
+        outside = (c for c in range(low, n) if c not in closure)
+        best = added = None
+        for c in islice(outside, width):
+            grown = _grown(rows, closure, members, generators, c)
+            if added is None or len(grown) > len(added):
+                best, added = c, grown
+                if len(members) + len(added) == n:
+                    break
+        yield best
+        generators.append(best)
+        closure.update(added)
+        members += added
+
+
+def _light_witness(rows, b: int):
+    """Light's test of b: the first (a, b, c) with (ab)c != a(bc), or None.
+
+    b passes when row(ab) = row(a) o row(b) for every a (Clifford & Preston,
+    The Algebraic Theory of Semigroups I, 1961, section 1.2).  ``rows`` are
+    tuples with entries in range(n), n >= 2."""
+    # n >= 2, so the getter returns tuples
+    compose_b = itemgetter(*rows[b])
+    for a, row_a in enumerate(rows):
+        composed = compose_b(row_a)
+        row_ab = rows[row_a[b]]
+        if composed != row_ab:
+            c = next(c for c in range(len(rows)) if composed[c] != row_ab[c])
+            return (a, b, c)
+    return None
 
 
 def _associativity_witness(table, identity: int):
@@ -464,44 +529,33 @@ def _associativity_witness(table, identity: int):
 
     ``table`` has n >= 2 rows, each a permutation of range(n), and a
     two-sided identity ``identity``; its columns are not assumed to be
-    permutations.  This is Light's test (Clifford & Preston, The Algebraic
-    Theory of Semigroups I, 1961, section 1.2): b passes when row(ab) =
-    row(a) o row(b) for every a, i.e. (ab)c = a(bc) for every a and c.
-    Elements b = 0, 1, ... outside the closure of the generators found so
-    far are tested (:func:`_greedy_generators`); a passing b becomes a
-    generator.
+    permutations.  Light's test (:func:`_light_witness`) runs on the
+    index-order greedy generators (:func:`_greedy_generators` at width 1),
+    each before the next is chosen, and the first failure is the witness.
 
-    Proof sketch.  If b and b' pass, so does bb': (x(bb'))y = ((xb)b')y =
-    (xb)(b'y) = x(b(b'y)) = x((bb')y).  The closure H of passing generators is
-    therefore a finite set of passing elements, closed under products and
-    associative; left multiplication by h in H is injective (row h is a
-    permutation), hence onto H, so h has an inverse in H and H is a group.
-    When H is the whole table every b passes and the table is associative.
-    The cosets aH partition the table: each has |H| elements since row a is
-    injective, and for a' = ah' in aH, a'H = a(h'H) = aH as h' passes; as
-    a = ae lies in aH, two cosets that meet are equal.  So |H| divides n
-    and each new generator at least doubles the closure.  At most
-    floor(log2 n) + 1 elements are tested, at O(n^2) each: O(n^2 log n) in
-    all, at every order.
+    Why a None is sound.  The generators all pass, so their closure, which
+    is the whole table when the generator loop ends, consists of passing
+    elements: the table is associative.  Each generator at least doubles
+    the closure (see :func:`_greedy_generators`), so at most floor(log2 n)
+    + 1 elements are tested, at O(n^2) each: O(n^2 log n) in all, at every
+    order.
 
-    A passing table is a group, so its columns are permutations too: it is
-    associative, has an identity, and each row a holds the identity at some
-    b with ab = e, so every element has a right inverse, which in an
-    associative monoid is two-sided; right multiplication by a is then
-    undone by right multiplication by a^-1.
+    When the closure is everything, every row L_x is a composition of
+    generator rows, since x is a product of generators and (xg)c = x(gc)
+    for each.  So a table whose generator rows are permutations has only
+    permutation rows; each row a holds the identity at some b with ab = e,
+    so every element has a right inverse, which in an associative monoid is
+    two-sided.  The table is a group, and every column is a permutation too:
+    right multiplication by a is undone by right multiplication by a^-1.
+    That is why :func:`group_from_cayley` checks only the generator rows of
+    its fast decision as permutations.  Negative control: without that
+    check the monoid [[0, 1], [1, 1]] would pass.
     """
-    n = len(table)
     rows = [tuple(row) for row in table]
     for b in _greedy_generators(rows, identity):
-        # n >= 2 here (b is not the identity), so this returns tuples
-        compose_b = itemgetter(*rows[b])
-        for a in range(n):
-            row_a = rows[a]
-            composed = compose_b(row_a)
-            row_ab = rows[row_a[b]]
-            if composed != row_ab:
-                c = next(c for c in range(n) if composed[c] != row_ab[c])
-                return (a, b, c)
+        witness = _light_witness(rows, b)
+        if witness is not None:
+            return witness
     return None
 
 
@@ -539,48 +593,39 @@ def _check_columns(table, n: int):
             )
 
 
-def group_from_cayley(table, name: str = "G") -> FiniteGroup:
-    """Validate a raw Cayley table and wrap it as a FiniteGroup.
+def _is_identity(table, e: int, n: int) -> bool:
+    """Whether e is a two-sided identity of the table."""
+    return all(map(eq, table[e], range(n))) and all(row[e] == i for i, row in enumerate(table))
 
-    Checks: a list of row lists whose entries are ints in range(n), a square
-    shape, rows that are permutations, a two-sided identity, and
-    associativity by Light's test (exhaustive at every order, O(n^2 log n);
-    see :func:`_associativity_witness`).  These make the table a group, so
-    its columns are permutations too.  The elements are relabeled by the
-    transposition swapping the identity to 0 (the identity permutation when
-    it is already there) before Light's test runs.
 
-    Rejections raise GroupValidationError with a witness: the position of a
-    bad row, entry or column, or a triple (a, b, c) with (ab)c != a(bc), in
-    the table's own labels.  Each is located by the plain scan, run only
-    once the decision has failed: the row checks in row order, then, for a
-    table with no identity or one that fails Light's test, the columns, and
-    then Light's test again on the table as given.
+def _group_rows(table, n: int):
+    """The table relabeled with its identity at 0 if it is a group, else None.
+
+    Every row gets its shape check, the type scan and min(row) >= 0; an
+    entry >= n raises in the relabeling.  Only row 0 (to find the identity)
+    and the rows of the look-ahead generators (:func:`_greedy_generators`
+    at width ``_LOOKAHEAD``) are checked as permutations, each generator
+    before Light's test runs on it.  When every generator passes, their
+    closure is the whole table, so the table is a group (see
+    :func:`_associativity_witness`).
     """
-    if not isinstance(table, (list, tuple)):
-        raise GroupValidationError("table must be a list of rows")
-    n = len(table)
-    if n == 0:
-        raise GroupValidationError("empty table")
-    labels = set(range(n))
     for row in table:
         # type first: 0.0 and True compare equal to 0 and 1
         if not (
             isinstance(row, (list, tuple))
             and len(row) == n
             and set(map(type, row)) == {int}
-            and set(row) == labels
+            and min(row) >= 0
         ):
-            _raise_row_witness(table, n)
+            return None
+    if set(table[0]) != set(range(n)):
+        return None
     # row 0 is a permutation, so a right identity e is the one column with 0 * e = 0
     e = table[0].index(0)
-    if not (
-        all(map(eq, table[e], range(n))) and all(row[e] == i for i, row in enumerate(table))
-    ):
-        _check_columns(table, n)
-        raise GroupValidationError("no identity element")
+    if not _is_identity(table, e, n):
+        return None
     if n == 1:
-        return FiniteGroup(table, name=name)
+        return table
     # relabel by sigma = (0 e), or the identity permutation when e = 0:
     # new[i][j] = sigma(old[sigma i][sigma j]).  Every entry is then one of
     # the n int objects in sigma, so Light's row comparisons meet equal
@@ -588,18 +633,58 @@ def group_from_cayley(table, name: str = "G") -> FiniteGroup:
     sigma = list(range(n))
     sigma[0], sigma[e] = e, 0
     rows = []
-    for s in sigma:
-        row = list(table[s])
-        row[0], row[e] = row[e], row[0]
-        rows.append(itemgetter(*row)(sigma))
+    try:
+        for s in sigma:
+            row = list(table[s])
+            row[0], row[e] = row[e], row[0]
+            rows.append(itemgetter(*row)(sigma))
+    except IndexError:  # an entry >= n
+        return None
     # relabeling is an isomorphism: the verdict is the table's own
-    if _associativity_witness(rows, 0) is not None:
+    for b in _greedy_generators(rows, 0, _LOOKAHEAD):
+        if len(set(rows[b])) != n or _light_witness(rows, b) is not None:
+            return None
+    return rows
+
+
+def group_from_cayley(table, name: str = "G") -> FiniteGroup:
+    """Validate a raw Cayley table and wrap it as a FiniteGroup.
+
+    A table passes when it is a list of n row lists whose entries are ints
+    in range(n), with a two-sided identity, and Light's test passes on
+    look-ahead generators whose rows are permutations: at most
+    floor(log2 n) + 1 of them, at O(n^2) each (see :func:`_group_rows`).
+    Their closure is then the whole table, so the table is associative,
+    every row is a composition of generator rows and so a permutation, and
+    it is a group whose columns are permutations too (proof in
+    :func:`_greedy_generators` and :func:`_associativity_witness`).  The
+    elements are relabeled by the transposition swapping the identity to 0
+    (the identity permutation when it is already there).
+
+    Rejections raise GroupValidationError with a witness: the position of a
+    bad row, entry or column, or a triple (a, b, c) with (ab)c != a(bc), in
+    the table's own labels.  Each is located by the plain scan, run only
+    once the decision has failed: the row checks of every row in row order,
+    then, for a table with no identity or one that fails Light's test, the
+    columns, and then Light's test on the index-order greedy generators of
+    the table as given.
+    """
+    if not isinstance(table, (list, tuple)):
+        raise GroupValidationError("table must be a list of rows")
+    n = len(table)
+    if n == 0:
+        raise GroupValidationError("empty table")
+    rows = _group_rows(table, n)
+    if rows is not None:
+        return FiniteGroup(rows, name=name)
+    _raise_row_witness(table, n)
+    e = table[0].index(0)
+    if not _is_identity(table, e, n):
         _check_columns(table, n)
-        witness = _associativity_witness(table, e)
-        raise GroupValidationError(
-            f"table is not associative at {witness}", witness=witness
-        )
-    return FiniteGroup(rows, name=name)
+        raise GroupValidationError("no identity element")
+    _check_columns(table, n)
+    witness = _associativity_witness(table, e)
+    raise GroupValidationError(f"table is not associative at {witness}", witness=witness)
 
 
 # -- stock Cayley-table groups ------------------------------------------------

@@ -579,6 +579,41 @@ def test_each_command_builds_only_what_it_reads(built, capsys, argv, expected):
     assert {name: n for name, n in built.items() if n} == expected
 
 
+def _z2_power_file(tmp_path, k):
+    """A group file with the Cayley table of (Z2)^k: 2^k singleton classes."""
+    n = 2**k
+    path = tmp_path / f"z2-{k}.json"
+    path.write_text(json.dumps({"cayley": [[i ^ j for j in range(n)] for i in range(n)]}))
+    return path
+
+
+@pytest.mark.parametrize("command", ("chartable", "minor"))
+def test_group_file_above_the_class_bound_exits_2_before_the_table(built, tmp_path, capsys, command):
+    path = _z2_power_file(tmp_path, 9)
+    code, out, err = run(capsys, command, "--group", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: 512 conjugacy classes, above the limit 256 for a character table\n"
+    assert built["character_table"] == 0
+
+
+def test_group_command_reads_a_group_file_above_the_class_bound(tmp_path, capsys):
+    path = _z2_power_file(tmp_path, 9)
+    code, out, _ = run(capsys, "group", "--group", str(path))
+    assert code == 0
+    assert len(json.loads(out)["group"]["classes"]) == 512
+
+
+@pytest.mark.parametrize("bound, expected", ((5, 0), (4, 2)))
+def test_the_class_bound_admits_exactly_its_count(monkeypatch, tmp_path, capsys, bound, expected):
+    monkeypatch.setattr(cli, "MAX_FILE_CLASSES", bound)
+    path = tmp_path / "z5.json"
+    path.write_text(json.dumps({"cayley": [[(i + j) % 5 for j in range(5)] for i in range(5)]}))
+    assert run(capsys, "minor", "--group", str(path))[0] == expected
+    # ADE labels and stock groups keep their own bounds
+    assert run(capsys, "chartable", "--type", "A5")[0] == 0
+    assert run(capsys, "minor", "--name", "S4")[0] == 0
+
+
 def test_verify_local_then_minor_build_one_table_and_one_determinant(built, capsys):
     assert run(capsys, "verify", "local", "--type", "D4")[0] == 0
     assert run(capsys, "minor", "--type", "D4")[0] == 0

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from functools import cache
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -678,13 +679,25 @@ def _some_cell(draw, table):
     return draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
 
 
-def _fault_intercalate(draw, table, identity):
+def _generator_rows(table):
+    """The rows of a group table, in its own labels, that the fast decision
+    of ``group_from_cayley`` checks as permutations: row 0 and the rows of
+    the look-ahead generators of the table relabeled with its identity at 0."""
+    n = len(table)
+    rows = groups._group_rows(table, n)
+    e = table[0].index(0)
+    swap = {0: e, e: 0}
+    tested = groups._greedy_generators(rows, 0, groups._LOOKAHEAD)
+    return {0} | {swap.get(b, b) for b in tested}
+
+
+def _fault_intercalate(draw, table, identity, spare):
     found = intercalate_avoiding(table, identity, draw(st.integers(0, len(table))))
     if found:
         swap_intercalate(table, *found)
 
 
-def _fault_no_identity(draw, table, identity):
+def _fault_no_identity(draw, table, identity, spare):
     # swap two whole columns: rows and columns stay permutations
     n = len(table)
     c1, c2 = draw(st.permutations(range(n)))[:2] if n > 1 else (0, 0)
@@ -692,34 +705,45 @@ def _fault_no_identity(draw, table, identity):
         row[c1], row[c2] = row[c2], row[c1]
 
 
-def _fault_row_swap(draw, table, identity):
+def _fault_row_swap(draw, table, identity, spare):
     # the row stays a permutation; its two columns repeat a value
     i, j = _some_cell(draw, table)
     k = draw(st.integers(0, len(table) - 1))
     table[i][j], table[i][k] = table[i][k], table[i][j]
 
 
-def _fault_column_swap(draw, table, identity):
+def _fault_column_swap(draw, table, identity, spare):
     # the column stays a permutation; its two rows repeat a value
     i, j = _some_cell(draw, table)
     k = draw(st.integers(0, len(table) - 1))
     table[i][j], table[k][j] = table[k][j], table[i][j]
 
 
-def _fault_repeat(draw, table, identity):
+def _fault_repeat(draw, table, identity, spare):
     i, j = _some_cell(draw, table)
     table[i][j] = table[i][draw(st.integers(0, len(table) - 1))]
 
 
-def _fault_out_of_range(draw, table, identity):
+def _fault_out_of_range(draw, table, identity, spare):
     i, j = _some_cell(draw, table)
     table[i][j] = draw(st.sampled_from((-1, len(table), len(table) + 7)))
 
 
-def _fault_type(draw, table, identity):
+def _fault_type(draw, table, identity, spare):
     i, j = _some_cell(draw, table)
     v = table[i][j]
     table[i][j] = draw(st.sampled_from((float(v), v == 1, v != 0)))
+
+
+def _fault_spare_row(draw, table, identity, spare):
+    # a repeated value, or an entry of the wrong type or out of range, in a
+    # row that the fast decision does not check as a permutation
+    if not spare:
+        return
+    i = draw(st.sampled_from(spare))
+    j = draw(st.integers(0, len(table) - 1))
+    n, v = len(table), table[i][j]
+    table[i][j] = draw(st.sampled_from((table[i][(j + 1) % n], -1, n, v == 1, float(v))))
 
 
 # Latin-preserving faults first, so an intercalate is found in a Latin square
@@ -731,13 +755,16 @@ CAYLEY_FAULTS = (
     _fault_repeat,
     _fault_out_of_range,
     _fault_type,
+    _fault_spare_row,
 )
 
 
 @st.composite
 def faulty_group_tables(draw):
     """A relabeled group table of order <= 24 with 0-2 injected faults, its
-    rows lists or, as library callers pass ``group.cayley``, tuples."""
+    rows lists or, as library callers pass ``group.cayley``, tuples.  Faults
+    land anywhere, and one kind lands only in rows outside the generator
+    rows that the fast decision checks as permutations."""
     base = perm_group_table(draw(st.sampled_from(SMALL_GROUP_GENS)))
     n = len(base)
     sigma = draw(st.permutations(range(n)))
@@ -745,9 +772,10 @@ def faulty_group_tables(draw):
     for i in range(n):
         for j in range(n):
             table[sigma[i]][sigma[j]] = sigma[base[i][j]]
+    spare = sorted(set(range(n)) - _generator_rows(table))
     faults = draw(st.lists(st.sampled_from(CAYLEY_FAULTS), max_size=2))
     for fault in sorted(faults, key=CAYLEY_FAULTS.index):
-        fault(draw, table, sigma[0])
+        fault(draw, table, sigma[0], spare)
     return [tuple(row) for row in table] if draw(st.booleans()) else table
 
 
@@ -794,6 +822,160 @@ def test_cayley_validation_errors():
     with pytest.raises(GroupValidationError):
         # Latin square whose only left identity is not a right identity
         group_from_cayley([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+
+
+def test_a_monoid_whose_generator_row_repeats_is_rejected_at_that_row():
+    """Negative control: the one generator's row is not a permutation, yet
+    it passes Light's test, so without the generator-row check the monoid
+    [[0, 1], [1, 1]] would pass."""
+    table = [[0, 1], [1, 1]]
+    assert groups._light_witness([tuple(row) for row in table], 1) is None
+    with pytest.raises(GroupValidationError) as err:
+        group_from_cayley(table)
+    assert err.value.witness == ("row", 1)
+    assert _outcome(group_from_cayley, table) == _outcome(_cayley_oracle, table)
+
+
+Z4 = [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
+# Z4 listed as 1, 3, 0, 2: its identity sits at index 2
+Z4_MOVED = [[3, 2, 0, 1], [2, 3, 1, 0], [0, 1, 2, 3], [1, 0, 3, 2]]
+
+
+@pytest.mark.parametrize(
+    "base, cell, value, witness",
+    [
+        (Z4, (3, 3), 1, ("row", 3)),
+        (Z4, (2, 3), True, ("entry", 2, 3)),
+        (Z4, (2, 2), -1, ("entry", 2, 2)),
+        (Z4, (3, 2), 4, ("entry", 3, 2)),
+        (Z4_MOVED, (3, 3), 0, ("row", 3)),
+        (Z4_MOVED, (3, 1), True, ("entry", 3, 1)),
+        (Z4_MOVED, (3, 3), -1, ("entry", 3, 3)),
+        (Z4_MOVED, (3, 0), 4, ("entry", 3, 0)),
+    ],
+)
+def test_cayley_faults_outside_the_generator_rows_keep_their_witness(base, cell, value, witness):
+    """A repeated value, True, -1 or n in a row that the fast decision does
+    not check as a permutation is named as the row checks name it."""
+    i, j = cell
+    assert i not in _generator_rows(base)
+    table = [list(row) for row in base]
+    table[i][j] = value
+    with pytest.raises(GroupValidationError) as err:
+        group_from_cayley(table)
+    assert err.value.witness == witness
+    assert _outcome(group_from_cayley, table) == _outcome(_cayley_oracle, table)
+
+
+def _twisted_double():
+    """A loop on (Z3 x Z3) x {0, 1}: (a, 1)(b, 1) = (-(a + b), 0), and
+    (a, s)(b, t) = (a + b, s + t) otherwise.  Exactly the elements of
+    A x {0} pass Light's test.  They take indices 0-8 (a = 3x + y for
+    (x, y)); (3, 1) is index 9, and the other (a, 1) follow in order."""
+
+    def add(a, b):
+        return 3 * ((a // 3 + b // 3) % 3) + (a + b) % 3
+
+    def neg(a):
+        return 3 * (-(a // 3) % 3) + (-a) % 3
+
+    elems = [(a, 0) for a in range(9)] + [(3, 1)] + [(a, 1) for a in range(9) if a != 3]
+    index = {x: i for i, x in enumerate(elems)}
+
+    def mul(x, y):
+        (a, s), (b, t) = x, y
+        return (neg(add(a, b)), 0) if s and t else (add(a, b), s ^ t)
+
+    return [[index[mul(x, y)] for y in elems] for x in elems]
+
+
+def _light_rounds(table):
+    """The elements Light's test runs on in the fast decision of
+    ``group_from_cayley`` (in the labels with the identity at 0), and
+    whether the decision passes."""
+    tested = []
+    light = groups._light_witness
+
+    def counted(rows, b):
+        tested.append(b)
+        return light(rows, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groups, "_light_witness", counted)
+        passed = groups._group_rows(table, len(table)) is not None
+    return tested, passed
+
+
+def _closure(rows, gens):
+    seen, members = {0}, [0]
+    for x in members:
+        for g in gens:
+            if rows[x][g] not in seen:
+                seen.add(rows[x][g])
+                members.append(rows[x][g])
+    return seen
+
+
+def test_a_failing_look_ahead_generator_is_caught():
+    """The look-ahead takes 9 over the least index outside the first
+    generator's closure, and 9 fails Light's test; the rejection names the
+    oracle's triple."""
+    table = _twisted_double()
+    rows = [tuple(row) for row in table]
+    tested, passed = _light_rounds(table)
+    assert not passed and tested == [1, 9]
+    least = min(x for x in range(len(rows)) if x not in _closure(rows, [1]))
+    assert least < 9 and groups._light_witness(rows, least) is None
+    assert groups._light_witness(rows, 1) is None
+    assert groups._light_witness(rows, 9) is not None
+    with pytest.raises(GroupValidationError) as err:
+        group_from_cayley(table)
+    assert is_violation(table, err.value.witness)
+    assert _outcome(group_from_cayley, table) == _outcome(_cayley_oracle, table)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_light_runs_on_k_generators_of_z2_to_the_k(k):
+    """Every element outside a subgroup of (Z2)^k doubles it, so each
+    generator's closure ties and exactly k rounds run."""
+    n = 2**k
+    table = _relabeled([[i ^ j for j in range(n)] for i in range(n)], k)
+    tested, passed = _light_rounds(table)
+    assert passed and len(tested) == k
+
+
+@cache
+def _ingest_base(name):
+    return INGEST_TABLES[name]()
+
+
+def _ingest_tables(seed):
+    """The relabeled Cayley tables of the benchmark's ``ingest`` workload at
+    ``seed``: one random stream relabels them in turn."""
+    rng = random.Random(f"ingest/{seed}")
+    for name in INGEST_TABLES:
+        base = _ingest_base(name)
+        n = len(base)
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        table = [[0] * n for _ in range(n)]
+        for i, row in enumerate(base):
+            dst = table[sigma[i]]
+            for j, v in enumerate(row):
+                dst[sigma[j]] = sigma[v]
+        yield name, table
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_look_ahead_tests_no_more_generators_than_the_index_order_greedy(seed):
+    """At most floor(log2 n) + 1 rounds, and never more than the parent's
+    Light's test ran on the index-order greedy generators of the same rows."""
+    for name, table in _ingest_tables(seed):
+        tested, passed = _light_rounds(table)
+        n = len(table)
+        assert passed
+        assert len(tested) <= n.bit_length()
+        assert len(tested) <= len(group_from_cayley(table).generating_set), name
 
 
 def test_cayley_s3_from_independent_composition():
