@@ -715,7 +715,6 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     z = pow(_primitive_root(p), (p - 1) // exponent, p)
     vectors = _common_eigenvectors(matrices, p)
     pm = _power_map(group, conj)
-    inv_sizes = [pow(s, p - 2, p) for s in conj.sizes]
     orders = {group.element_order[rep] for rep in conj.representatives}
     dft = {d: _inverse_dft(d, z, exponent, p) for d in orders}
     roots = {d: _roots_of_unity(d, z, exponent, p) for d in orders}
@@ -726,9 +725,13 @@ def character_table(group: FiniteGroup) -> CharacterTable:
             raise TableConsistencyError("eigenvector vanishes on the identity class")
         norm = pow(v[0], p - 2, p)
         v = [x * norm % p for x in v]
-        # the eigenvalue of K_i on v is read off row 0 of K_i v, as v[0] = 1
-        omega = [sum(map(mul, matrices[i][0], v)) % p for i in range(m)]
-        s = sum(omega[i] * omega[conj.class_inverse[i]] * inv_sizes[i] for i in range(m)) % p
+        # Row 0 of K_i is |C_i| at the class i* of inverses and 0 elsewhere:
+        # a_{ij0} counts the x in C_i with x^-1 in C_j.  So with v[0] = 1 the
+        # eigenvalue of K_i on v is omega_i = |C_i| v[i*], the character is
+        # chi(c) = chi(1) omega_c / |C_c| = chi(1) v[c*], and the norm sum
+        # sum_i omega_i omega_i* / |C_i| is sum_c |C_c| v[c] v[c*].
+        v_star = [v[c] for c in conj.class_inverse]
+        s = sum(map(mul, conj.sizes, map(mul, v, v_star))) % p
         if s == 0:
             raise TableConsistencyError("degenerate norm sum in degree recovery")
         d2 = order * pow(s, p - 2, p) % p
@@ -736,7 +739,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
         if root is None:
             raise TableConsistencyError("degree square has no modular root")
         degree = min(root, p - root)
-        chi_mod = [degree * omega[i] * inv_sizes[i] % p for i in range(m)]
+        chi_mod = [degree * x % p for x in v_star]
         rows.append(_lift_row(chi_mod, degree, group, conj, pm, dft, roots, p))
         degrees.append(degree)
     if sum(d * d for d in degrees) != order:

@@ -665,9 +665,8 @@ def group_from_cayley(table, name: str = "G") -> FiniteGroup:
     bad row, entry or column, or a triple (a, b, c) with (ab)c != a(bc), in
     the table's own labels.  Each is located by the plain scan, run only
     once the decision has failed: the row checks of every row in row order,
-    then, for a table with no identity or one that fails Light's test, the
-    columns, and then Light's test on the index-order greedy generators of
-    the table as given.
+    then the columns, then the identity, and then Light's test on the
+    index-order greedy generators of the table as given.
     """
     if not isinstance(table, (list, tuple)):
         raise GroupValidationError("table must be a list of rows")
@@ -678,11 +677,10 @@ def group_from_cayley(table, name: str = "G") -> FiniteGroup:
     if rows is not None:
         return FiniteGroup(rows, name=name)
     _raise_row_witness(table, n)
+    _check_columns(table, n)
     e = table[0].index(0)
     if not _is_identity(table, e, n):
-        _check_columns(table, n)
         raise GroupValidationError("no identity element")
-    _check_columns(table, n)
     witness = _associativity_witness(table, e)
     raise GroupValidationError(f"table is not associative at {witness}", witness=witness)
 

@@ -230,134 +230,106 @@ def _summed(terms) -> dict:
     return {k: c for k, c in out.items() if not c.is_zero()}
 
 
-def _smooth_witness(model: SurfaceModel, rings) -> dict | None:
-    """The first divisor pair whose product, summed, is not declared·[pt] in
-    both ``(ring, {label: index})`` pairs."""
-    for i in range(model.picard_rank):
-        for j in range(i, model.picard_rank):
-            li, lj = divisor_label(i), divisor_label(j)
-            declared = model.intersection[i][j]
-            sides = [_summed(ring.product(index[li], index[lj])) for ring, index in rings]
-            if any(
-                side != ({ring.point: declared} if declared else {})
-                for (ring, _), side in zip(rings, sides)
-            ):
-                (a_y, _), (a_orb, _) = rings
-                return {
-                    "left": li,
-                    "right": lj,
-                    "resolution_side": {a_y.labels[k]: c.to_json() for k, c in sides[0].items()},
-                    "orbifold_side": {a_orb.labels[k]: c.to_json() for k, c in sides[1].items()},
-                    "declared": declared,
-                }
-    return None
+def _side(ring: GradedAlgebra, terms) -> dict:
+    """A product as a witness gives it: summed per label, zeros dropped."""
+    return {ring.labels[k]: c.to_json() for k, c in _summed(terms).items()}
 
 
 def _same_product(left, right) -> bool:
     """Two term lists give one product: the same terms in order (assembly
-    copies each coefficient object), or equal sums in stored form."""
+    copies each coefficient object), or equal sums by value."""
     if len(left) == len(right):
         for (k, c), (l, d) in zip(left, right):
             if k != l or c is not d:
                 break
         else:
             return True
-    left, right = (
-        {k: (c.conductor, c.num, c.den) for k, c in _summed(t).items()} for t in (left, right)
-    )
-    return left == right
+    return _summed(left) == _summed(right)
 
 
-def _product_witnesses(
-    assembly: GlobalAssembly, index_y: dict, index_orb: dict
-) -> tuple[dict | None, dict | None]:
-    """The ``cross-products`` and ``block-products`` witnesses, from one walk
-    of A_Y's, then A_orb's, structure constants and one of each point's
-    local structure, so the cost is linear in the structure entries.
-    ``index_y`` and ``index_orb`` map each ring's labels to their indices.
+def _walk(name: str, ring: GradedAlgebra, parts) -> tuple:
+    """One walk of ``ring``'s structure constants against the model, linear
+    in them and in the local rings' constants.  ``parts`` lists the smooth
+    part, then each point: (point id or None, local ring, local degree-one
+    labels, their labels in ``ring``).  Returns ``(graded, index, smooth,
+    cross, block)``: ``unit-grading``, the label map, the failing keys on two
+    divisors, and the ``cross-products`` and ``block-products`` witnesses.
 
-    Each ring's degree-one classes fall into groups: 0 for the divisors
-    D1..Db, g for the g-th point's ``y_labels`` (A_Y) or ``orb_labels``
-    (A_orb); the unit and the point class lie in none.
+    Each part's labels form a group: 0 for D1..Db, g for the g-th point.
+    ``unit-grading`` asks for the unit in degree 0, a point class, and every
+    group label a degree-one class; a group with one that is not is skipped,
+    as nothing can be renamed onto it.  Expected are each part's local
+    degree-one products renamed (the unit and point class to the ring's), and
+    zero on any other pair inside a group.  A key fails when its terms are
+    neither the expected ones (the same coefficient objects in order) nor
+    equal to them summed by value, or when it is nonzero across two groups:
 
-    ``cross-products`` fails at the least key (i, j) whose labels lie in
-    different groups and whose terms are not all zero.  This decides what
-    multiplying the images of every cross-group pair of degree-one classes
-    of A_Y decides:
-
-    * A pass here is a pass there.  An image lies on its own group (a divisor
-      maps to itself, a point's class to a column of its block's matrix on
-      ``orb_labels``), so every term of such a product, direct in A_Y or
-      transported in A_orb, is a cross-group structure constant.
-    * If every block's matrix M is invertible, the constants S_AB between
-      groups A and B vanish iff M_A^T S_AB M_B does (M is the identity on the
-      divisors).  So the verdicts differ only if some M is singular, which
-      fails that point's ``additive-rank`` in the same report, or if a ring
-      is not commutative, which ``build`` and ``replaced_product`` never make.
-
-    ``block-products`` fails at the least key (i, j) on two degree-one
-    classes of one point whose terms are not the point's local product with
-    its indices renamed (each local degree-one class to the point's global
-    one, the unit and the point class to the global ones).  The per-point
-    checks verify the local rings; this ties the global rings to them.
+    * two divisors, ``smooth-products``: the smooth part transports
+      identically, so each divisor product is declared·[pt] in both rings;
+    * two classes of one point, ``block-products``: the per-point checks
+      verify the local rings, and this ties the global rings to them;
+    * two groups, ``cross-products``, at the least such key.  This decides
+      what multiplying the images of every cross-group pair of degree-one
+      classes of A_Y decides.  A pass here is a pass there: an image lies on
+      its own group (a divisor maps to itself, a point's class to a column
+      of its block's matrix on ``orb_labels``), so every term of such a
+      product, direct in A_Y or transported in A_orb, is a cross-group
+      constant.  If every block's matrix M is invertible, the constants S_AB
+      between groups A and B vanish iff M_A^T S_AB M_B does (M is the
+      identity on the divisors), so the verdicts differ only if some M is
+      singular, which fails that point's ``additive-rank`` in the same
+      report, or if a ring is not commutative, which ``build`` and
+      ``replaced_product`` never make.
     """
-    divisors = dict.fromkeys((divisor_label(i) for i in range(assembly.model.picard_rank)), 0)
-    cross = block = None
-    for (name, ring, side), index in zip(
-        (
-            ("resolution", assembly.a_y, lambda b: (b.cmap.source, b.cmap.col_labels, b.y_labels)),
-            ("orbifold", assembly.a_orb, lambda b: (b.cmap.target, b.cmap.row_labels, b.orb_labels)),
-        ),
-        (index_y, index_orb),
-    ):
-        groups, expected = dict(divisors), {}
-        for g, blk in enumerate(assembly.blocks, 1):
-            local, local_labels, global_labels = side(blk)
-            groups.update(dict.fromkeys(global_labels, g))
-            local_index = {lbl: i for i, lbl in enumerate(local.labels)}
-            rename = {local.unit: ring.unit, local.point: ring.point}
-            for lbl, glbl in zip(local_labels, global_labels):
-                rename[local_index[lbl]] = index[glbl]
-            for (i, j), terms in local.structure.items():
-                if local.degrees[i] == local.degrees[j] == 1:
-                    expected[rename[i], rename[j]] = [(rename[k], c) for k, c in terms]
-        group = [groups.get(lbl) for lbl in ring.labels]
-        structure = ring.structure
-        crossing, failing = [], []
-        for key, terms in expected.items():
-            if not _same_product(terms, structure.get(key, ())):
-                failing.append(key)
-        for key, terms in structure.items():
-            gi, gj = group[key[0]], group[key[1]]
-            if gi is None or gj is None:
-                continue
-            if gi != gj and any(not c.is_zero() for _, c in terms):
+    index = {lbl: i for i, lbl in enumerate(ring.labels)}
+    point = ring.point
+    graded = ring.degrees[ring.unit] == 0 and point is not None
+    group = [None] * ring.dim
+    expected = {}
+    for g, (_, local, local_labels, labels) in enumerate(parts):
+        at = [index.get(lbl) for lbl in labels]
+        if point is None or not all(k is not None and ring.degrees[k] == 1 for k in at):
+            graded = False
+            continue
+        for k in at:
+            group[k] = g
+        rename = {local.unit: ring.unit, local.point: point}
+        rename.update(zip(map(local.index, local_labels), at))
+        for (i, j), terms in local.structure.items():
+            if local.degrees[i] == local.degrees[j] == 1:
+                expected[rename[i], rename[j]] = [(rename[k], c) for k, c in terms]
+    structure = ring.structure
+    crossing, smooth, failing = [], [], []
+    for key in structure.keys() | expected.keys():
+        gi, gj = group[key[0]], group[key[1]]
+        if gi is None or gj is None:
+            continue
+        terms = structure.get(key, ())
+        if gi != gj:
+            if any(not c.is_zero() for _, c in terms):
                 crossing.append(key)
-            elif gi == gj and gi and key not in expected and not _same_product((), terms):
-                failing.append(key)
-        if cross is None and crossing:
-            i, j = min(crossing)
-            cross = {
-                "ring": name,
-                "left": ring.labels[i],
-                "right": ring.labels[j],
-                "terms": [[ring.labels[k], c.to_json()] for k, c in structure[i, j]],
-            }
-        if block is None and failing:
-            i, j = min(failing)
-            global_side, local_side = (
-                {ring.labels[k]: c.to_json() for k, c in _summed(terms).items()}
-                for terms in (structure.get((i, j), ()), expected.get((i, j), ()))
-            )
-            block = {
-                "ring": name,
-                "point": assembly.blocks[group[i] - 1].point.id,
-                "left": ring.labels[i],
-                "right": ring.labels[j],
-                "global_side": global_side,
-                "local_side": local_side,
-            }
-    return cross, block
+        elif not _same_product(expected.get(key, ()), terms):
+            (failing if gi else smooth).append(key)
+    cross = block = None
+    if crossing:
+        i, j = min(crossing)
+        cross = {
+            "ring": name,
+            "left": ring.labels[i],
+            "right": ring.labels[j],
+            "terms": [[ring.labels[k], c.to_json()] for k, c in structure[i, j]],
+        }
+    if failing:
+        i, j = min(failing)
+        block = {
+            "ring": name,
+            "point": parts[group[i]][0],
+            "left": ring.labels[i],
+            "right": ring.labels[j],
+            "global_side": _side(ring, structure.get((i, j), ())),
+            "local_side": _side(ring, expected.get((i, j), ())),
+        }
+    return graded, index, smooth, cross, block
 
 
 def verify_assembly(assembly: GlobalAssembly) -> VerificationReport:
@@ -365,12 +337,8 @@ def verify_assembly(assembly: GlobalAssembly) -> VerificationReport:
     t0 = time.perf_counter()
     model = assembly.model
     a_y, a_orb = assembly.a_y, assembly.a_orb
-    index_y = {lbl: i for i, lbl in enumerate(a_y.labels)}
-    index_orb = {lbl: i for i, lbl in enumerate(a_orb.labels)}
-    checks: list[CheckResult] = []
-
     dims_ok = a_y.dim == a_orb.dim == assembly.expected_dim
-    checks.append(
+    checks = [
         CheckResult(
             "dimensions",
             dims_ok,
@@ -379,36 +347,42 @@ def verify_assembly(assembly: GlobalAssembly) -> VerificationReport:
             else {"resolution": a_y.dim, "orbifold": a_orb.dim, "expected": assembly.expected_dim},
             detail={"dimension": assembly.expected_dim},
         )
+    ]
+    # the smooth part as a ring: declared·[pt] on each divisor pair
+    q = model.intersection
+    divisors = [divisor_label(i) for i in range(len(q))]
+    smooth_ring = GradedAlgebra.build(
+        ["1", *divisors, "[pt]"],
+        [0, *[1] * len(q), 2],
+        {(a, b): [("[pt]", v)] for a, row in zip(divisors, q) for b, v in zip(divisors, row)},
     )
-
-    # smooth part transports identically: divisor products are declared·[pt] on both sides
-    smooth = _smooth_witness(model, ((a_y, index_y), (a_orb, index_orb)))
+    sides = (
+        ("resolution", a_y, lambda b: (b.point.id, b.cmap.source, b.cmap.col_labels, b.y_labels)),
+        ("orbifold", a_orb, lambda b: (b.point.id, b.cmap.target, b.cmap.row_labels, b.orb_labels)),
+    )
+    walks = [
+        _walk(name, ring, [(None, smooth_ring, divisors, divisors), *map(part, assembly.blocks)])
+        for name, ring, part in sides
+    ]
+    # the least pair i <= j of divisor numbers over both rings, with both sides
+    pairs = [
+        sorted(divisors.index(ring.labels[k]) for k in key)
+        for (_, ring, _), walk in zip(sides, walks)
+        for key in walk[2]
+    ]
+    smooth = None
+    if pairs:
+        i, j = min(pairs)
+        smooth = {"left": divisors[i], "right": divisors[j]}
+        for (name, ring, _), (_, index, *_) in zip(sides, walks):
+            terms = ring.product(index.get(divisors[i]), index.get(divisors[j]))
+            smooth[f"{name}_side"] = _side(ring, terms)
+        smooth["declared"] = q[i][j]
     checks.append(CheckResult("smooth-products", smooth is None, witness=smooth))
-
-    # cross-block degree-1 products vanish on both sides, and each point's
-    # are its local ring's, renamed
-    cross, block = _product_witnesses(assembly, index_y, index_orb)
-    checks.append(CheckResult("cross-products", cross is None, witness=cross))
-    checks.append(CheckResult("block-products", block is None, witness=block))
-
-    # unit and grading bookkeeping of the block map
-    grading_ok = (
-        a_y.degrees[a_y.unit] == 0
-        and a_orb.degrees[a_orb.unit] == 0
-        and a_y.point is not None
-        and a_orb.point is not None
-        and all(
-            a_orb.degrees[index_orb[lbl]] == 1
-            for blk in assembly.blocks
-            for lbl in blk.orb_labels
-        )
-        and all(
-            a_y.degrees[index_y[lbl]] == 1
-            for blk in assembly.blocks
-            for lbl in blk.y_labels
-        )
-    )
-    checks.append(CheckResult("unit-grading", grading_ok))
+    for k, check in ((3, "cross-products"), (4, "block-products")):
+        witness = walks[0][k] or walks[1][k]
+        checks.append(CheckResult(check, witness is None, witness=witness))
+    checks.append(CheckResult("unit-grading", walks[0][0] and walks[1][0]))
 
     # points of one type share one cached map, whose checks are decided once
     for blk in assembly.blocks:

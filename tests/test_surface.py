@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from mckay import correspondence, surface
+from mckay.algebra import GradedAlgebra
 from mckay.catalog import ade_bundle
 from mckay.correspondence import Bundle, verify_correspondence
 from mckay.cyclo import rational
@@ -495,7 +496,34 @@ def test_block_products_sum_duplicate_terms():
     assert verify_assembly(dataclasses.replace(asm, a_orb=zero)).passed
 
 
-@pytest.mark.parametrize("name", ["two-point", "three-point", "repeated"] + sorted(BLOCK_TAMPERS))
+# (model, ring, left, right, terms): a product replaced by its own value at
+# conductor 4, which changes its stored form and nothing else
+LIFTED = {
+    "y-lifted-curve-square": (
+        TWO_POINT, "a_y", "E(p,1)", "E(p,1)", [("[pt]", rational(-2).lift(4))]
+    ),
+    "y-lifted-divisor-pair": (
+        THREE_POINT, "a_y", "D1", "D2", [("[pt]", rational(1).lift(4))]
+    ),
+}
+
+
+def lifted(name):
+    model, ring, left, right, terms = LIFTED[name]
+    asm = assemble_global(parse_surface(model))
+    return dataclasses.replace(asm, **{ring: getattr(asm, ring).replaced_product(left, right, terms)})
+
+
+@pytest.mark.parametrize("name", sorted(LIFTED))
+def test_products_are_compared_by_value(name):
+    # the same value at another conductor is the same product, in a point's
+    # block as on the smooth part
+    assert verify_assembly(lifted(name)).passed
+
+
+@pytest.mark.parametrize(
+    "name", ["two-point", "three-point", "repeated", "y-lifted-curve-square"] + sorted(BLOCK_TAMPERS)
+)
 def test_block_products_agree_with_the_all_pairs_oracle(name):
     if name == "two-point":
         asm = assemble_global(parse_surface(TWO_POINT))
@@ -503,10 +531,65 @@ def test_block_products_agree_with_the_all_pairs_oracle(name):
         asm = assemble_global(three_point_model())
     elif name == "repeated":
         asm = assemble_global(parse_surface(REPEATED))
+    elif name in LIFTED:
+        asm = lifted(name)
     else:
         asm = block_tampered(name)
     verdict = verify_assembly(asm).check("block-products").passed
     assert verdict == block_products_oracle(asm) == (name not in BLOCK_TAMPERS)
+
+
+# -- unit-grading: a global ring whose labels do not match the model ------------------
+
+ONE_POINT = {"picard_rank": 1, "intersection_matrix": [[1]], "points": [{"id": "p", "type": "A2"}]}
+A2_BLOCK = {
+    ("E(p,1)", "E(p,1)"): [("[pt]", -2)],
+    ("E(p,1)", "E(p,2)"): [("[pt]", 1)],
+    ("E(p,2)", "E(p,2)"): [("[pt]", -2)],
+}
+
+
+@pytest.mark.parametrize(
+    "labels, degrees, products, failing",
+    [
+        pytest.param(
+            ["1", "D1", "E(p,1)", "[pt]"],
+            [0, 1, 1, 2],
+            {("D1", "D1"): [("[pt]", 1)], ("E(p,1)", "E(p,1)"): [("[pt]", -2)]},
+            {"dimensions", "unit-grading"},
+            id="block-label-missing",
+        ),
+        pytest.param(
+            ["1", "E(p,1)", "E(p,2)", "[pt]"],
+            [0, 1, 1, 2],
+            A2_BLOCK,
+            {"dimensions", "unit-grading"},
+            id="divisor-missing",
+        ),
+        # the dimension is right, so unit-grading alone catches it
+        pytest.param(
+            ["1", "D1", "E(p,1)", "X", "[pt]"],
+            [0, 1, 1, 1, 2],
+            {("D1", "D1"): [("[pt]", 1)], ("E(p,1)", "E(p,1)"): [("[pt]", -2)]},
+            {"unit-grading"},
+            id="block-label-renamed",
+        ),
+        pytest.param(
+            ["1", "D1", "E(p,1)", "E(p,2)"],
+            [0, 1, 1, 1],
+            {},
+            {"dimensions", "unit-grading"},
+            id="no-point-class",
+        ),
+    ],
+)
+def test_a_ring_off_the_model_fails_as_data(labels, degrees, products, failing):
+    # reported as data, never raised: the walk skips each group with a label
+    # that is not a degree-one class of the ring
+    asm = assemble_global(parse_surface(ONE_POINT))
+    a_y = GradedAlgebra.build(labels, degrees, products)
+    report = verify_assembly(dataclasses.replace(asm, a_y=a_y))
+    assert {c.name for c in report.checks if not c.passed} == failing
 
 
 # -- one walk decides both checks -------------------------------------------------
