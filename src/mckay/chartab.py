@@ -193,7 +193,7 @@ def _sqrt_mod(a: int, p: int) -> int | None:
 
 
 def _apply(matrix, vec, p):
-    return [sum(r * v for r, v in zip(row, vec) if v) % p for row in matrix]
+    return [sum(map(mul, row, vec)) % p for row in matrix]
 
 
 def _rref(rows, p):
@@ -521,7 +521,7 @@ def _newton_roots(power_sums, roots, p):
     return mults
 
 
-def _lift_row(chi_mod, degree, group, conj, pm, dft, roots, p):
+def _lift_row(chi_mod, degree, group, conj, pm, dft, roots, p, memo):
     """The exact values of one character from its residues.
 
     ``dft`` maps each element order d to its ``_inverse_dft`` and ``roots``
@@ -544,38 +544,52 @@ def _lift_row(chi_mod, degree, group, conj, pm, dft, roots, p):
     uniquely, so its roots with multiplicity are the same multiset.  Every
     path is checked to give n roots summing to chi(g) mod p, or raises
     TableConsistencyError.
+
+    ``memo``, shared by every row of one table, makes each distinct value
+    one object.  It maps the key (d, n, residues read) to the value lifted
+    from them, and each stored form (``CycNum.key``, a pair) to its first
+    object.  The multiset and every check depend on the key alone (chi(g)
+    is chi(g^1), among the residues read), so a value found there passed
+    them at an earlier class or row.
     """
     values = []
     for j, rep in enumerate(conj.representatives):
         d = group.element_order[rep]
-        if degree < d:
-            power_sums = [chi_mod[pm[j][k]] for k in range(1, degree + 1)]
-            mults = _newton_roots(power_sums, roots[d], p)
-        else:
-            rows, d_inv = dft[d]
-            chi_powers = [chi_mod[pm[j][u]] for u in range(d)]
-            mults = {}
-            for t, row in enumerate(rows):
-                m_t = sum(map(mul, chi_powers, row)) * d_inv % p
-                if m_t > degree:
-                    raise TableConsistencyError("eigenvalue multiplicity out of range")
-                if m_t:
-                    mults[t] = m_t
-        if sum(mults.values()) != degree:
-            raise TableConsistencyError("eigenvalue multiplicities do not sum to degree")
-        # consistency: the lifted value must reproduce chi mod p
-        powers = roots[d][0]
-        check = sum(m * powers[t] for t, m in mults.items()) % p
-        if check != chi_mod[j] % p:
-            raise TableConsistencyError("lifted character does not match modular data")
-        values.append(CycNum(d, mults))
+        reads = range(1, degree + 1) if degree < d else range(d)
+        residues = tuple(chi_mod[pm[j][k]] for k in reads)
+        key = (d, degree, residues)
+        value = memo.get(key)
+        if value is None:
+            if degree < d:
+                mults = _newton_roots(residues, roots[d], p)
+            else:
+                rows, d_inv = dft[d]
+                mults = {}
+                for t, row in enumerate(rows):
+                    m_t = sum(map(mul, residues, row)) * d_inv % p
+                    if m_t > degree:
+                        raise TableConsistencyError("eigenvalue multiplicity out of range")
+                    if m_t:
+                        mults[t] = m_t
+            if sum(mults.values()) != degree:
+                raise TableConsistencyError("eigenvalue multiplicities do not sum to degree")
+            # consistency: the lifted value must reproduce chi mod p
+            powers = roots[d][0]
+            check = sum(m * powers[t] for t, m in mults.items()) % p
+            if check != chi_mod[j] % p:
+                raise TableConsistencyError("lifted character does not match modular data")
+            value = CycNum(d, mults)
+            value = memo[key] = memo.setdefault(value.key(), value)
+        values.append(value)
     return tuple(values)
 
 
-def _row_sort_key(row, degree, exponent):
+def _row_sort_key(row, degree, lifted):
     # lifted values are algebraic integers (den == 1), so their numerators
-    # order as their coefficients do
-    return (degree, tuple(x for v in row for x in v.lift(exponent).num))
+    # order as their coefficients do; ``lifted`` holds each value object's
+    # numerators at the exponent, all of one length, so comparing the rows'
+    # tuples of them orders as comparing their concatenations
+    return (degree, tuple(lifted[id(v)] for v in row))
 
 
 def _symmetric(residue: int, p: int) -> int:
@@ -622,6 +636,16 @@ def _certify(table: CharacterTable) -> Certificate:
        chi_i(c') = delta_cc' |G| / |C_c|.
 
     Every failure raises TableConsistencyError with a witness.
+
+    Steps 2, 3, 5 and 6 work once per value object, with memos keyed by
+    identity and local to this call (the table holds every value while it
+    runs, so no identity is reused): the integrality test, the L1 norm, the
+    image mod p and sigma_l for each step l.  Each sigma_l(v) is still
+    compared with ``values[c^l]`` for every (row, class, l), in the order of
+    a loop over the entries, so the verdict and the witness are that loop's.
+    :func:`character_table` makes equal values one object (:func:`_lift_row`);
+    a table copied with other rows (``dataclasses.replace``) holds other
+    objects and is checked afresh, with nothing read from an earlier call.
     """
     group, conj = table.group, table.conj
     m = len(conj.classes)
@@ -636,33 +660,39 @@ def _certify(table: CharacterTable) -> Certificate:
             f"table is not square over its {m} classes: {shape[0]} rows of lengths {shape[1]}",
             witness=("shape", *shape),
         )
-    # steps 2 and 3, collecting the L1 norms for step 5
+    # steps 2 and 3, each value object tested and conjugated once; each
+    # conjugate is still compared for every (row, class, l), in this order
     pm = _power_map(group, conj)
     steps = [g for g, _ in _galois_steps(exponent)]
-    norms = []
+    conjugates = {}  # id(value) -> [sigma_l(value) for l in steps]
+    distinct = {}  # id(value) -> value
     for name, values in functions:
         for c, v in enumerate(values):
-            if v.den != 1 or exponent % v.conductor:
-                raise TableConsistencyError(
-                    f"value of row {name} at class {c} is not an integer of "
-                    f"Q(zeta_{exponent}): {v}",
-                    witness=("integrality", name, c),
-                )
-            for g in steps:
-                if v.galois(g) != values[pm[c][g % len(pm[c])]]:
+            sigmas = conjugates.get(id(v))
+            if sigmas is None:
+                if v.den != 1 or exponent % v.conductor:
+                    raise TableConsistencyError(
+                        f"value of row {name} at class {c} is not an integer of "
+                        f"Q(zeta_{exponent}): {v}",
+                        witness=("integrality", name, c),
+                    )
+                sigmas = conjugates[id(v)] = [v.galois(g) for g in steps]
+                distinct[id(v)] = v
+            for g, sigma in zip(steps, sigmas):
+                if sigma != values[pm[c][g % len(pm[c])]]:
                     raise TableConsistencyError(
                         f"Galois equivariance fails for row {name} at class {c}, "
                         f"l = {g}",
                         witness=("galois", name, c, g),
                     )
-        norms.append([sum(map(abs, v.num)) for v in values])
+    norms = {key: sum(map(abs, v.num)) for key, v in distinct.items()}
     # steps 5 and 6
-    row_norms = norms[:m]
-    natural_norms = norms[m] if len(norms) > m else [0] * m
+    natural = table.natural_character
     bound = 0
     for c in range(m):
-        a = max(r[c] for r in row_norms)
-        bound += sizes[c] * a * a * max(1, a, natural_norms[c])
+        a = max(norms[id(row[c])] for row in table.rows)
+        n = norms[id(natural[c])] if natural is not None else 0
+        bound += sizes[c] * a * a * max(1, a, n)
     p = _prime_above(2 * bound, exponent)
     z = pow(_primitive_root(p), (p - 1) // exponent, p)
     powers = [1] * exponent
@@ -673,7 +703,8 @@ def _certify(table: CharacterTable) -> Certificate:
         step = exponent // v.conductor
         return sum(x * powers[step * i] for i, x in enumerate(v.num) if x) % p
 
-    images = [tuple(image(v) for v in values) for _, values in functions]
+    image_of = {key: image(v) for key, v in distinct.items()}
+    images = [tuple(image_of[id(v)] for v in values) for _, values in functions]
     rows = tuple(images[:m])
     conj_rows = tuple(tuple(row[inverse[c]] for c in range(m)) for row in rows)
     # step 7
@@ -718,6 +749,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     orders = {group.element_order[rep] for rep in conj.representatives}
     dft = {d: _inverse_dft(d, z, exponent, p) for d in orders}
     roots = {d: _roots_of_unity(d, z, exponent, p) for d in orders}
+    memo = {}  # one object per distinct value of this table (see _lift_row)
     rows = []
     degrees = []
     for v in vectors:
@@ -740,21 +772,27 @@ def character_table(group: FiniteGroup) -> CharacterTable:
             raise TableConsistencyError("degree square has no modular root")
         degree = min(root, p - root)
         chi_mod = [degree * x % p for x in v_star]
-        rows.append(_lift_row(chi_mod, degree, group, conj, pm, dft, roots, p))
+        rows.append(_lift_row(chi_mod, degree, group, conj, pm, dft, roots, p, memo))
         degrees.append(degree)
     if sum(d * d for d in degrees) != order:
         raise TableConsistencyError("degrees do not satisfy the order sum rule")
     trivial = [i for i, row in enumerate(rows) if all(v.as_rational() == 1 for v in row)]
     if len(trivial) != 1:
         raise TableConsistencyError("trivial character missing or duplicated")
+    lifted = {}  # id(value) -> its numerators at the exponent
+    for row in rows:
+        for v in row:
+            if id(v) not in lifted:
+                lifted[id(v)] = v.lift(exponent).num
     order_keys = sorted(
         (i for i in range(m) if i != trivial[0]),
-        key=lambda i: _row_sort_key(rows[i], degrees[i], exponent),
+        key=lambda i: _row_sort_key(rows[i], degrees[i], lifted),
     )
     perm = [trivial[0]] + order_keys
     natural = None
     if group.matrix_rep is not None:
-        natural = tuple(group.trace(rep) for rep in conj.representatives)
+        traces = map(group.trace, conj.representatives)
+        natural = tuple(memo.setdefault(v.key(), v) for v in traces)
     return CharacterTable(
         group=group,
         conj=conj,

@@ -162,13 +162,22 @@ def _scaled_minor(table: CharacterTable) -> tuple[tuple[CycNum, ...], ...]:
     """diag(s)·Y^T at conductor 2*exponent, for Y the character table without
     its trivial row and identity column: entry [c-1][r-1] is s(g_c)·chi_r(g_c).
     Built once per table: ``Bundle.cmap`` stores it as M and ``verify_correspondence``
-    compares M with it."""
+    compares M with it.  Each entry is formed once per (class, value object):
+    the table shares one object per distinct value."""
     m = table.size
     conductor = 2 * table.conj.exponent
     rows = []
     for c in range(1, m):
         s = branch_sqrt(table, c)
-        rows.append(tuple((s * table.rows[r][c]).lift(conductor) for r in range(1, m)))
+        scaled = {}  # id(chi_r(g_c)) -> s(g_c)·chi_r(g_c)
+        row = []
+        for r in range(1, m):
+            v = table.rows[r][c]
+            entry = scaled.get(id(v))
+            if entry is None:
+                entry = scaled[id(v)] = (s * v).lift(conductor)
+            row.append(entry)
+        rows.append(tuple(row))
     return tuple(rows)
 
 

@@ -262,7 +262,8 @@ def _walk(name: str, ring: GradedAlgebra, parts) -> tuple:
     degree-one products renamed (the unit and point class to the ring's), and
     zero on any other pair inside a group.  A key fails when its terms are
     neither the expected ones (the same coefficient objects in order) nor
-    equal to them summed by value, or when it is nonzero across two groups:
+    equal to them summed by value, or when its terms across two groups do
+    not sum to zero (summed per basis class, as ``mult_vec`` sums them):
 
     * two divisors, ``smooth-products``: the smooth part transports
       identically, so each divisor product is declared·[pt] in both rings;
@@ -306,7 +307,7 @@ def _walk(name: str, ring: GradedAlgebra, parts) -> tuple:
             continue
         terms = structure.get(key, ())
         if gi != gj:
-            if any(not c.is_zero() for _, c in terms):
+            if _summed(terms):
                 crossing.append(key)
         elif not _same_product(expected.get(key, ()), terms):
             (failing if gi else smooth).append(key)

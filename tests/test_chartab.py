@@ -505,8 +505,8 @@ def test_lift_matches_the_inverse_dft(monkeypatch, name):
     lift = chartab._lift_row
     degrees = []
 
-    def checked(chi_mod, degree, group, conj, pm, dft, roots, p):
-        out = lift(chi_mod, degree, group, conj, pm, dft, roots, p)
+    def checked(chi_mod, degree, group, conj, pm, dft, roots, p, *rest):
+        out = lift(chi_mod, degree, group, conj, pm, dft, roots, p, *rest)
         assert _stored(out) == _stored(_lift_row_oracle(chi_mod, degree, group, conj, pm, dft, p))
         degrees.append(degree)
         return out
@@ -563,7 +563,7 @@ def test_residue_off_every_root_sum_is_rejected(monkeypatch, label, degree):
     lift = chartab._lift_row
     tampered = []
 
-    def tamper(chi_mod, n, group, conj, pm, dft, roots, p):
+    def tamper(chi_mod, n, group, conj, pm, dft, roots, p, *rest):
         if n == degree and not tampered:
             j = _unread_class(group, conj, pm, n)
             powers, _ = roots[group.element_order[conj.representatives[j]]]
@@ -571,7 +571,7 @@ def test_residue_off_every_root_sum_is_rejected(monkeypatch, label, degree):
             chi_mod = list(chi_mod)
             chi_mod[j] = next(r for r in range(p) if r not in sums)
             tampered.append(j)
-        return lift(chi_mod, n, group, conj, pm, dft, roots, p)
+        return lift(chi_mod, n, group, conj, pm, dft, roots, p, *rest)
 
     monkeypatch.setattr(chartab, "_lift_row", tamper)
     with pytest.raises(TableConsistencyError, match="^eigenvalue multiplicities do not sum to degree$"):
@@ -782,6 +782,150 @@ def test_tampered_table_exits_3(monkeypatch, capsys, name):
     assert code == cli.INTERNAL_ERROR == 3
     assert captured.out == ""
     assert captured.err.startswith("internal error: TableConsistencyError:")
+
+
+# -- one object per distinct value ----------------------------------------------------
+
+
+def _ingest_groups(seed):
+    """The Cayley groups that ``minor --group`` ingests (360-720 elements),
+    relabeled in turn by one random stream at ``seed``."""
+    rng = random.Random(f"ingest/{seed}")
+    bases = {
+        "A5xS3": lambda: _direct_product_table(alternating_group(5).cayley, symmetric_group(3).cayley),
+        "S5xZ4": lambda: _direct_product_table(symmetric_group(5).cayley, cyclic_group(4).cayley),
+        "S4xS4": lambda: _direct_product_table(symmetric_group(4).cayley, symmetric_group(4).cayley),
+        "S6": lambda: symmetric_group(6).cayley,
+    }
+    for name, base in bases.items():
+        cayley = base()
+        n = len(cayley)
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        relabeled = [[0] * n for _ in range(n)]
+        for i, row in enumerate(cayley):
+            for j, v in enumerate(row):
+                relabeled[sigma[i]][sigma[j]] = sigma[v]
+        yield f"ingest-{name}", group_from_cayley(relabeled)
+
+
+def _shared_value_tables():
+    yield from ((label, ade_bundle(label).table) for label in ADE_SUITE)
+    for label in ("A15", "D16", "A20", "D20"):
+        yield label, character_table(build_binary_polyhedral(label))
+    yield from ((name, extra_bundle(name).table) for name in EXTRA_GROUPS)
+    yield from ((name, character_table(group)) for name, group in _ingest_groups(1))
+
+
+def _values(table):
+    return [v for row in table.rows for v in row] + list(table.natural_character or ())
+
+
+def test_equal_stored_forms_are_one_object():
+    """In every table built, the rows and the natural character hold one
+    object per stored form."""
+    names = []
+    for name, table in _shared_value_tables():
+        first = {}
+        for v in _values(table):
+            assert first.setdefault(v.key(), v) is v, name
+        names.append(name)
+    assert len(names) == len(ADE_SUITE) + 4 + len(EXTRA_GROUPS) + 4
+
+
+@pytest.mark.parametrize("label, distinct", [("A20", 32), ("D20", 56), ("E8", 34)])
+def test_a_table_holds_few_distinct_values(label, distinct):
+    table = character_table(build_binary_polyhedral(label))
+    assert len({id(v) for row in table.rows for v in row}) == distinct
+    assert len({v.key() for row in table.rows for v in row}) == distinct
+
+
+def test_certificate_conjugates_each_value_object_once_per_step(monkeypatch):
+    """The Galois check forms sigma_l once per value object and step l; the
+    entry-by-entry loop formed it (m^2 + m) * steps times, 924 on D20."""
+    table = character_table(build_binary_polyhedral("D20"))
+    objects = len({id(v) for v in _values(table)})
+    steps = len(_galois_steps(table.conj.exponent))
+    galois = CycNum.galois
+    calls = []
+
+    def counted(self, k):
+        calls.append(k)
+        return galois(self, k)
+
+    monkeypatch.setattr(CycNum, "galois", counted)
+    assert chartab._certify(table) == table.certificate
+    assert 0 < len(calls) <= objects * steps == 58 * 2
+
+
+@pytest.mark.parametrize("label", ["A4", "D4", "E8", "A15", "S4"])
+def test_fresh_equal_values_certify_as_before(label):
+    """A replaced table whose values are new objects, equal to the old ones
+    and none shared, is checked afresh and gets the same certificate."""
+    table = _oracle_table(label)
+
+    def fresh(values):
+        return tuple(CycNum(v.conductor, v.coeffs) for v in values)
+
+    copy = replace(
+        table,
+        rows=tuple(map(fresh, table.rows)),
+        natural_character=None if table.natural_character is None else fresh(table.natural_character),
+    )
+    values = _values(copy)
+    assert len({id(v) for v in values}) == len(values)
+    assert not {id(v) for v in values} & {id(v) for v in _values(table)}
+    assert copy.certificate == table.certificate
+
+
+def _entrywise_galois_witness(table, rows):
+    """Steps 2 and 3 of the certificate entry by entry on ``rows`` and the
+    table's natural character, each value tested and conjugated where it
+    stands: the witness of the first failure, or None."""
+    exponent = table.conj.exponent
+    pm = chartab._power_map(table.group, table.conj)
+    steps = [g for g, _ in _galois_steps(exponent)]
+    functions = list(enumerate(rows))
+    if table.natural_character is not None:
+        functions.append(("natural", table.natural_character))
+    for name, values in functions:
+        for c, v in enumerate(values):
+            if v.den != 1 or exponent % v.conductor:
+                return ("integrality", name, c)
+            for g in steps:
+                if v.galois(g) != values[pm[c][g % len(pm[c])]]:
+                    return ("galois", name, c, g)
+    return None
+
+
+@pytest.mark.parametrize("label", ["A4", "D4", "E6"])
+def test_shared_object_tampers_keep_the_entrywise_witness(label):
+    """Negative controls on shared objects: copy the value object at (i, c')
+    to (i, c), so one object stands right at one class and wrong at the
+    other, or put a conjugate there.  The certificate fails, or passes, with
+    the witness of the entry-by-entry loop."""
+    table = ade_bundle(label).table
+    m = table.size
+    steps = [g for g, _ in _galois_steps(table.conj.exponent)]
+    failed = 0
+    for i in range(1, m):
+        for c in range(m):
+            candidates = [table.rows[i][d] for d in range(m) if d != c]
+            candidates += [table.rows[i][c].galois(g) for g in steps]
+            for value in candidates:
+                rows = _rows_with(table, i, c, value)
+                expected = _entrywise_galois_witness(table, rows)
+                try:
+                    replace(table, rows=rows)
+                except TableConsistencyError as err:
+                    failed += 1
+                    if expected is None:
+                        assert err.witness[0] not in ("integrality", "galois")
+                    else:
+                        assert err.witness == expected
+                else:
+                    assert expected is None
+    assert failed
 
 
 # -- McKay graphs ---------------------------------------------------------------------

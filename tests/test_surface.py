@@ -402,6 +402,39 @@ def test_cross_products_agree_with_the_image_oracle(name):
     assert verdict == (name not in TAMPERS or TAMPERS[name][4] != "cross-products")
 
 
+def cross_terms_tampered(terms):
+    """THREE_POINT with f(q,1)·f(p,1) in A_orb replaced by ``terms`` on f(p,1)."""
+    asm = assemble_global(three_point_model())
+    bad = asm.a_orb.replaced_product("f(q,1)", "f(p,1)", [("f(p,1)", c) for c in terms])
+    return dataclasses.replace(asm, a_orb=bad)
+
+
+def test_cross_terms_summing_to_zero_are_a_zero_product():
+    """Terms across two groups that cancel, at different conductors, give a
+    zero product: cross-products sums them per class by value, as the image
+    oracle (through mult_vec) and the smooth and block keys do."""
+    asm = cross_terms_tampered([rational(-2), rational(2).lift(3)])
+    assert cross_products_oracle(asm)
+    report = verify_assembly(asm)
+    assert all(c.passed for c in report.checks)
+
+
+def test_cross_terms_with_a_nonzero_sum_keep_the_stored_terms_as_witness():
+    asm = cross_terms_tampered([rational(-2), rational(3).lift(3)])
+    assert not cross_products_oracle(asm)
+    report = verify_assembly(asm)
+    assert {c.name for c in report.checks if not c.passed} == {"cross-products"}
+    assert report.check("cross-products").witness == {
+        "ring": "orbifold",
+        "left": "f(p,1)",
+        "right": "f(q,1)",
+        "terms": [
+            ["f(p,1)", rational(-2).to_json()],
+            ["f(p,1)", rational(3).lift(3).to_json()],
+        ],
+    }
+
+
 # -- tamper controls for block-products ---------------------------------------------
 
 TWO_POINT = {
