@@ -640,9 +640,11 @@ def _certify(table: CharacterTable) -> Certificate:
     Steps 2, 3, 5 and 6 work once per value object, with memos keyed by
     identity and local to this call (the table holds every value while it
     runs, so no identity is reused): the integrality test, the L1 norm, the
-    image mod p and sigma_l for each step l.  Each sigma_l(v) is still
-    compared with ``values[c^l]`` for every (row, class, l), in the order of
-    a loop over the entries, so the verdict and the witness are that loop's.
+    image mod p and sigma_l for each step l.  The entries are still walked
+    for every (row, class, l) in the order of a loop over them, so the
+    verdict and the witness are that loop's; but sigma_l(v) == values[c^l]
+    is decided once per distinct pair of objects (sigma_l(v), values[c^l]),
+    a memo keyed by both identities, since both objects are immutable.
     :func:`character_table` makes equal values one object (:func:`_lift_row`);
     a table copied with other rows (``dataclasses.replace``) holds other
     objects and is checked afresh, with nothing read from an earlier call.
@@ -666,6 +668,7 @@ def _certify(table: CharacterTable) -> Certificate:
     steps = [g for g, _ in _galois_steps(exponent)]
     conjugates = {}  # id(value) -> [sigma_l(value) for l in steps]
     distinct = {}  # id(value) -> value
+    equal = {}  # (id(sigma_l(v)), id(values[c^l])) -> verdict
     for name, values in functions:
         for c, v in enumerate(values):
             sigmas = conjugates.get(id(v))
@@ -679,7 +682,12 @@ def _certify(table: CharacterTable) -> Certificate:
                 sigmas = conjugates[id(v)] = [v.galois(g) for g in steps]
                 distinct[id(v)] = v
             for g, sigma in zip(steps, sigmas):
-                if sigma != values[pm[c][g % len(pm[c])]]:
+                target = values[pm[c][g % len(pm[c])]]
+                pair = (id(sigma), id(target))
+                verdict = equal.get(pair)
+                if verdict is None:
+                    verdict = equal[pair] = sigma == target
+                if not verdict:
                     raise TableConsistencyError(
                         f"Galois equivariance fails for row {name} at class {c}, "
                         f"l = {g}",

@@ -236,6 +236,15 @@ def char_minor_determinant(table: CharacterTable) -> CycNum:
 
     ``additive-rank`` and ``minor-determinant`` both read it, so a table
     verified and then asked for its minor pays for one elimination.
+
+    The stored form does not depend on the pivot order ``linalg`` picks.
+    Every value of column c is stored at one conductor, the order of g_c, and
+    a sum or product is stored at the lcm of its operands' conductors.  So
+    under any order the pivot of column c is stored at a multiple of that
+    order, and the product of the pivots at the lcm of the nonidentity
+    element orders, the exponent E, which is also the lcm of the entries'
+    conductors that ``linalg.determinant`` lifts a nonzero result to.  A
+    value has one stored form per conductor.
     """
     minor = [[table.rows[i][c] for c in range(1, table.size)] for i in range(1, table.size)]
     return rational(1) if not minor else linalg.determinant(minor)

@@ -23,6 +23,7 @@ from math import gcd, lcm
 from operator import add, eq, itemgetter
 
 from .cyclo import CycNum, _mul_num, _new, rational, zeta
+from .linalg import parity
 
 __all__ = [
     "FiniteGroup",
@@ -725,24 +726,8 @@ def symmetric_group(n: int) -> FiniteGroup:
     return group_from_cayley(_perm_table(perms), name=f"S{n}")
 
 
-def _parity(p) -> int:
-    seen = [False] * len(p)
-    sign = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def alternating_group(n: int) -> FiniteGroup:
     from itertools import permutations
 
-    perms = sorted(p for p in permutations(range(n)) if _parity(p) == 1)
+    perms = sorted(p for p in permutations(range(n)) if parity(p) == 1)
     return group_from_cayley(_perm_table(perms), name=f"A{n}perm")

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from math import lcm
+
 from .cyclo import CycNum, rational
 
-__all__ = ["matmul", "transpose", "determinant", "determinant_and_rank", "rank"]
+__all__ = ["matmul", "transpose", "determinant", "determinant_and_rank", "rank", "parity"]
 
 
 def transpose(m):
@@ -24,15 +26,61 @@ def matmul(a, b):
     return out
 
 
-def _eliminate(matrix):
-    """Row echelon form by exact division; returns (rows, pivot count, sign)."""
-    rows = [list(r) for r in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+def parity(p) -> int:
+    """The sign of the permutation i -> p[i] of range(len(p)): -1 per cycle
+    of even length."""
+    seen = [False] * len(p)
     sign = 1
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _eliminate(matrix):
+    """Row echelon form by exact division, pivots chosen for sparsity;
+    returns (rows, pivot count, sign).
+
+    The columns are taken in order of most exact zeros first (a stable sort,
+    so equal counts keep index order), and ``rows`` holds the matrix with its
+    columns so permuted.  In each column the pivot is the candidate row with
+    the most zeros in the columns still to come, the first such row on ties:
+    an update ``a - f*b`` is skipped wherever the pivot row's b is zero, so
+    a sparse pivot row costs fewer products (Markowitz, *The elimination
+    form of the inverse*, Management Science 3, 1957).  ``sign`` is the
+    parity of the column permutation times -1 per row swap, so a full-rank
+    square matrix has determinant sign * prod_r rows[r][r].
+
+    The order changes the products formed, not the value.  Every entry
+    formed is a difference or product of entries, stored at the lcm of its
+    operands' conductors, so every pivot, and the determinant formed from
+    them, is stored at a divisor of the lcm L of all entries' conductors,
+    which ``_determinant_and_rank`` lifts it to.  When each column holds one
+    conductor, as in a character minor, each pivot is stored at a multiple
+    of its column's, so the product already lands at L under any order.
+    """
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if matrix else 0
+    zeros = [sum(row[c].is_zero() for row in matrix) for c in range(ncols)]
+    order = sorted(range(ncols), key=lambda c: -zeros[c])
+    rows = [[row[c] for c in order] for row in matrix]
+    sign = parity(order)
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
+        piv, most = None, -1
+        for i in range(r, nrows):
+            row = rows[i]
+            if not row[c].is_zero():
+                count = sum(x.is_zero() for x in row[c + 1 :])
+                if count > most:
+                    piv, most = i, count
         if piv is None:
             continue
         if piv != r:
@@ -53,6 +101,13 @@ def _eliminate(matrix):
 
 
 def _determinant_and_rank(matrix) -> tuple[CycNum, int]:
+    """The determinant, lifted to the lcm of the entries' conductors
+    (``rational(0)`` when singular), and the rank.
+
+    Lifting makes the stored form independent of the pivot order: a value
+    has one stored form per conductor, and the product of the pivots lies
+    at a divisor of that lcm (see ``_eliminate``).
+    """
     n = len(matrix)
     if n == 0:
         return rational(1), 0
@@ -62,7 +117,7 @@ def _determinant_and_rank(matrix) -> tuple[CycNum, int]:
     det = rational(sign)
     for r in range(n):
         det = det * rows[r][r]  # full rank: row r pivots in column r
-    return det, pivots
+    return det.lift(lcm(*(x.conductor for row in matrix for x in row))), pivots
 
 
 def determinant_and_rank(matrix) -> tuple[CycNum, int]:

@@ -858,6 +858,24 @@ def test_certificate_conjugates_each_value_object_once_per_step(monkeypatch):
     assert 0 < len(calls) <= objects * steps == 58 * 2
 
 
+@pytest.mark.parametrize("label, calls", [("A40", 125), ("D40", 159)])
+def test_certificate_compares_each_pair_of_objects_once(monkeypatch, label, calls):
+    """sigma_l(v) == values[c^l] is decided once per distinct pair of
+    objects; the entry-by-entry loop compared (m^2 + m) * steps = 3,444
+    pairs at both A40 and D40."""
+    table = character_table(build_binary_polyhedral(label))
+    equal = CycNum.__eq__
+    seen = []
+
+    def counted(self, other):
+        seen.append(None)
+        return equal(self, other)
+
+    monkeypatch.setattr(CycNum, "__eq__", counted)
+    assert chartab._certify(table) == table.certificate
+    assert len(seen) == calls
+
+
 @pytest.mark.parametrize("label", ["A4", "D4", "E8", "A15", "S4"])
 def test_fresh_equal_values_certify_as_before(label):
     """A replaced table whose values are new objects, equal to the old ones

@@ -1,0 +1,106 @@
+"""Exact elimination: the sparsity-ordered pivots against index order."""
+
+from itertools import permutations
+from math import lcm
+
+from hypothesis import given, settings, strategies as st
+
+from mckay import linalg
+from mckay.cyclo import CycNum, rational, zeta
+from mckay.linalg import determinant, determinant_and_rank, parity, rank
+
+CONDUCTORS = (1, 2, 3, 4, 8, 12)
+
+
+def index_order_determinant_and_rank(matrix):
+    """The oracle, the elimination ``linalg`` ran before sparse pivots: the
+    first nonzero entry of each column, columns in index order, and no lift
+    of the result."""
+    rows = [list(r) for r in matrix]
+    n = len(rows)
+    sign, r = 1, 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, n) if not rows[i][c].is_zero()), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        inv = rows[r][c].inverse()
+        for i in range(r + 1, n):
+            if not rows[i][c].is_zero():
+                f = rows[i][c] * inv
+                rows[i] = [a - f * b if not b.is_zero() else a for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == n:
+            break
+    if r < n:
+        return rational(0), r
+    det = rational(sign)
+    for k in range(n):
+        det = det * rows[k][k]
+    return det, r
+
+
+def stored(v):
+    return (v.conductor, v.num, v.den)
+
+
+@st.composite
+def entries(draw):
+    n = draw(st.sampled_from(CONDUCTORS))
+    if draw(st.integers(0, 2)) == 0:
+        return CycNum(n, {})  # an exact zero, stored at any conductor
+    terms = draw(st.dictionaries(st.integers(0, n - 1), st.integers(-3, 3), max_size=3))
+    return CycNum(n, terms)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 5))
+    matrix = [[draw(entries()) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        # singular on purpose: a row becomes a multiple of another, or zero
+        i, j = draw(st.permutations(range(n)))[:2]
+        f = draw(entries())
+        matrix[i] = [f * x for x in matrix[j]]
+    return matrix
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_sparse_pivots_match_the_index_order_oracle(matrix):
+    det, rk = determinant_and_rank(matrix)
+    want, want_rank = index_order_determinant_and_rank(matrix)
+    assert det == want
+    assert rk == want_rank == rank(matrix)
+    assert stored(determinant(matrix)) == stored(det)
+    if want.is_zero():
+        assert stored(det) == stored(rational(0))
+    else:
+        conductor = lcm(*(x.conductor for row in matrix for x in row))
+        assert stored(det) == stored(want.lift(conductor))
+
+
+def test_odd_column_permutation_sign():
+    # column 1 holds the only zero, so it is taken first: the transposition
+    matrix = [[rational(2), zeta(3)], [rational(3), rational(0)]]
+    _, _, sign = linalg._eliminate(matrix)
+    assert sign == -1
+    assert determinant(matrix) == -3 * zeta(3)
+
+
+def test_row_swaps_with_column_reordering():
+    # zeros per column 1, 2, 0: the order (1, 0, 2) is odd, and the first
+    # column taken pivots in row 2, a swap; det = 1 * (2 * 5 * z4) = 10 * z4
+    base = [
+        [rational(0), rational(0), rational(1)],
+        [rational(2), rational(0), zeta(3)],
+        [zeta(8), 5 * zeta(4), rational(6)],
+    ]
+    want = 10 * zeta(4)
+    assert determinant(base) == want
+    for p in permutations(range(3)):
+        columns = [[row[k] for k in p] for row in base]
+        assert determinant(columns) == parity(p) * want
+        assert determinant([base[k] for k in p]) == parity(p) * want
