@@ -12,8 +12,12 @@ cyclotomic field of conductor 2*exponent.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm, prod
+from operator import mul
 
 from . import linalg
 from .algebra import GradedAlgebra
@@ -21,11 +25,12 @@ from .chartab import (
     CharacterTable,
     McKayGraph,
     _once_per_object,
+    _power_map,
     character_table,
     mckay_graph,
     natural_pairings,
 )
-from .cyclo import CycNum, rational, zeta
+from .cyclo import CycNum, ramanujan_sums, rational, zeta
 from .groups import FiniteGroup
 from .orbifold import class_label, invariant_subalgebra, local_orbifold_algebra
 from .resolution import exceptional_label, local_resolution_algebra
@@ -229,25 +234,127 @@ def phi_local(group: FiniteGroup) -> CorrespondenceMap:
     return Bundle(group).cmap
 
 
+def _primitive_conjugates(n: int, stabilizer, transversal) -> list[CycNum]:
+    """[sigma_l(w) for l in ``transversal``] at conductor n, for a primitive
+    element w of K = Q(zeta_n)^H, H the ``stabilizer`` and the transversal a
+    set of representatives of (Z/n)^*/H (see :func:`char_minor_determinant`)."""
+    k = len(transversal)
+    conj = [CycNum(n, ())] * k
+    for a in range(1, n):
+        if len({w.key() for w in conj}) == k:
+            break
+        # sigma_l(eta_a) = eta_al, eta_a = sum_{h in H} zeta_n^(ah)
+        periods = [CycNum(n, Counter(a * l * h % n for h in stabilizer)) for l in transversal]
+        pairs = len({(w.key(), e.key()) for w, e in zip(conj, periods)})
+        for t in range(k * (k - 1) // 2 + 1):
+            trial = [w + e * t for w, e in zip(conj, periods)]
+            if len({w.key() for w in trial}) == pairs:
+                conj = trial
+                break
+    return conj
+
+
 @_once_per_object
 def char_minor_determinant(table: CharacterTable) -> CycNum:
-    """Exact determinant of the character table with the trivial row and
-    identity column removed, computed once per table.
+    """det Y, for Y the character table with the trivial row and identity
+    column removed, computed once per table by Galois descent: one
+    ``linalg.determinant`` of a rational matrix Z, divided by a product of
+    Vandermonde determinants.  ``additive-rank`` and ``minor-determinant``
+    both read it.
 
-    ``additive-rank`` and ``minor-determinant`` both read it, so a table
-    verified and then asked for its minor pays for one elimination.
+    Orbits.  Let E be the exponent.  The nonidentity classes split into
+    orbits c -> c^l (power map).  For an orbit with classes c = c_1 < ... <
+    c_k, let L be the lcm of the order of g_c and the conductors of column
+    c, H = {l in (Z/L)^* : c^l = c}, and l_i the least l in (Z/L)^* with
+    c^l = c_i; so l_1 = 1, and the l_i represent (Z/L)^*/H.
 
-    The stored form does not depend on the pivot order ``linalg`` picks.
-    Every value of column c is stored at one conductor, the order of g_c, and
-    a sum or product is stored at the lcm of its operands' conductors.  So
-    under any order the pivot of column c is stored at a multiple of that
-    order, and the product of the pivots at the lcm of the nonidentity
-    element orders, the exponent E, which is also the lcm of the entries'
-    conductors that ``linalg.determinant`` lifts a nonzero result to.  A
-    value has one stored form per conductor.
+    Equivariance.  The table is certified (``chartab._certify``, step 3):
+    sigma_l(chi(c)) = chi(c^l) for every l prime to E.  An l prime to L lifts
+    to one prime to E, and c^l depends on l mod the order of g_c, which
+    divides L.  So every chi_r(c) is fixed by H and lies in K = Q(zeta_L)^H,
+    of degree [(Z/L)^* : H] = k, and chi_r(c_i) = sigma_{l_i}(chi_r(c)).
+
+    Primitive element.  The Gaussian periods eta_a = sum_{h in H} zeta_L^(ah)
+    are the traces of the zeta_L^a to K, so they lie in K and span it, and
+    sigma_l(eta_a) = eta_al.  w in K is primitive iff its k conjugates
+    w_i = sigma_{l_i}(w) are distinct.  ``_primitive_conjugates`` starts at
+    w = 0 and, for a = 1, 2, ..., adds t·eta_a with the least t >= 0 for
+    which the w_i + t·sigma_{l_i}(eta_a) split the indices i as the pairs
+    (w_i, sigma_{l_i}(eta_a)) do.  Two indices the pairs separate merge for
+    at most one t, so some t <= k(k-1)/2 serves, and by induction the w_i
+    then split the indices as all periods so far do.  The periods separate
+    distinct embeddings of K, so the search stops with k distinct w_i by
+    a = L - 1.  (eta_1 can be 0: H = {1, 4, 7} at L = 9; eta_3 serves.)
+
+    Trace.  Z[r][c_j] = Tr_{K/Q}(chi_r(c)·w^(j-1)) = sum_i chi_r(c_i) w_i^(j-1),
+    so Z = Y·B with B[c_i][c_j] = w_i^(j-1) within each orbit and 0 across
+    orbits.  Tr_{K/Q} = Tr_{Q(zeta_L)/Q} / |H|, and Tr_{Q(zeta_L)/Q}(zeta_L^a)
+    is the Ramanujan sum c_L(a), so each entry is an integer dot product of
+    numerators (``cyclo.ramanujan_sums``).
+
+    Block Vandermonde.  Permuting B's rows and columns alike, orbit by orbit,
+    gives det B = prod_O det V_O, V_O the Vandermonde matrix of the w_i:
+    V = prod_O prod_{i<i'} (w_i' - w_i), nonzero, and V^2 = prod_O disc(w)
+    is rational.  So det Y = det Z / V = det Z · V / V^2, zero iff det Z is.
+
+    Stored form.  A nonzero det Y is returned lifted to E, a singular one as
+    ``rational(0)``: what ``linalg.determinant`` of Y itself returns, since
+    it lifts to the lcm of the entries' conductors, and each column c of a
+    table from ``character_table`` is stored at the order of g_c, whose lcm
+    over the nonidentity classes is E.  A value has one stored form per
+    conductor.
     """
-    minor = [[table.rows[i][c] for c in range(1, table.size)] for i in range(1, table.size)]
-    return rational(1) if not minor else linalg.determinant(minor)
+    m = table.size
+    if m == 1:
+        return rational(1)
+    rows = table.rows[1:]
+    pm = _power_map(table.group, table.conj)
+    reps, element_order = table.conj.representatives, table.group.element_order
+    z = [[None] * (m - 1) for _ in rows]
+    vandermonde = rational(1)
+    done = set()
+    for c in range(1, m):
+        if c in done:
+            continue
+        d = element_order[reps[c]]
+        n = lcm(d, *(row[c].conductor for row in rows))
+        units = [l for l in range(1, n) if gcd(l, n) == 1]
+        stabilizer = [l for l in units if pm[c][l % d] == c]
+        least = {}  # class c^l -> the least such l
+        for l in units:
+            least.setdefault(pm[c][l % d], l)
+        orbit = sorted(least)
+        done.update(orbit)
+        conj = _primitive_conjugates(n, stabilizer, [least[x] for x in orbit])
+        diffs = (w - earlier for i, w in enumerate(conj) for earlier in conj[:i])
+        first = next(diffs, None)
+        if first is not None:
+            vandermonde = vandermonde * prod(diffs, start=first)
+        power = zeta(n, 0)
+        sums = ramanujan_sums(n) * 2
+        traces = []  # traces[j][a] = Tr_{Q(zeta_n)/Q}(zeta_n^a · w^j)
+        for j in range(len(orbit)):
+            if j:
+                power = power * conj[0]
+            traces.append([sum(map(mul, power.num, sums[a:])) for a in range(n)])
+        memo = {}  # id(chi_r(c)) -> its row of Z on this orbit
+        for r, row in enumerate(rows):
+            v = row[c]
+            entries = memo.get(id(v))
+            if entries is None:
+                step, den = n // v.conductor, v.den * len(stabilizer)
+                entries = memo[id(v)] = [
+                    rational(Fraction(sum(map(mul, v.num, t[::step])), den)) for t in traces
+                ]
+            for x, entry in zip(orbit, entries):
+                z[r][x - 1] = entry
+    det = linalg.determinant(z)
+    if det.is_zero():
+        return det
+    square = (vandermonde * vandermonde).as_rational()
+    if not square:
+        raise ArithmeticError("the Vandermonde square is not a nonzero rational")
+    return (vandermonde * (det.as_rational() / square)).lift(table.conj.exponent)
 
 
 def _scaled_minor_determinant(table: CharacterTable) -> CycNum | None:

@@ -31,6 +31,7 @@ __all__ = [
     "rational",
     "integer_sqrt_embed",
     "euler_phi",
+    "ramanujan_sums",
     "cyclotomic_polynomial",
     "prime_factors",
 ]
@@ -72,6 +73,19 @@ def euler_phi(n: int) -> int:
     for p in prime_factors(n):
         result -= result // p
     return result
+
+
+@lru_cache(maxsize=None)
+def ramanujan_sums(n: int) -> tuple[int, ...]:
+    """Tr_{Q(zeta_n)/Q}(zeta_n^a) for a in range(n): the Ramanujan sums
+    c_n(a) = mu(q) phi(n) / phi(q), q = n / gcd(a, n)."""
+    out = []
+    for a in range(n):
+        q = n // gcd(a, n)
+        primes = prime_factors(q)
+        mu = 0 if any(q % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+        out.append(mu * euler_phi(n) // euler_phi(q))
+    return tuple(out)
 
 
 def _int_poly_div(num: list[int], den: tuple[int, ...]) -> list[int]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mckay import catalog, chartab, cli, correspondence, linalg, orbifold, resolution
+from mckay import catalog, chartab, cli, correspondence, groups, linalg, orbifold, resolution
 from mckay.catalog import EXTRA_GROUPS, ade_bundle
 from mckay.chartab import EigenSplitError, TableConsistencyError
 from mckay.cli import main
@@ -163,6 +163,22 @@ def test_minor_from_group_file(tmp_path, capsys):
     code, out, _ = run(capsys, "minor", "--group", str(path))
     assert code == 0
     assert json.loads(out)["report"]["pass"] is True
+
+
+def test_minor_from_a_group_file_with_a_vanishing_period(tmp_path, capsys):
+    # Z9 x| Z3 with b acting by x -> x^4, (a, b) labeled a + 9b: the class
+    # {x, x^4, x^7} has stabilizer {1, 4, 7}, where the Gaussian period
+    # zeta_9 + zeta_9^4 + zeta_9^7 is 0 and cannot be the primitive element
+    pairs = [(i % 9, i // 9) for i in range(27)]
+    table = [[(a + pow(4, b, 9) * c) % 9 + 9 * ((b + d) % 3) for c, d in pairs] for a, b in pairs]
+    path = tmp_path / "z9z3.json"
+    path.write_text(json.dumps({"cayley": table}))
+    code, out, _ = run(capsys, "minor", "--group", str(path))
+    assert code == 0
+    t = chartab.character_table(groups.group_from_cayley(table))
+    minor = [[t.rows[i][c] for c in range(1, t.size)] for i in range(1, t.size)]
+    (check,) = json.loads(out)["report"]["checks"]
+    assert check["detail"]["determinant"] == linalg.determinant(minor).to_json()
 
 
 def test_group_from_generator_file(tmp_path, capsys):

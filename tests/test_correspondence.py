@@ -10,6 +10,7 @@ import pytest
 from mckay import catalog, chartab, correspondence, groups, linalg
 from mckay.algebra import GradedAlgebra
 from mckay.catalog import EXTRA_GROUPS, ade_bundle, extra_bundle
+from mckay.chartab import character_table
 from mckay.correspondence import (
     FLOAT_TOLERANCE,
     Bundle,
@@ -1017,11 +1018,16 @@ def test_one_determinant_per_table(monkeypatch):
     assert calls == {"determinant": 1, "determinant_and_rank": 0}
 
 
-@pytest.mark.parametrize("label, limit", [("D16", 603), ("D20", 1022), ("A20", 2870)])
-def test_minor_determinant_products(monkeypatch, label, limit):
-    """Sparse-first pivots bound the CycNum products of one minor
-    elimination; index order took 1,192 at D16, 2,225 at D20 and 2,870 at
-    A20."""
+MINOR_PRODUCTS = {"D16": 320, "D20": 421, "A20": 1343, "A40": 2616}
+
+
+@pytest.mark.parametrize("label", MINOR_PRODUCTS)
+def test_minor_determinant_products(monkeypatch, label):
+    """Galois descent bounds the CycNum products of one minor determinant:
+    the Vandermonde products, the powers of each primitive element and the
+    rational elimination of the trace matrix.  Eliminating the cyclotomic
+    minor with sparse-first pivots took 603 at D16, 1,022 at D20, 2,753 at
+    A20 and 22,140 at A40; index order 1,192, 2,225, 2,870 and 22,140."""
     table = Bundle(build_binary_polyhedral(label)).table
     product = CycNum.__mul__
     calls = []
@@ -1032,7 +1038,52 @@ def test_minor_determinant_products(monkeypatch, label, limit):
 
     monkeypatch.setattr(CycNum, "__mul__", counted)
     assert not char_minor_determinant(table).is_zero()
-    assert 0 < len(calls) <= limit
+    assert 0 < len(calls) <= MINOR_PRODUCTS[label]
+
+
+def semidirect_z9_z3():
+    """The Cayley table of Z9 x| Z3, b acting by x -> x^4: (a, b) is a + 9b.
+    The class of x = (1, 0) is {x, x^4, x^7}, of order 9."""
+    pairs = [(i % 9, i // 9) for i in range(27)]
+    return [[(a + pow(4, b, 9) * c) % 9 + 9 * ((b + d) % 3) for c, d in pairs] for a, b in pairs]
+
+
+def _oracle_table(name):
+    if name in EXTRA_GROUPS:
+        return extra_bundle(name).table
+    if name == "Z9xZ3":
+        return character_table(group_from_cayley(semidirect_z9_z3(), name=name))
+    if name in INGEST_GROUPS or name.endswith("-generators"):
+        return character_table(conjugation_subject(name))
+    return ade_bundle(name).table
+
+
+@pytest.mark.parametrize(
+    "name",
+    ADE_SUITE + SCALING + ("A22", "D30", "D40") + EXTRA_GROUPS + tuple(INGEST_GROUPS)
+    + ("E7-generators", "E8-generators", "Z9xZ3"),
+)
+def test_minor_determinant_matches_the_elimination(name):
+    """The descent's det Y has the stored form (conductor, numerators,
+    denominator) of eliminating the minor itself.  A22 is one orbit of 22
+    classes; Z9xZ3 has a vanishing Gaussian period."""
+    table = _oracle_table(name)
+    minor = [[table.rows[i][c] for c in range(1, table.size)] for i in range(1, table.size)]
+    assert char_minor_determinant(table).key() == linalg.determinant(minor).key()
+
+
+def test_a_vanishing_period_is_passed_over():
+    """At L = 9 and H = {1, 4, 7}, eta_1 = eta_2 = 0, so the primitive
+    element of Q(zeta_9)^H = Q(zeta_3) is eta_3 = 3 zeta_3."""
+    table = _oracle_table("Z9xZ3")
+    group, conj = table.group, table.conj
+    pm = chartab._power_map(group, conj)
+    c = conj.class_of[1]
+    assert group.element_order[conj.representatives[c]] == 9
+    assert [l for l in range(1, 9) if l % 3 and pm[c][l] == c] == [1, 4, 7]
+    assert CycNum(9, {1: 1, 4: 1, 7: 1}).is_zero()
+    w = correspondence._primitive_conjugates(9, (1, 4, 7), (1, 2))
+    assert w == [zeta(3) * 3, zeta(3, 2) * 3]
 
 
 # -- the degree-one identity from the character-table certificate ------------------

@@ -15,6 +15,7 @@ from mckay.cyclo import (
     cyclotomic_polynomial,
     euler_phi,
     integer_sqrt_embed,
+    ramanujan_sums,
     rational,
     zeta,
 )
@@ -75,6 +76,14 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(3) == (1, 1, 1)
     assert cyclotomic_polynomial(8) == (1, 0, 0, 0, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_ramanujan_sums_are_the_traces_of_the_roots():
+    # Tr_{Q(zeta_n)/Q}(zeta_n^a) is the sum of the conjugates zeta_n^(al), gcd(l, n) = 1
+    for n in list(range(1, 41)) + [72, 116]:
+        units = [l for l in range(1, n + 1) if gcd(l, n) == 1]
+        traces = [sum(zeta(n, a * l) for l in units).as_rational() for a in range(n)]
+        assert list(ramanujan_sums(n)) == traces
 
 
 # -- field operations -----------------------------------------------------------
