@@ -14,7 +14,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 from operator import mul
@@ -30,7 +29,7 @@ from .chartab import (
     mckay_graph,
     natural_pairings,
 )
-from .cyclo import CycNum, ramanujan_sums, rational, zeta
+from .cyclo import CycNum, _normal, ramanujan_sums, rational, zeta
 from .groups import FiniteGroup
 from .orbifold import class_label, invariant_subalgebra, local_orbifold_algebra
 from .resolution import exceptional_label, local_resolution_algebra
@@ -344,7 +343,7 @@ def char_minor_determinant(table: CharacterTable) -> CycNum:
             if entries is None:
                 step, den = n // v.conductor, v.den * len(stabilizer)
                 entries = memo[id(v)] = [
-                    rational(Fraction(sum(map(mul, v.num, t[::step])), den)) for t in traces
+                    _normal(1, (sum(map(mul, v.num, t[::step])),), den) for t in traces
                 ]
             for x, entry in zip(orbit, entries):
                 z[r][x - 1] = entry

@@ -175,11 +175,22 @@ def _galois_steps(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def _reduce(vals: list[int], n: int) -> tuple[int, ...]:
-    """Reduce an integer polynomial (ascending, consumed) modulo Phi_n."""
+    """Reduce an integer polynomial (ascending, consumed) modulo Phi_n.
+
+    Phi_n divides x^n - 1, so a buffer longer than n is first folded, each
+    exponent e onto e mod n; the taps then run from degree n - 1 down to
+    phi(n) only (at a prime, one row in place of p - 2).  A folded
+    coefficient costs one addition and saves at least one tap row, and the
+    remainder modulo Phi_n is unique, so the result is unchanged.
+    """
     d, taps = _taps(n)
     size = len(vals)
     if size <= d:
         return tuple(vals) + (0,) * (d - size)
+    if size > n:
+        for e in range(size - 1, n - 1, -1):  # descending: e - n may fold again
+            vals[e - n] += vals[e]
+        size = n
     for i in range(size - 1, d - 1, -1):
         c = vals[i]
         if c:

@@ -1,7 +1,13 @@
-"""Exact dense linear algebra over cyclotomic scalars (small matrices)."""
+"""Exact dense linear algebra over cyclotomic scalars (small matrices).
+
+A determinant of rational entries (all at conductor 1) is eliminated
+fraction-free over the integers; any other matrix by exact division in
+``CycNum`` arithmetic.
+"""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 
 from .cyclo import CycNum, rational
@@ -125,9 +131,56 @@ def determinant_and_rank(matrix) -> tuple[CycNum, int]:
     return _determinant_and_rank(matrix)
 
 
+def _integer_determinant(matrix) -> CycNum:
+    """The determinant of a square matrix of conductor-1 entries by Bareiss's
+    fraction-free elimination (*Sylvester's identity and multistep
+    integer-preserving Gaussian elimination*, Math. Comp. 22, 1968).
+
+    Each row is scaled by the lcm of its denominators, so det A = det B / S
+    for the integer matrix B and S the product of the scales.  Each step
+    replaces every entry of the trailing rows by (p·a − f·b) / p', p the
+    pivot and p' the one before (1 at first): by Sylvester's identity the
+    result is the minor of B on the rows and columns pivoted so far,
+    bordered by that entry's row and column, an integer, so the division is
+    exact.  A swap of two trailing rows is a swap of two rows of B, so
+    swapping in a lower row on a zero pivot only negates the sign.  The
+    trailing block is p' times the Schur complement of the pivoted block, so
+    a column with no nonzero candidate makes det B = 0.  Otherwise the last
+    pivot is the determinant of B with its rows swapped.
+
+    A rational value has one stored form at conductor 1, the lcm of the
+    entries' conductors, so this is the stored form ``_determinant_and_rank``
+    returns.
+    """
+    rows, scale = [], 1
+    for row in matrix:
+        den = lcm(*(x.den for x in row))
+        rows.append([x.num[0] * (den // x.den) for x in row])
+        scale *= den
+    sign, prev = 1, 1
+    for k in range(len(rows)):
+        piv = next((i for i in range(k, len(rows)) if rows[i][0]), None)
+        if piv is None:
+            return rational(0)
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        p, *top = rows[k]
+        for i in range(k + 1, len(rows)):
+            f, *rest = rows[i]
+            rows[i] = [(p * a - f * b) // prev for a, b in zip(rest, top)]
+        prev = p
+    return rational(Fraction(sign * prev, scale))
+
+
 def determinant(matrix) -> CycNum:
+    """The determinant, as ``determinant_and_rank`` returns it: by integer
+    elimination when every entry is rational at conductor 1, else by
+    ``_eliminate``."""
     # shares the body instead of calling determinant_and_rank, so a call of
     # one is never also a call of the other
+    if all(x.conductor == 1 for row in matrix for x in row):
+        return _integer_determinant(matrix)
     return _determinant_and_rank(matrix)[0]
 
 

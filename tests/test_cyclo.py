@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic: canonical forms, field axioms, square roots."""
 
 import json
+import random
 import time
 from fractions import Fraction
 from math import gcd
@@ -8,6 +9,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mckay import cyclo
 from mckay.cyclo import (
     MAX_CONDUCTOR,
     MAX_EXPONENT,
@@ -445,6 +447,47 @@ def test_cyclotomic_polynomial_matches_division_of_x_n_minus_1():
             assert not any(poly)
             poly = quot
         assert tuple(poly) == cyclotomic_polynomial(n)
+
+
+def tap_only_reduce(vals: list, n: int) -> tuple:
+    """The oracle, ``_reduce`` before the fold: every coefficient at degree
+    phi(n) or above is cleared by the taps of Phi_n, from the top down."""
+    d, taps = cyclo._taps(n)
+    vals = list(vals) + [0] * (d - len(vals))
+    for i in range(len(vals) - 1, d - 1, -1):
+        c = vals[i]
+        if c:
+            for j, t in taps:
+                vals[i - d + j] += c * t
+    return tuple(vals[:d])
+
+
+@pytest.mark.parametrize("n", [101, 127, 9, 21, 25])
+def test_reduce_matches_the_tap_only_loop_at_every_length(n):
+    rng = random.Random(n)
+    for size in range(2 * n + 1):
+        vals = [rng.randint(-9, 9) for _ in range(size)]
+        assert cyclo._reduce(list(vals), n) == tap_only_reduce(vals, n), size
+
+
+def test_reduce_matches_the_tap_only_loop_at_the_boundary_lengths():
+    # phi(n) and n bound the two loops; 2 phi(n) - 1 is a product's buffer
+    rng = random.Random(0)
+    for n in range(1, 131):
+        d = euler_phi(n)
+        for size in {d - 1, d, d + 1, n - 1, n, n + 1, 2 * d - 1, 2 * n, 2 * n + 1, 3 * n + 1}:
+            vals = [rng.randint(-9, 9) for _ in range(size)]
+            assert cyclo._reduce(list(vals), n) == tap_only_reduce(vals, n), (n, size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 130), st.data())
+def test_reduce_matches_the_tap_only_loop(n, data):
+    # up to 3n: a buffer longer than 2n folds some coefficients twice
+    size = data.draw(st.integers(0, 3 * n), label="size")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    vals = [rng.randint(-9, 9) for _ in range(size)]
+    assert cyclo._reduce(list(vals), n) == tap_only_reduce(vals, n)
 
 
 def test_from_json_rejects_conductor_above_bound():

@@ -1,7 +1,11 @@
-"""Exact elimination: the sparsity-ordered pivots against index order."""
+"""Exact elimination: the sparsity-ordered pivots against index order, and
+the integer elimination of rational matrices against both."""
 
+from fractions import Fraction
 from itertools import permutations
 from math import lcm
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -104,3 +108,67 @@ def test_row_swaps_with_column_reordering():
         columns = [[row[k] for k in p] for row in base]
         assert determinant(columns) == parity(p) * want
         assert determinant([base[k] for k in p]) == parity(p) * want
+
+
+# -- rational matrices: fraction-free integer elimination -------------------------
+
+
+# zero in 36 of 96 draws; negative values and non-unit denominators among the rest
+VALUES = (0,) * 36 + tuple(Fraction(p, q) for p in range(-6, 7) if p for q in (1, 2, 3, 6, 10))
+
+
+@st.composite
+def rational_matrices(draw):
+    n = draw(st.integers(1, 6))
+    values = draw(st.lists(st.sampled_from(VALUES), min_size=n * n, max_size=n * n))
+    matrix = [[rational(v) for v in values[i * n : (i + 1) * n]] for i in range(n)]
+    if draw(st.booleans()):
+        matrix[0][0] = rational(0)  # a zero leading pivot: a row swap or a zero column
+    if n > 1 and draw(st.booleans()):
+        # singular on purpose: a repeated row or a zero row
+        i, j = draw(st.permutations(range(n)))[:2]
+        matrix[i] = list(matrix[j]) if draw(st.booleans()) else [rational(0)] * n
+    return matrix
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_integer_elimination_matches_the_cyclotomic_elimination(matrix):
+    det = determinant(matrix)
+    want = linalg._determinant_and_rank(matrix)[0]
+    assert det.key() == want.key()
+    if want.is_zero():
+        assert det.key() == rational(0).key()
+
+
+def test_rational_matrices_skip_the_cyclotomic_elimination(monkeypatch):
+    def refuse(matrix):
+        raise AssertionError("a rational matrix reached _eliminate")
+
+    monkeypatch.setattr(linalg, "_eliminate", refuse)
+    assert determinant([]).key() == rational(1).key()
+    assert determinant([[rational(Fraction(-3, 4))]]).key() == rational(Fraction(-3, 4)).key()
+    assert determinant([[rational(0)]]).key() == rational(0).key()
+    # a zero leading pivot swaps in row 1: det = 0·5 − 3·(1/2)
+    swap = [[rational(0), rational(3)], [rational(Fraction(1, 2)), rational(5)]]
+    assert determinant(swap).key() == rational(Fraction(-3, 2)).key()
+    assert determinant([[rational(0), rational(1)], [rational(0), rational(2)]]).key() == (
+        rational(0).key()
+    )
+
+
+@pytest.mark.parametrize("entry", [zeta(3), CycNum(3, {})])
+def test_a_cyclotomic_entry_takes_the_elimination(monkeypatch, entry):
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(matrix):
+        calls.append(None)
+        return eliminate(matrix)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    matrix = [[rational(2), rational(1)], [entry, rational(Fraction(1, 3))]]
+    det = determinant(matrix)
+    assert calls == [None]
+    assert det.conductor == 3
+    assert det == rational(Fraction(2, 3)) - entry
