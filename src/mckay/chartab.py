@@ -746,10 +746,9 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     order = group.order
     exponent = conj.exponent
     tensor = class_multiplication_tensor(group)
-    # matrices[i][k][j] = a_{ijk}: multiplication by the i-th class sum
-    matrices = [
-        [[tensor[i][j][k] for j in range(m)] for k in range(m)] for i in range(m)
-    ]
+    # matrices[i][k][j] = a_{ijk}: multiplication by the i-th class sum,
+    # each plane transposed in C; the consumers only read the rows
+    matrices = [list(zip(*plane)) for plane in tensor]
     p = _dixon_prime(order, exponent)
     z = pow(_primitive_root(p), (p - 1) // exponent, p)
     vectors = _common_eigenvectors(matrices, p)

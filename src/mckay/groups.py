@@ -2,15 +2,16 @@
 
 Matrix groups are enumerated by breadth-first closure from hard-coded
 generator matrices (identity first, deterministic order).  The closure
-multiplies stored forms: each entry is held as its integer numerators and
-denominator at the generators' common conductor, with zero entries
-skipped, and the canonical forms key the element index directly; the
-CycNum matrices are built once, at the end.  It forms each product x_i * s
-once, for every element x_i and generator s, and the full Cayley table is
-assembled from these right-multiplication permutations with no further
-matrix product.  Groups ingested from raw Cayley tables are validated
-exhaustively before use, at every order; associativity costs O(n^2 log n)
-by Light's test.
+works on interned entry values: each distinct canonical stored form (its
+integer numerators and denominator at the generators' common conductor)
+is one small int, with zero at 0, entry products and sums are memoised per
+pair of values, and the 4-tuples of entry indices key the element index
+directly; the CycNum matrices are built once, at the end.  It forms each
+product x_i * s once, for every element x_i and generator s, and the full
+Cayley table is assembled from these right-multiplication permutations
+with no further matrix product.  Groups ingested from raw Cayley tables
+are validated exhaustively before use, at every order; associativity
+costs O(n^2 log n) by Light's test.
 """
 
 from __future__ import annotations
@@ -101,17 +102,20 @@ class FiniteGroup:
         self.name = name
         n = len(self.cayley)
         self.order = n
-        inverse = [None] * n
-        for i in range(n):
-            inverse[i] = self.cayley[i].index(0)
-        self.inverse = tuple(inverse)
+        # walk x, x^2, ... to the identity: the walk's length is the order
+        # of x, and its last power before the identity, x^(ord - 1), is x^-1
+        cayley = self.cayley
+        inverse = [0] * n
         orders = [1] * n
         for i in range(1, n):
             k, x = 1, i
             while x != 0:
-                x = self.cayley[x][i]
+                last = x
+                x = cayley[x][i]
                 k += 1
+            inverse[i] = last
             orders[i] = k
+        self.inverse = tuple(inverse)
         self.element_order = tuple(orders)
 
     def __repr__(self):
@@ -221,62 +225,99 @@ def _trace_lookup(r: int, conductor: int) -> tuple[int, dict]:
 # -- matrix closure ---------------------------------------------------------
 
 
-def _form_mul(a: tuple, b: tuple, n: int) -> tuple:
-    """The stored form of the matrix product a * b at conductor n.
+class _Values:
+    """The distinct entry values of a matrix closure at one conductor n.
 
-    A matrix is held row-major as four entries, each ``(num, den)`` of a
-    CycNum at n, with ``None`` for zero.  Each entry is one ``_mul_num`` per
-    pair of nonzero factors, over the product of their denominators, then
-    one gcd normalisation; so the result is the canonical stored form of
-    the entry, as ``CycNum`` arithmetic would leave it.
+    Index 0 is zero; every other index is one canonical stored form
+    ``(num, den)`` of a CycNum at n, numerators over a positive denominator
+    with their gcd removed.  Canonical forms are unique per value, so
+    interning is a bijection onto values.  ``mul`` and ``add`` are memoised
+    per pair of indices: each distinct pair costs one ``_mul_num`` or one
+    addition, then one gcd normalisation.
     """
-    out = []
-    for r in (0, 2):
-        for c in (0, 1):
-            num = den = None
-            for k in (0, 1):
-                x, y = a[r + k], b[2 * k + c]
-                if x is None or y is None:
-                    continue
-                term = _mul_num(x[0], y[0], n)
-                term_den = x[1] * y[1]
-                if num is None:
-                    num, den = term, term_den
-                elif den == term_den:
-                    num = tuple(map(add, num, term))
-                else:
-                    num = tuple(u * term_den + v * den for u, v in zip(num, term))
-                    den *= term_den
-            if num is None:
-                out.append(None)
-                continue
-            if den != 1:
-                g = gcd(den, *num)
-                if g != 1:
-                    num = tuple(u // g for u in num)
-                    den //= g
-            out.append((num, den) if any(num) else None)
-    return tuple(out)
+
+    def __init__(self, n: int):
+        self.n = n
+        self.forms = [None]
+        self.index = {}
+        self.products = {}
+        self.sums = {}
+
+    def intern(self, num: tuple, den: int) -> int:
+        """The index of num / den, after the gcd normalisation."""
+        if not any(num):
+            return 0
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = tuple(u // g for u in num)
+                den //= g
+        form = (num, den)
+        k = self.index.get(form)
+        if k is None:
+            k = self.index[form] = len(self.forms)
+            self.forms.append(form)
+        return k
+
+    def mul(self, a: int, b: int) -> int:
+        if not a or not b:
+            return 0
+        k = self.products.get((a, b))
+        if k is None:
+            (x, u), (y, v) = self.forms[a], self.forms[b]
+            k = self.products[a, b] = self.intern(_mul_num(x, y, self.n), u * v)
+        return k
+
+    def add(self, a: int, b: int) -> int:
+        if not a:
+            return b
+        if not b:
+            return a
+        k = self.sums.get((a, b))
+        if k is None:
+            (x, u), (y, v) = self.forms[a], self.forms[b]
+            if u == v:
+                num = tuple(map(add, x, y))
+            else:
+                num = tuple(p * v + q * u for p, q in zip(x, y))
+                u *= v
+            k = self.sums[a, b] = self.intern(num, u)
+        return k
+
+
+def _form_mul(a: tuple, b: tuple, values: _Values) -> tuple:
+    """The matrix product a * b, each matrix held row-major as the four
+    indices of its entries in ``values``."""
+    mul, plus = values.mul, values.add
+    return (
+        plus(mul(a[0], b[0]), mul(a[1], b[2])),
+        plus(mul(a[0], b[1]), mul(a[1], b[3])),
+        plus(mul(a[2], b[0]), mul(a[3], b[2])),
+        plus(mul(a[2], b[1]), mul(a[3], b[3])),
+    )
 
 
 def _closure_from_matrices(gens: list[Mat2], cap: int = CLOSURE_CAP):
-    """Breadth-first closure of the generators, on stored forms.
+    """Breadth-first closure of the generators, on interned entry values.
 
-    The generators are lifted once to their common conductor N.  Elements
-    are held as :func:`_form_mul` forms, which are canonical, so they key
-    the index directly; the CycNum matrices are built once, at the end.
+    The generators are lifted once to their common conductor N, and each
+    entry is interned in one :class:`_Values` store.  An element is the
+    4-tuple of its entry indices, which keys the index directly, since
+    interning is a bijection onto values; the CycNum matrices are built
+    once, at the end, one object per distinct value.
     """
     conductor = 1
     for m in gens:
         for row in m:
             for e in row:
                 conductor = lcm(conductor, e.conductor)
+    values = _Values(conductor)
     forms = []
     for m in gens:
         entries = [e.lift(conductor) for row in m for e in row]
-        forms.append(tuple((e.num, e.den) if any(e.num) else None for e in entries))
-    one = rational(1).lift(conductor)
-    ident = ((one.num, 1), None, None, (one.num, 1))
+        forms.append(tuple(values.intern(e.num, e.den) for e in entries))
+    one = values.intern(rational(1).lift(conductor).num, 1)
+    ident = (one, 0, 0, one)
     elems = [ident]
     index = {ident: 0}
     parent = [(-1, -1)]
@@ -285,7 +326,7 @@ def _closure_from_matrices(gens: list[Mat2], cap: int = CLOSURE_CAP):
     i = 0
     while i < len(elems):
         for gi, s in enumerate(forms):
-            m = _form_mul(elems[i], s, conductor)
+            m = _form_mul(elems[i], s, values)
             k = index.get(m)
             if k is None:
                 k = index[m] = len(elems)
@@ -306,17 +347,11 @@ def _closure_from_matrices(gens: list[Mat2], cap: int = CLOSURE_CAP):
         p, gi = parent[j]
         # n >= 2 here, so the getter returns a tuple
         cols[j] = itemgetter(*cols[p])(right[gi])
-    # one CycNum per distinct stored form, shared by the matrices: fewer
-    # objects alive for the life of the group
-    entries = {None: rational(0).lift(conductor)}
-
-    def entry(form):
-        e = entries.get(form)
-        if e is None:
-            e = entries[form] = _new(conductor, *form)
-        return e
-
-    matrices = [((entry(a), entry(b)), (entry(c), entry(d))) for a, b, c, d in elems]
+    # one CycNum per distinct value, shared by the matrices: fewer objects
+    # alive for the life of the group
+    entries = [rational(0).lift(conductor)]
+    entries += [_new(conductor, *form) for form in values.forms[1:]]
+    matrices = [((entries[a], entries[b]), (entries[c], entries[d])) for a, b, c, d in elems]
     return zip(*cols), matrices
 
 

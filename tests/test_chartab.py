@@ -143,6 +143,34 @@ def test_tensor_matches_the_full_product_count(name):
     assert class_multiplication_tensor(group) == _tensor_oracle(group)
 
 
+@pytest.mark.parametrize("name", ADE_SUITE + EXTRA_GROUPS + ("ingest",))
+def test_class_matrices_are_the_transposed_tensor(monkeypatch, name):
+    """The class matrices ``character_table`` hands to the split read
+    K_i[k][j] = a_ijk off the tensor, on the corpus groups and the ingest
+    groups."""
+    seen = []
+    split = chartab._common_eigenvectors
+
+    def capture(matrices, p):
+        seen.append(matrices)
+        return split(matrices, p)
+
+    monkeypatch.setattr(chartab, "_common_eigenvectors", capture)
+    if name == "ingest":
+        checked = [group for _, group in _ingest_groups(1)]
+    else:
+        checked = [_oracle_group(name)]
+    for group in checked:
+        seen.clear()
+        character_table(group)
+        tensor = class_multiplication_tensor(group)
+        m = len(tensor)
+        (matrices,) = seen
+        assert [[list(row) for row in k_i] for k_i in matrices] == [
+            [[tensor[i][j][k] for j in range(m)] for k in range(m)] for i in range(m)
+        ]
+
+
 def _table_key(table):
     rows = [[v.to_json() for v in row] for row in table.rows]
     natural = table.natural_character
