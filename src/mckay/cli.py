@@ -67,6 +67,27 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
+@cache
+def _string_order(d: int) -> tuple[int, ...]:
+    """range(d) in the order of its decimal strings, as ``sort_keys`` sorts."""
+    return tuple(sorted(range(d), key=str))
+
+
+def _cycnum_text(v: CycNum, indent: str) -> str:
+    """``json.dumps(v.to_json(), sort_keys=True, indent=2)`` nested at
+    ``indent``; an integral value is written from its numerators, keys in
+    string order ("10" before "2"), with no gcd."""
+    if v.den == 1:
+        num = v.num
+        terms = [f'"{i}": "{num[i]}"' for i in _string_order(len(num)) if num[i]]
+    else:
+        terms = [f'"{i}": "{c}"' for i, c in sorted(v.to_json()["coeffs"].items())]
+    inner = indent + "  "
+    deeper = inner + "  "
+    coeffs = f"{{{deeper}{f',{deeper}'.join(terms)}{inner}}}" if terms else "{}"
+    return f'{{{inner}"coeffs": {coeffs},{inner}"conductor": {v.conductor}{indent}}}'
+
+
 def _json_text(value, indent: str) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, nested at ``indent``
     (a newline and the spaces of the enclosing level).
@@ -74,12 +95,15 @@ def _json_text(value, indent: str) -> str:
     One recursive pass in place of the pure-Python encoder that ``indent``
     forces on ``json.dumps``: strings through the C string escaper, ints,
     finite floats (``__repr__``) and literals as ``json`` writes them, NaN
-    and ±inf through ``json.dumps``; lists and tuples are arrays, and dict
-    items are sorted by key as ``json.dumps`` sorts them.  Each container
-    is joined from its items' text, so no list of small pieces outlives it.
+    and ±inf through ``json.dumps``, a ``CycNum`` as its ``to_json()``;
+    lists and tuples are arrays, and dict items are sorted by key as
+    ``json.dumps`` sorts them.  Each container is joined from its items'
+    text, so no list of small pieces outlives it.
     """
     if isinstance(value, str):
         return _encode_str(value)
+    if type(value) is CycNum:
+        return _cycnum_text(value, indent)
     if type(value) is int:
         return int.__repr__(value)
     if type(value) is bool or value is None:
@@ -209,7 +233,7 @@ def _table_payload(table) -> dict:
         "group": _group_info(table.group),
         "degrees": list(table.degrees),
         "dixon_prime": table.prime,
-        "rows": [[v.to_json() for v in row] for row in table.rows],
+        "rows": [list(row) for row in table.rows],
     }
 
 
@@ -298,7 +322,7 @@ def _cmd_verify_local(args) -> int:
     bundle = _resolve_bundle(args)
     report = verify_correspondence(bundle.cmap)
     payload = _verify_payload(report, args.seed, "verify local")
-    payload["phi"] = bundle.cmap.to_json()
+    payload["phi"] = bundle.cmap.payload()
     _dump(payload, args.out)
     return 0 if report.passed else 1
 

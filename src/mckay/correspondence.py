@@ -14,9 +14,9 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from . import linalg
 from .algebra import GradedAlgebra
@@ -29,7 +29,7 @@ from .chartab import (
     mckay_graph,
     natural_pairings,
 )
-from .cyclo import CycNum, _normal, ramanujan_sums, rational, zeta
+from .cyclo import CycNum, _mul_num, _normal, ramanujan_sums, rational, zeta
 from .groups import FiniteGroup
 from .orbifold import class_label, invariant_subalgebra, local_orbifold_algebra
 from .resolution import exceptional_label, local_resolution_algebra
@@ -127,14 +127,19 @@ class CorrespondenceMap:
                 out[self.target.index(self.row_labels[c])] = v
         return out
 
-    def to_json(self) -> dict:
+    def payload(self) -> dict:
+        """The object of :meth:`to_json` with the ``CycNum`` entries
+        themselves, which the CLI's report writer prints as their JSON."""
         return {
             "scale": self.scale,
             "convention": "entries are sqrt(|G|) times the correspondence",
             "rows": list(self.row_labels),
             "cols": list(self.col_labels),
-            "entries": [[v.to_json() for v in row] for row in self.matrix],
+            "entries": [list(row) for row in self.matrix],
         }
+
+    def to_json(self) -> dict:
+        return {**self.payload(), "entries": [[v.to_json() for v in row] for row in self.matrix]}
 
 
 def branch_sqrt(table: CharacterTable, class_index: int) -> CycNum:
@@ -163,23 +168,29 @@ def _branch_sqrts(table: CharacterTable) -> tuple[CycNum | None, ...]:
 
 @_once_per_object
 def _scaled_minor(table: CharacterTable) -> tuple[tuple[CycNum, ...], ...]:
-    """diag(s)·Y^T at conductor 2*exponent, for Y the character table without
-    its trivial row and identity column: entry [c-1][r-1] is s(g_c)·chi_r(g_c).
-    Built once per table: ``Bundle.cmap`` stores it as M and ``verify_correspondence``
-    compares M with it.  Each entry is formed once per (class, value object):
-    the table shares one object per distinct value."""
+    """diag(s)·Y^T at conductor N = 2*exponent, for Y the character table
+    without its trivial row and identity column: entry [c-1][r-1] is
+    s(g_c)·chi_r(g_c).  Built once per table: ``Bundle.cmap`` stores it as M
+    and ``verify_correspondence`` compares M with it.  Each value object of
+    the table is lifted to N once, s(g_c) once per class, and each entry is
+    one product at N per (class, value object): stored forms are canonical
+    per conductor, so it is ``(s * v).lift(N)``."""
     m = table.size
-    conductor = 2 * table.conj.exponent
+    n = 2 * table.conj.exponent
+    lifted = {}  # id(v) -> v.lift(n)
     rows = []
     for c in range(1, m):
-        s = branch_sqrt(table, c)
+        s = branch_sqrt(table, c).lift(n)
         scaled = {}  # id(chi_r(g_c)) -> s(g_c)·chi_r(g_c)
         row = []
         for r in range(1, m):
             v = table.rows[r][c]
             entry = scaled.get(id(v))
             if entry is None:
-                entry = scaled[id(v)] = (s * v).lift(conductor)
+                w = lifted.get(id(v))
+                if w is None:
+                    w = lifted[id(v)] = v.lift(n)
+                entry = scaled[id(v)] = _normal(n, _mul_num(s.num, w.num, n), s.den * w.den)
             row.append(entry)
         rows.append(tuple(row))
     return tuple(rows)
@@ -585,30 +596,25 @@ def _float_sums(mc, support, conj) -> tuple[tuple, tuple]:
     term is an exact (signed) zero, so the sum is the dense O(m^4) one.
     ``class_sums[i][j - i]``, j >= i, is sum_c |C_c| M[c][i] M[c*][j], with
     c* the class of g_c^-1: it reads the class sizes and inverses and no
-    structure constant.
+    structure constant.  Each sum is a left fold from 0j (``reduce``, in C)
+    over columns formed once, with the terms (M[a][i] g) M[b][j] and
+    (M[c][i] M[c*][j]) |C_c| of an explicit loop, so the floats are the
+    loop's; ``sum()`` compensates float sums from Python 3.12 on.
     """
     n = len(mc)
-    transported = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = 0j
-            for a, b, g in support:
-                acc += mc[a][i] * g * mc[b][j]
-            row.append(acc)
-        transported.append(tuple(row))
-    inv_class, sizes = conj.class_inverse, conj.sizes
-    class_sums = []
-    for i in range(n):
-        row = []
-        for j in range(i, n):
-            acc = 0j
-            for c in range(n):
-                cstar = inv_class[c + 1] - 1
-                acc += mc[c][i] * mc[cstar][j] * sizes[c + 1]
-            row.append(acc)
-        class_sums.append(tuple(row))
-    return tuple(transported), tuple(class_sums)
+    gram = [g for _, _, g in support]
+    left = [list(map(mul, [mc[a][i] for a, _, _ in support], gram)) for i in range(n)]
+    right = [[mc[b][j] for _, b, _ in support] for j in range(n)]
+    transported = tuple(tuple(reduce(add, map(mul, li, rj), 0j) for rj in right) for li in left)
+    cols = list(zip(*mc))  # cols[i][c] = M[c][i]
+    stars = [conj.class_inverse[c] - 1 for c in range(1, n + 1)]
+    starred = [[col[d] for d in stars] for col in cols]  # starred[j][c] = M[c*][j]
+    sizes = conj.sizes[1 : n + 1]
+    class_sums = tuple(
+        tuple(reduce(add, map(mul, map(mul, cols[i], starred[j]), sizes), 0j) for j in range(i, n))
+        for i in range(n)
+    )
+    return transported, class_sums
 
 
 def _check_float(cmap: CorrespondenceMap, target_gram, source_gram) -> CheckResult:
@@ -617,18 +623,27 @@ def _check_float(cmap: CorrespondenceMap, target_gram, source_gram) -> CheckResu
     over i <= j, as sum_c |C_c| M[c][i] M[c*][j] with c* the class of
     g_c^-1.  The second sum reads the table's class sizes and inverses and no
     structure constant; the two agree when G_orb is the class-size monomial
-    matrix.  Both sums are formed from the map's own M and G_orb.
+    matrix.  Both sums are formed from the map's own M and G_orb, and each
+    value object is embedded once per call.
     """
     n = len(cmap.matrix)
-    mc = [[v.complex_value() for v in row] for row in cmap.matrix]
+    embedded = {}  # id(v) -> v.complex_value(); every v outlives the call
+
+    def embed(v: CycNum) -> complex:
+        z = embedded.get(id(v))
+        if z is None:
+            z = embedded[id(v)] = v.complex_value()
+        return z
+
+    mc = [[embed(v) for v in row] for row in cmap.matrix]
     support = [
-        (a, b, v.complex_value())
+        (a, b, embed(v))
         for a, row in enumerate(target_gram)
         for b, v in enumerate(row)
         if not v.is_zero()
     ]
     transported, class_sums = _float_sums(mc, support, cmap.table.conj)
-    sg = [[v.complex_value() for v in row] for row in source_gram]
+    sg = [[embed(v) for v in row] for row in source_gram]
     scale = cmap.scale
     max_err = 0.0
     for i in range(n):

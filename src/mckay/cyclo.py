@@ -233,6 +233,13 @@ def _conjugate_product(c: tuple[int, ...], g: int, t: int, n: int) -> tuple[int,
     return q
 
 
+@lru_cache(maxsize=None)
+def _roots(n: int) -> tuple[complex, ...]:
+    """zeta_n^i in the complex plane for i < phi(n), the power basis that
+    ``complex_value`` reads."""
+    return tuple(cmath.exp(2j * cmath.pi * i / n) for i in range(_taps(n)[0]))
+
+
 def _new(conductor: int, num: tuple[int, ...], den: int) -> "CycNum":
     self = object.__new__(CycNum)
     self.conductor = conductor
@@ -479,12 +486,9 @@ class CycNum:
     # -- output -------------------------------------------------------------
 
     def complex_value(self) -> complex:
-        n = self.conductor
+        roots = _roots(self.conductor)
         den = self.den
-        return sum(
-            (x / den * cmath.exp(2j * cmath.pi * i / n) for i, x in enumerate(self.num) if x),
-            complex(0),
-        )
+        return sum((x / den * roots[i] for i, x in enumerate(self.num) if x), complex(0))
 
     def to_json(self) -> dict:
         coeffs = {str(i): _frac_str(p, q) for i, p, q in self._terms()}

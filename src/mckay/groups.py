@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import islice
 from math import gcd, lcm
 from operator import add, eq, itemgetter
@@ -87,6 +87,12 @@ class ConjugacyStructure:
     exponent: int
 
 
+@lru_cache(maxsize=None)
+def _units(d: int) -> tuple[int, ...]:
+    """The k in range(1, d) prime to d."""
+    return tuple(k for k in range(1, d) if gcd(k, d) == 1)
+
+
 class FiniteGroup:
     """A fully enumerated finite group.
 
@@ -102,19 +108,31 @@ class FiniteGroup:
         self.name = name
         n = len(self.cayley)
         self.order = n
-        # walk x, x^2, ... to the identity: the walk's length is the order
-        # of x, and its last power before the identity, x^(ord - 1), is x^-1
-        cayley = self.cayley
-        inverse = [0] * n
-        orders = [1] * n
+        # one walk x, x^2, ..., x^(d-1) along row x per cyclic subgroup <x>
+        # of order d: its generators x^k, k prime to d, have order d and
+        # inverse x^(d-k), and the other powers are walked in their own
+        # subgroups; sigma(n) steps on a cyclic group, not about n^2 / 2
+        inverse = list(range(n))  # an involution (x x = 1) keeps its own index
+        orders = [0] * n
+        orders[0] = 1
         for i in range(1, n):
-            k, x = 1, i
-            while x != 0:
-                last = x
-                x = cayley[x][i]
-                k += 1
-            inverse[i] = last
-            orders[i] = k
+            if orders[i]:
+                continue
+            row = self.cayley[i]
+            x = row[i]
+            if not x:
+                orders[i] = 2
+                continue
+            powers = [0, i, x]
+            x = row[x]
+            while x:
+                powers.append(x)
+                x = row[x]
+            d = len(powers)
+            for k in _units(d):
+                y = powers[k]
+                orders[y] = d
+                inverse[y] = powers[d - k]
         self.inverse = tuple(inverse)
         self.element_order = tuple(orders)
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from mckay import catalog, chartab, cli, correspondence, groups, linalg, orbifol
 from mckay.catalog import EXTRA_GROUPS, ade_bundle
 from mckay.chartab import EigenSplitError, TableConsistencyError
 from mckay.cli import main
-from mckay.cyclo import MAX_CONDUCTOR, MAX_EXPONENT
+from mckay.cyclo import MAX_CONDUCTOR, MAX_EXPONENT, CycNum, rational
 from mckay.groups import ADE_SUITE, GroupError
 from mckay.orbifold import OrbifoldError
 from mckay.surface import SurfaceConfigError
@@ -297,6 +298,48 @@ _json_values = st.recursive(
 @example([True, False, None, 0.1, float("nan"), float("-inf")])
 def test_report_writer_matches_json_dumps(value):
     assert _written(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def _as_json(value):
+    """``value`` with each CycNum replaced by its ``to_json()``."""
+    if isinstance(value, CycNum):
+        return value.to_json()
+    if isinstance(value, dict):
+        return {k: _as_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_json(v) for v in value]
+    return value
+
+
+# conductors 1-60 (phi up to 16, so stored exponents reach 10 and beyond),
+# fractional and negative coefficients, and zero values; CycNum reduces the
+# drawn exponents mod N
+_cycnums = st.builds(
+    CycNum,
+    st.integers(1, 60),
+    st.dictionaries(
+        st.integers(0, 59),
+        st.fractions(min_value=-40, max_value=40, max_denominator=12),
+        max_size=8,
+    ),
+)
+_report_values = st.recursive(
+    _json_scalars | _cycnums,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_report_values)
+@example(CycNum(60, {13: Fraction(-7, 3), 2: 1, 11: Fraction(5, 6)}))
+@example({"rows": [[rational(0), CycNum(44, {10: 3, 2: -1})], (CycNum(1, {0: Fraction(4, 6)}),)]})
+def test_report_writer_prints_cycnum_as_its_json(value):
+    """A CycNum anywhere in a payload is written as json.dumps writes its
+    ``to_json()`` at that depth: keys in string order, "coeffs": {} for 0."""
+    assert _written(value) == json.dumps(_as_json(value), sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize(

@@ -803,6 +803,73 @@ def test_float_transport_matches_the_dense_loop(label):
     assert detail == {"max_error": float_oracle(cmap), "tolerance": FLOAT_TOLERANCE}
 
 
+def float_sums_oracle(mc, support, conj):
+    """``_float_sums`` as explicit loops: each sum accumulated from 0j, term
+    by term, as (M[a][i] g) M[b][j] and (M[c][i] M[c*][j]) |C_c|."""
+    n = len(mc)
+    transported = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = 0j
+            for a, b, g in support:
+                acc += mc[a][i] * g * mc[b][j]
+            row.append(acc)
+        transported.append(tuple(row))
+    class_sums = []
+    for i in range(n):
+        row = []
+        for j in range(i, n):
+            acc = 0j
+            for c in range(n):
+                cstar = conj.class_inverse[c + 1] - 1
+                acc += mc[c][i] * mc[cstar][j] * conj.sizes[c + 1]
+            row.append(acc)
+        class_sums.append(tuple(row))
+    return tuple(transported), tuple(class_sums)
+
+
+def _float_bits(sums):
+    return [[(z.real.hex(), z.imag.hex()) for z in row] for part in sums for row in part]
+
+
+@pytest.mark.parametrize("label", ADE_SUITE + SCALING + ("A40", "D40"))
+def test_float_sums_match_the_explicit_loops_bit_for_bit(label):
+    """The C-level folds keep the loops' term order, so every float sum has
+    the loops' bits (``sum()`` would not: it compensates from Python 3.12)."""
+    cmap = ade_bundle(label).cmap
+    _, target_gram = cmap.target.gram()
+    mc = [[v.complex_value() for v in row] for row in cmap.matrix]
+    support = [
+        (a, b, v.complex_value())
+        for a, row in enumerate(target_gram)
+        for b, v in enumerate(row)
+        if not v.is_zero()
+    ]
+    got = correspondence._float_sums(mc, support, cmap.table.conj)
+    assert _float_bits(got) == _float_bits(float_sums_oracle(mc, support, cmap.table.conj))
+
+
+def scaled_minor_oracle(table):
+    """diag(s)·Y^T entry by entry as ``(s * v).lift(2 * exponent)``."""
+    conductor = 2 * table.conj.exponent
+    return [
+        [(branch_sqrt(table, c) * table.rows[r][c]).lift(conductor) for r in range(1, table.size)]
+        for c in range(1, table.size)
+    ]
+
+
+@pytest.mark.parametrize("label", ADE_SUITE + SCALING + ("A40", "D40", "A100", "D100"))
+def test_scaled_minor_matches_the_per_entry_products(label):
+    """Each entry is one product at 2 * exponent of values lifted there once,
+    in the stored form of the product at the lcm conductor lifted after."""
+    table = ade_bundle(label).table
+    got = correspondence._scaled_minor(table)
+    assert [[(v.conductor, v.num, v.den) for v in row] for row in got] == [
+        [(v.conductor, v.num, v.den) for v in row] for row in scaled_minor_oracle(table)
+    ]
+
+
 @pytest.fixture
 def float_sums_calls(monkeypatch) -> list:
     """One entry per ``_float_sums`` call the test makes."""

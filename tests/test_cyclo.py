@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic: canonical forms, field axioms, square roots."""
 
+import cmath
 import json
 import random
 import time
@@ -538,3 +539,29 @@ def test_from_json_rejects_malformed_input(blob):
 )
 def test_from_json_reads_coefficient_strings(text, value):
     assert CycNum.from_json({"conductor": 1, "coeffs": {"0": text}}) == rational(value)
+
+
+def complex_oracle(v: CycNum) -> complex:
+    """complex_value with each root of unity from its own cmath.exp call."""
+    n, den = v.conductor, v.den
+    return sum(
+        (x / den * cmath.exp(2j * cmath.pi * i / n) for i, x in enumerate(v.num) if x),
+        complex(0),
+    )
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def test_complex_value_matches_the_exp_sum_bit_for_bit():
+    """The per-conductor root table gives the bits of one cmath.exp per
+    coefficient: every power-basis root and one dense value with a
+    denominator at each conductor up to 240."""
+    rng = random.Random(240)
+    for n in range(1, 241):
+        d = euler_phi(n)
+        values = [CycNum(n, {i: 1}) for i in range(d)]
+        values.append(CycNum(n, {i: Fraction(rng.randint(-99, 99), 7) for i in range(d)}))
+        for v in values:
+            assert _bits(v.complex_value()) == _bits(complex_oracle(v)), (n, v)

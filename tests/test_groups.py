@@ -449,6 +449,28 @@ def test_inverse_from_the_power_walk_matches_the_index_scan(name):
     assert group.inverse == tuple(row.index(0) for row in group.cayley)
 
 
+def _power_walk_oracle(cayley):
+    """(inverses, element orders) by walking x, x^2, ... to the identity
+    for every element x: the walk's length is the order of x, and its last
+    power before the identity is x^-1."""
+    inverse, orders = [0], [1]
+    for i in range(1, len(cayley)):
+        k, x = 1, i
+        while x != 0:
+            last, x, k = x, cayley[x][i], k + 1
+        inverse.append(last)
+        orders.append(k)
+    return tuple(inverse), tuple(orders)
+
+
+@pytest.mark.parametrize("name", SUITE_GROUPS + ("A1999",))
+def test_orders_and_inverses_match_the_per_element_walk(name):
+    """One walk per cyclic subgroup gives every element's order and inverse,
+    as a walk from each element does (A1999: one cyclic group of 2,000)."""
+    group = _suite_group(name)
+    assert (group.inverse, group.element_order) == _power_walk_oracle(group.cayley)
+
+
 def test_rotation_data():
     g = build_binary_polyhedral("A2")
     assert g.rotation_data[0] == (1, 0)
