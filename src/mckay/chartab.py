@@ -3,9 +3,9 @@
 Character tables are computed by the class-algebra method: the class
 multiplication matrices are simultaneously diagonalised over a prime field
 F_p with p = 1 (mod exponent) and p > 2*sqrt(|G|), splitting eigenspaces by
-the class matrices themselves in class order, at the roots of each
-restricted operator's characteristic polynomial, so the computation is
-deterministic.  Each value chi(g) is then lifted to an exact cyclotomic
+the class matrices themselves, those of the generator classes first and each
+built when first read, at the roots of each restricted operator's
+characteristic polynomial, so the computation is deterministic.  Each value chi(g) is then lifted to an exact cyclotomic
 integer from the multiset of g's eigenvalues, d-th roots of unity for d the
 order of g: read from the n = chi(1) power sums chi(g^k) by Newton's
 identities where n < d (one lookup at n = 1), and by the inverse discrete
@@ -24,6 +24,7 @@ silently.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import wraps
 from math import isqrt
@@ -192,8 +193,9 @@ def _sqrt_mod(a: int, p: int) -> int | None:
     return None
 
 
-def _apply(matrix, vec, p):
-    return [sum(map(mul, row, vec)) % p for row in matrix]
+def _apply(rows, vec, p):
+    """rows @ vec over F_p, for a matrix given as sparse rows of (j, a) pairs."""
+    return [sum([a * vec[j] for j, a in row]) % p for row in rows]
 
 
 def _rref(rows, p):
@@ -245,18 +247,20 @@ class _Subspace:
         return len(self.basis)
 
 
+def _combine(coeffs, columns, p):
+    """sum_j coeffs[j] B_j over F_p, for ``columns`` the columns of the B_j."""
+    return [sum(map(mul, coeffs, col)) % p for col in columns]
+
+
 def _restriction(op, space: _Subspace, p):
+    """The coordinates coords[i][j] of op B_i = sum_j coords[i][j] B_j on
+    the rref basis B of ``space``, for ``op`` given as sparse rows."""
     images = [_apply(op, b, p) for b in space.basis]
-    d = space.dim
-    coords = [[images[i][space.pivots[j]] for j in range(d)] for i in range(d)]
+    columns = list(zip(*space.basis))
+    coords = [[image[c] for c in space.pivots] for image in images]
     # invariance check: the image must stay inside the subspace
-    for i in range(d):
-        recon = [0] * len(images[i])
-        for j in range(d):
-            cj = coords[i][j]
-            if cj:
-                recon = [(a + cj * b) % p for a, b in zip(recon, space.basis[j])]
-        if recon != images[i]:
+    for row, image in zip(coords, images):
+        if _combine(row, columns, p) != image:
             raise EigenSplitError("subspace not invariant under class operator")
     return coords
 
@@ -314,21 +318,24 @@ def _charpoly(matrix, p):
 def _split_space(space: _Subspace, op, p) -> list[_Subspace]:
     """The eigenspaces of ``op`` on ``space``, by eigenvalue 0, 1, ..., p - 1.
 
-    With A the restricted d x d operator, lambda has a nonzero eigenspace
+    ``op`` is a class matrix as sparse rows (:func:`_class_matrix`).  With
+    A the restricted d x d operator, lambda has a nonzero eigenspace
     exactly when chi_A(lambda) = det(lambda I - A) = 0 over F_p.  So the
-    characteristic polynomial is formed once (:func:`_charpoly`) and
-    evaluated at each lambda in increasing order; only its roots are split
-    off.  The early stop once the eigenspaces fill the space is kept.
-    Raises EigenSplitError unless they fill it, i.e. unless A is
-    diagonalisable over F_p.
+    characteristic polynomial is formed once, from one dense copy of A
+    (:func:`_charpoly`), and evaluated at each lambda in increasing order;
+    only its roots are split off.  The early stop once the eigenspaces fill
+    the space is kept.  Raises EigenSplitError unless they fill it, i.e.
+    unless A is diagonalisable over F_p.
 
     On the whole space the rref basis is the unit basis, so A is ``op``
-    itself and the invariance check of :func:`_restriction` is vacuous.
+    itself, the invariance check of :func:`_restriction` is vacuous, and
+    each eigenvector is its own coordinate vector.
 
     At a simple root lambda (q(lambda) != 0 for q = chi_A / (x - lambda), by
     synthetic division) the eigenspace is the line of u = q(A) e_0, read
     from the Krylov sequence e_0, A e_0, ..., A^(d-1) e_0, built once per
-    split on the first simple root.  By Cayley-Hamilton
+    split on the first simple root from A's nonzeros and kept as the
+    nonzeros of each coordinate.  By Cayley-Hamilton
     (A - lambda) u = chi_A(A) e_0 = 0, so u is an eigenvector when it is
     nonzero; and lambda is a simple root, so its eigenspace is a line,
     whose rref basis is the one the nullspace of A - lambda I gives.  u = 0
@@ -337,15 +344,19 @@ def _split_space(space: _Subspace, op, p) -> list[_Subspace]:
     the whole space e_0 never gives u = 0: see :func:`_common_eigenvectors`.)
     """
     d = space.dim
-    if d == len(op):
-        coords = op
+    whole = d == len(op)
+    if whole:
+        coords = [[0] * d for _ in range(d)]
+        for row, sparse in zip(coords, op):
+            for j, a in sparse:
+                row[j] = a
     else:
         # images[i] = sum_j coords[i][j] B_j, so the operator acts on
         # coordinate columns by the transpose of coords
-        coords = _restriction(op, space, p)
-        coords = [[coords[j][i] for j in range(d)] for i in range(d)]
+        coords = list(zip(*_restriction(op, space, p)))
+        columns = list(zip(*space.basis))
     charpoly = _charpoly(coords, p)
-    krylov = None  # krylov[i][k]: coordinate i of A^k e_0
+    krylov = None  # krylov[i]: the pairs (k, coordinate i of A^k e_0) off zero
     out = []
     found = 0
     for lam in range(p):
@@ -364,24 +375,19 @@ def _split_space(space: _Subspace, op, p) -> list[_Subspace]:
         null = None
         if q_lam:
             if krylov is None:
+                rows = op if whole else [[(j, a) for j, a in enumerate(row) if a] for row in coords]
                 powers = [[1] + [0] * (d - 1)]
                 for _ in range(d - 1):
-                    powers.append(_apply(coords, powers[-1], p))
-                krylov = list(zip(*powers))
+                    powers.append(_apply(rows, powers[-1], p))
+                krylov = [[(k, x) for k, x in enumerate(row) if x] for row in zip(*powers)]
             quotient.reverse()
-            u = [sum(map(mul, quotient, row)) % p for row in krylov]
+            u = [sum([quotient[k] * x for k, x in row]) % p for row in krylov]
             if any(u):
                 null = [u]
         if null is None:
             shifted = [[(coords[i][j] - (lam if i == j else 0)) % p for j in range(d)] for i in range(d)]
             null = _nullspace(shifted, p)
-        vectors = []
-        for coeffs in null:
-            v = [0] * len(space.basis[0])
-            for j, cj in enumerate(coeffs):
-                if cj:
-                    v = [(a + cj * b) % p for a, b in zip(v, space.basis[j])]
-            vectors.append(v)
+        vectors = null if whole else [_combine(coeffs, columns, p) for coeffs in null]
         basis, pivots = _rref(vectors, p)
         out.append(_Subspace(basis, pivots))
         found += len(basis)
@@ -392,21 +398,50 @@ def _split_space(space: _Subspace, op, p) -> list[_Subspace]:
     return out
 
 
-def _common_eigenvectors(matrices, p):
-    """The common eigenvectors of the class matrices K_0, K_1, ... over F_p.
+def _class_matrix(group: FiniteGroup, i: int):
+    """K_i, multiplication by the i-th class sum, as sparse rows: row k
+    holds the pairs (j, a_ijk) with a_ijk != 0, the entries of
+    :func:`class_multiplication_tensor`, in m |C_i| lookups; at most |C_i|
+    pairs per row."""
+    conj = group.conjugacy
+    class_of = conj.class_of
+    # row x of inverse_rows is left multiplication by x^-1, x in C_i
+    inverse_rows = [group.cayley[group.inverse[x]] for x in conj.classes[i]]
+    return [
+        tuple(Counter([class_of[row[z]] for row in inverse_rows]).items())
+        for z in conj.representatives
+    ]
+
+
+def _common_eigenvectors(group: FiniteGroup, p):
+    """The common eigenvectors over F_p of the class matrices K_0, K_1, ...
+    of ``group``, each built when first read (:func:`_class_matrix`).
 
     K_0, multiplication by the class sum of the identity, must be the
     identity matrix (checked exactly, else TableConsistencyError); it splits
-    nothing and is skipped.  The space is F_p^m, m the size of the
-    matrices.  Every space of dimension > 1 is split by the eigenspaces of
-    K_1, K_2, ... in class order, until all spaces are 1-dimensional.  This
-    always finishes when p = 1 (mod exponent): every prime divisor of |G|
-    divides the exponent, so p does not divide |G|, and F_p holds the
+    nothing and is not read further.  The space is F_p^m, m the number of
+    classes.  Every space of dimension > 1 is split by the eigenspaces of
+    the K_i of the classes of ``group.generating_set`` first, then of the
+    remaining classes in class order, until all spaces are 1-dimensional.
+    This always finishes when p = 1 (mod exponent): every prime divisor of
+    |G| divides the exponent, so p does not divide |G|, and F_p holds the
     exponent-th roots of unity.  Hence Z(F_p G) is split semisimple,
     isomorphic to F_p^m through m distinct central characters.  The class
     sums span Z(F_p G), so any two of those characters differ on some K_i,
     and the eigenspaces of all the K_i together are lines.  Raises
     EigenSplitError if spaces of dimension > 1 remain after the last K_i.
+    For abelian G the generator classes suffice: K_s multiplies by s.
+
+    The read order changes the cost only, never the table:
+
+    * the K_i commute (Z(F_p G) is commutative) and, by the above, have
+      exactly m joint eigenlines, those of the m central characters;
+    * a joint eigenspace of any subset of the K_i is mapped into itself by
+      every K_i, since they commute with the subset; so a one-dimensional
+      one is a joint eigenline of all of them, one of those m lines;
+    * so every order of reads ends with the same m lines; each is
+      normalised by v[0] = 1 in :func:`character_table`, and the rows are
+      sorted afterwards.
 
     The first split acts on the whole space, where e_0 is the class sum of
     the identity, the algebra's 1.  It is a cyclic vector: K_i is
@@ -417,14 +452,18 @@ def _common_eigenvectors(matrices, p):
     which has lambda as a root, divide q, which has not; hence the Krylov
     eigenvector of :func:`_split_space` is nonzero there.
     """
-    m = len(matrices[0])
-    identity = [[int(i == j) for j in range(m)] for i in range(m)]
-    if [list(row) for row in matrices[0]] != identity:
+    conj = group.conjugacy
+    m = len(conj.classes)
+    if [list(row) for row in _class_matrix(group, 0)] != [[(k, 1)] for k in range(m)]:
         raise TableConsistencyError("class matrix K_0 is not the identity")
+    reads = dict.fromkeys(conj.class_of[s] for s in group.generating_set)
+    reads.update(dict.fromkeys(range(1, m)))
+    identity = [[int(i == j) for j in range(m)] for i in range(m)]
     spaces = [_Subspace(identity, list(range(m)))]
-    for op in matrices[1:]:
+    for i in reads:
         if all(s.dim == 1 for s in spaces):
             break
+        op = _class_matrix(group, i)
         spaces = [
             sub
             for s in spaces
@@ -521,11 +560,14 @@ def _newton_roots(power_sums, roots, p):
     return mults
 
 
-def _lift_row(chi_mod, degree, group, conj, pm, dft, roots, p, memo):
+def _lift_row(chi_mod, degree, reader, dft, roots, p, memo):
     """The exact values of one character from its residues.
 
-    ``dft`` maps each element order d to its ``_inverse_dft`` and ``roots``
-    to its ``_roots_of_unity``, shared by every row.  At a class of order d,
+    ``reader`` holds, per class, its element order d and the indices of
+    the classes whose residues the lift reads, g^k for the k below, from
+    the power map; it is shared by every row of this degree.  ``dft`` maps
+    each element order d to its ``_inverse_dft`` and ``roots`` to its
+    ``_roots_of_unity``, shared by every row.  At a class of order d,
     chi(g) is a sum of n = chi(1) d-th roots of unity, the eigenvalues of
     g, and the multiset of their exponents t is read from the residues:
 
@@ -553,10 +595,8 @@ def _lift_row(chi_mod, degree, group, conj, pm, dft, roots, p, memo):
     them at an earlier class or row.
     """
     values = []
-    for j, rep in enumerate(conj.representatives):
-        d = group.element_order[rep]
-        reads = range(1, degree + 1) if degree < d else range(d)
-        residues = tuple(chi_mod[pm[j][k]] for k in reads)
+    for j, (d, reads) in enumerate(reader):
+        residues = tuple(map(chi_mod.__getitem__, reads))
         key = (d, degree, residues)
         value = memo.get(key)
         if value is None:
@@ -738,24 +778,23 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     """The exact character table of a finite group.
 
     Deterministic: the prime, its primitive root and the eigenspace split
-    (by the class matrices in class order) are fixed by the group, and the
-    rows come out in canonical order.
+    (by the class matrices of the generator classes first, then the rest in
+    class order, each built only when the split reads it) are fixed by the
+    group, and the rows come out in canonical order, which no read order
+    changes (see :func:`_common_eigenvectors`).
     """
     conj = group.conjugacy
     m = len(conj.classes)
     order = group.order
     exponent = conj.exponent
-    tensor = class_multiplication_tensor(group)
-    # matrices[i][k][j] = a_{ijk}: multiplication by the i-th class sum,
-    # each plane transposed in C; the consumers only read the rows
-    matrices = [list(zip(*plane)) for plane in tensor]
     p = _dixon_prime(order, exponent)
     z = pow(_primitive_root(p), (p - 1) // exponent, p)
-    vectors = _common_eigenvectors(matrices, p)
+    vectors = _common_eigenvectors(group, p)
     pm = _power_map(group, conj)
-    orders = {group.element_order[rep] for rep in conj.representatives}
-    dft = {d: _inverse_dft(d, z, exponent, p) for d in orders}
-    roots = {d: _roots_of_unity(d, z, exponent, p) for d in orders}
+    class_orders = [group.element_order[rep] for rep in conj.representatives]
+    dft = {d: _inverse_dft(d, z, exponent, p) for d in set(class_orders)}
+    roots = {d: _roots_of_unity(d, z, exponent, p) for d in set(class_orders)}
+    readers = {}  # degree n -> per class (d, the power-map indices the lift reads)
     memo = {}  # one object per distinct value of this table (see _lift_row)
     rows = []
     degrees = []
@@ -779,7 +818,12 @@ def character_table(group: FiniteGroup) -> CharacterTable:
             raise TableConsistencyError("degree square has no modular root")
         degree = min(root, p - root)
         chi_mod = [degree * x % p for x in v_star]
-        rows.append(_lift_row(chi_mod, degree, group, conj, pm, dft, roots, p, memo))
+        reader = readers.get(degree)
+        if reader is None:  # k = 1..n where n < d, else k = 0..d-1
+            reader = readers[degree] = [
+                (d, row[1 : degree + 1] if degree < d else row) for d, row in zip(class_orders, pm)
+            ]
+        rows.append(_lift_row(chi_mod, degree, reader, dft, roots, p, memo))
         degrees.append(degree)
     if sum(d * d for d in degrees) != order:
         raise TableConsistencyError("degrees do not satisfy the order sum rule")

@@ -37,7 +37,8 @@ USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 
 #: the most conjugacy classes m of a group file whose character table is
-#: built: the class tensor and the class matrices hold m^3 entries each
+#: built: the table holds m^2 values, and the split's characteristic
+#: polynomials and the certificate's row orthogonality take O(m^3) steps
 MAX_FILE_CLASSES = 256
 
 # Raised when the program contradicts itself, whatever the input; checked
@@ -198,7 +199,7 @@ def _resolve_bundle(args) -> Bundle:
 def _resolve_table(args):
     """The character table of the named group.  A group file with more than
     MAX_FILE_CLASSES classes is rejected once its classes are known, before
-    any m^3 structure is built."""
+    its table is built."""
     bundle = _resolve_bundle(args)
     if args.group:
         m = len(bundle.group.conjugacy.classes)

@@ -143,19 +143,36 @@ def test_tensor_matches_the_full_product_count(name):
     assert class_multiplication_tensor(group) == _tensor_oracle(group)
 
 
-@pytest.mark.parametrize("name", ADE_SUITE + EXTRA_GROUPS + ("ingest",))
+def _dense(class_matrix, m):
+    """The m x m matrix of a class matrix given as sparse rows of (j, a)
+    pairs, checked to hold each column once and no zero."""
+    dense = [[0] * m for _ in range(m)]
+    for row, pairs in zip(dense, class_matrix):
+        assert len({j for j, _ in pairs}) == len(pairs)
+        for j, a in pairs:
+            assert a
+            row[j] = a
+    return dense
+
+
+def _sparse(dense):
+    return [tuple((j, a) for j, a in enumerate(row) if a) for row in dense]
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS + ("ingest",))
 def test_class_matrices_are_the_transposed_tensor(monkeypatch, name):
-    """The class matrices ``character_table`` hands to the split read
-    K_i[k][j] = a_ijk off the tensor, on the corpus groups and the ingest
-    groups."""
+    """Every class matrix the on-demand builder returns, those the split
+    reads and all the others, is K_i[k][j] = a_ijk off the tensor, on the
+    oracle groups and the ingest groups."""
+    build = chartab._class_matrix
     seen = []
-    split = chartab._common_eigenvectors
 
-    def capture(matrices, p):
-        seen.append(matrices)
-        return split(matrices, p)
+    def capture(group, i):
+        out = build(group, i)
+        seen.append((i, out))
+        return out
 
-    monkeypatch.setattr(chartab, "_common_eigenvectors", capture)
+    monkeypatch.setattr(chartab, "_class_matrix", capture)
     if name == "ingest":
         checked = [group for _, group in _ingest_groups(1)]
     else:
@@ -165,10 +182,50 @@ def test_class_matrices_are_the_transposed_tensor(monkeypatch, name):
         character_table(group)
         tensor = class_multiplication_tensor(group)
         m = len(tensor)
-        (matrices,) = seen
-        assert [[list(row) for row in k_i] for k_i in matrices] == [
-            [[tensor[i][j][k] for j in range(m)] for k in range(m)] for i in range(m)
-        ]
+        transposed = [[[tensor[i][j][k] for j in range(m)] for k in range(m)] for i in range(m)]
+        assert seen and seen[0][0] == 0
+        for i, k_i in seen + [(i, build(group, i)) for i in range(m)]:
+            assert len(k_i) == m
+            assert _dense(k_i, m) == transposed[i], i
+
+
+def _reads(monkeypatch, group):
+    """The classes whose matrices ``character_table`` builds, in order,
+    after K_0 for its check."""
+    build = chartab._class_matrix
+    reads = []
+
+    def recorded(g, i):
+        reads.append(i)
+        return build(g, i)
+
+    monkeypatch.setattr(chartab, "_class_matrix", recorded)
+    character_table(group)
+    monkeypatch.setattr(chartab, "_class_matrix", build)
+    assert reads[0] == 0
+    return reads[1:]
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_split_reads_the_generator_classes_first(monkeypatch, name):
+    """The split builds the class matrices of ``generating_set`` first, then
+    the other classes in class order, and stops once every space is a line."""
+    group = _oracle_group(name)
+    class_of = group.conjugacy.class_of
+    generators = list(dict.fromkeys(class_of[s] for s in group.generating_set))
+    rest = [c for c in range(1, len(group.conjugacy.classes)) if c not in generators]
+    reads = _reads(monkeypatch, group)
+    assert reads and reads == (generators + rest)[: len(reads)]
+
+
+def test_xor_tables_read_at_most_log2_class_matrices(monkeypatch):
+    """On (Z2)^5 the generator classes split every space, so the XOR table
+    and a relabeled copy read as many class matrices, at most log2 |G| = 5;
+    in class order the XOR table would read 16."""
+    xor = [[i ^ j for j in range(32)] for i in range(32)]
+    plain = _reads(monkeypatch, group_from_cayley(xor))
+    relabeled = _reads(monkeypatch, _relabeled_group(xor, 8))
+    assert len(plain) == len(relabeled) <= 5
 
 
 def _table_key(table):
@@ -180,22 +237,27 @@ def _table_key(table):
 
 @pytest.mark.parametrize("name", ["S4", "E6"])
 def test_single_entry_tensor_tamper_never_gives_another_table(monkeypatch, name):
-    """Negative control for the class tensor, whose class-constancy is proven
-    rather than checked: each +-1 change to one entry either raises an
-    internal CharacterTableError (CLI exit 3) or leaves the table unchanged."""
+    """Negative control for the class matrices, whose class-constancy is
+    proven rather than checked: each +-1 change to one entry a_ijk, made in
+    the K_i the builder returns, either raises an internal
+    CharacterTableError (CLI exit 3) or leaves the table unchanged."""
     group = _oracle_group(name)
     truth = _table_key(character_table(group))
-    tensor = class_multiplication_tensor(group)
-    m = len(tensor)
+    build = chartab._class_matrix
+    m = len(group.conjugacy.classes)
+    dense = [_dense(build(group, i), m) for i in range(m)]  # dense[i][k][j] = a_ijk
     outcomes = {"same": 0, EigenSplitError: 0, TableConsistencyError: 0}
     for i in range(m):
         for j in range(m):
             for k in range(m):
                 for delta in (1, -1):
-                    tampered = [[list(r) for r in plane] for plane in tensor]
-                    tampered[i][j][k] += delta
+                    tampered = [list(r) for r in dense[i]]
+                    tampered[k][j] += delta
+                    tampered = _sparse(tampered)
                     monkeypatch.setattr(
-                        chartab, "class_multiplication_tensor", lambda _, t=tampered: t
+                        chartab,
+                        "_class_matrix",
+                        lambda g, c, i=i, t=tampered: t if c == i else build(g, c),
                     )
                     try:
                         table = character_table(group)
@@ -416,12 +478,12 @@ def test_split_space_matches_the_lambda_scan(monkeypatch, name):
 
 
 def test_krylov_fallback_splits_through_the_nullspace(monkeypatch):
-    """Negative control: with A = diag(1, 2), e_0 is an eigenvector, so at
-    lambda = 2 the Krylov vector (A - 1) e_0 is zero and the line comes from
-    the nullspace of A - 2I."""
+    """Negative control: with A = diag(1, 2), as sparse rows, e_0 is an
+    eigenvector, so at lambda = 2 the Krylov vector (A - 1) e_0 is zero and
+    the line comes from the nullspace of A - 2I."""
     nullspaces = _counting_nullspace(monkeypatch)
     space = _Subspace([[1, 0], [0, 1]], [0, 1])
-    op = [[1, 0], [0, 2]]
+    op = [((0, 1),), ((1, 2),)]
     out = chartab._split_space(space, op, 7)
     assert [(s.basis, s.pivots) for s in out] == [([[1, 0]], [0]), ([[0, 1]], [1])]
     assert nullspaces == [2]
@@ -448,19 +510,29 @@ def test_first_split_of_a20_needs_no_nullspace(monkeypatch):
     assert first[0] == (21, 21, 0)
 
 
+def _identities(group, i):
+    """A class-matrix builder that returns the identity for every class."""
+    return [((k, 1),) for k in range(len(group.conjugacy.classes))]
+
+
 def test_k0_off_the_identity_is_an_internal_error(monkeypatch, capsys):
     """K_0, multiplication by the identity's class sum, is checked to be the
     identity matrix; a tampered one exits 3."""
-    identity = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-    scaled = [[2 * x for x in row] for row in identity]
+    build = chartab._class_matrix
+    scaled = [((k, 2),) for k in range(3)]
+    monkeypatch.setattr(chartab, "_class_matrix", lambda g, i: scaled if i == 0 else _identities(g, i))
     with pytest.raises(TableConsistencyError, match="K_0 is not the identity"):
-        _common_eigenvectors([scaled, identity, identity], 7)
-    group = build_binary_polyhedral("A3")
-    tensor = [[list(r) for r in plane] for plane in class_multiplication_tensor(group)]
-    tensor[0][1][0] = 1  # K_0[0][1]
-    monkeypatch.setattr(chartab, "class_multiplication_tensor", lambda _: tensor)
+        _common_eigenvectors(build_binary_polyhedral("A2"), 7)
+
+    def tampered(g, i):
+        rows = build(g, i)
+        if i == 0:
+            rows[0] += ((1, 1),)  # K_0[0][1]
+        return rows
+
+    monkeypatch.setattr(chartab, "_class_matrix", tampered)
     with pytest.raises(TableConsistencyError, match="K_0 is not the identity"):
-        character_table(group)
+        character_table(build_binary_polyhedral("A3"))
 
     def tampered_bundle(_):
         return Bundle(build_binary_polyhedral("A3"))
@@ -473,10 +545,10 @@ def test_k0_off_the_identity_is_an_internal_error(monkeypatch, capsys):
     assert captured.err.startswith("internal error: TableConsistencyError:")
 
 
-def test_unsplittable_class_matrices_raise():
-    identity = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+def test_unsplittable_class_matrices_raise(monkeypatch):
+    monkeypatch.setattr(chartab, "_class_matrix", _identities)
     with pytest.raises(EigenSplitError):
-        _common_eigenvectors([identity] * 3, 7)
+        _common_eigenvectors(build_binary_polyhedral("A2"), 7)
 
 
 # -- the character lift ----------------------------------------------------------
@@ -531,16 +603,18 @@ def test_lift_matches_the_inverse_dft(monkeypatch, name):
     stored form, whether it is read by lookup, by Newton's identities or by
     the DFT itself."""
     lift = chartab._lift_row
+    group = LIFT_GROUPS[name]()
+    conj = group.conjugacy
+    pm = chartab._power_map(group, conj)
     degrees = []
 
-    def checked(chi_mod, degree, group, conj, pm, dft, roots, p, *rest):
-        out = lift(chi_mod, degree, group, conj, pm, dft, roots, p, *rest)
+    def checked(chi_mod, degree, reader, dft, roots, p, memo):
+        out = lift(chi_mod, degree, reader, dft, roots, p, memo)
         assert _stored(out) == _stored(_lift_row_oracle(chi_mod, degree, group, conj, pm, dft, p))
         degrees.append(degree)
         return out
 
     monkeypatch.setattr(chartab, "_lift_row", checked)
-    group = LIFT_GROUPS[name]()
     table = character_table(group)
     assert sorted(degrees) == sorted(table.degrees)
 
@@ -589,9 +663,12 @@ def test_residue_off_every_root_sum_is_rejected(monkeypatch, label, degree):
     """Negative control: one residue of a degree-n row moved off every sum
     of n d-th roots of unity fails the lift with the pinned message."""
     lift = chartab._lift_row
+    group = build_binary_polyhedral(label)
+    conj = group.conjugacy
+    pm = chartab._power_map(group, conj)
     tampered = []
 
-    def tamper(chi_mod, n, group, conj, pm, dft, roots, p, *rest):
+    def tamper(chi_mod, n, reader, dft, roots, p, memo):
         if n == degree and not tampered:
             j = _unread_class(group, conj, pm, n)
             powers, _ = roots[group.element_order[conj.representatives[j]]]
@@ -599,11 +676,11 @@ def test_residue_off_every_root_sum_is_rejected(monkeypatch, label, degree):
             chi_mod = list(chi_mod)
             chi_mod[j] = next(r for r in range(p) if r not in sums)
             tampered.append(j)
-        return lift(chi_mod, n, group, conj, pm, dft, roots, p, *rest)
+        return lift(chi_mod, n, reader, dft, roots, p, memo)
 
     monkeypatch.setattr(chartab, "_lift_row", tamper)
     with pytest.raises(TableConsistencyError, match="^eigenvalue multiplicities do not sum to degree$"):
-        character_table(build_binary_polyhedral(label))
+        character_table(group)
     assert tampered
 
 

@@ -554,14 +554,10 @@ def test_latin_square_rejection_names_its_position(tmp_path, capsys, body, posit
 
 
 def test_unsplittable_eigenspaces_exit_3(monkeypatch, tmp_path, capsys):
-    split = chartab._common_eigenvectors
+    def identities_only(group, i):
+        return [((k, 1),) for k in range(len(group.conjugacy.classes))]
 
-    def identities_only(matrices, p):
-        m = len(matrices)
-        identity = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        return split([identity] * m, p)
-
-    monkeypatch.setattr(chartab, "_common_eigenvectors", identities_only)
+    monkeypatch.setattr(chartab, "_class_matrix", identities_only)
     path = tmp_path / "z3.json"
     path.write_text(json.dumps({"cayley": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}))
     code, out, err = run(capsys, "minor", "--group", str(path))
