@@ -11,6 +11,7 @@ cyclotomic arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .cyclo import CycNum, rational
 
@@ -64,12 +65,16 @@ class GradedAlgebra:
             i, j = index[la], index[lb]
             if degrees[i] != 1 or degrees[j] != 1:
                 raise AlgebraError("explicit products are given on degree-1 pairs only")
-            coeffs = ((lc, _coeff(c)) for lc, c in terms)
-            cooked = tuple((index[lc], v) for lc, v in coeffs if not v.is_zero())
+            cooked = []
+            for lc, c in terms:
+                if type(c) is not CycNum:
+                    c = _coeff(c)
+                if not c.is_zero():
+                    cooked.append((index[lc], c))
             for k, _ in cooked:
                 if degrees[k] != 2:
                     raise AlgebraError("degree-1 products must land in degree 2")
-            structure[(i, j)] = cooked
+            structure[(i, j)] = cooked = tuple(cooked)
             if (j, i) not in products or i == j:
                 structure[(j, i)] = cooked
         return cls(labels=labels, degrees=degrees, structure=structure, unit=0, point=point)
@@ -80,12 +85,31 @@ class GradedAlgebra:
     def dim(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
+    # A ring is never mutated after ``build`` or ``replaced_product``, so the
+    # views below are built once per ring object; a copy builds its own.
 
-    @property
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Label -> basis index."""
+        return {lbl: i for i, lbl in enumerate(self.labels)}
+
+    def index(self, label: str) -> int:
+        return self.positions[label]
+
+    @cached_property
     def degree_one(self) -> tuple[int, ...]:
         return tuple(i for i, d in enumerate(self.degrees) if d == 1)
+
+    @cached_property
+    def degree_one_products(self) -> dict:
+        """The structure entries on two degree-one classes, {(i, j): terms},
+        in key order."""
+        deg = self.degrees
+        return {
+            key: self.structure[key]
+            for key in sorted(self.structure)
+            if deg[key[0]] == deg[key[1]] == 1
+        }
 
     def product(self, i: int, j: int):
         return self.structure.get((i, j), ())

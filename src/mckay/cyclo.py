@@ -153,6 +153,22 @@ def _taps(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 
 @lru_cache(maxsize=None)
+def _chain(n: int) -> tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]:
+    """(phi(n), the moduli P_j(x) = Phi_r(x^(n/r)) as (degree, taps) in the
+    form of ``_taps``), r the product of the j least primes of n.  The last
+    P_j is Phi_n, and each has the few taps of Phi_r spread n/r apart."""
+    steps = []
+    r = 1
+    for p in prime_factors(n):
+        r *= p
+        step = n // r
+        phi = cyclotomic_polynomial(r)
+        taps = tuple((j * step, -c) for j, c in enumerate(phi[:-1]) if c)
+        steps.append(((len(phi) - 1) * step, taps))
+    return _taps(n)[0], tuple(steps)
+
+
+@lru_cache(maxsize=None)
 def _galois_steps(n: int) -> tuple[tuple[int, int], ...]:
     """Generators g of (Z/n)^* with their relative orders h.
 
@@ -177,13 +193,15 @@ def _galois_steps(n: int) -> tuple[tuple[int, int], ...]:
 def _reduce(vals: list[int], n: int) -> tuple[int, ...]:
     """Reduce an integer polynomial (ascending, consumed) modulo Phi_n.
 
-    Phi_n divides x^n - 1, so a buffer longer than n is first folded, each
-    exponent e onto e mod n; the taps then run from degree n - 1 down to
-    phi(n) only (at a prime, one row in place of p - 2).  A folded
-    coefficient costs one addition and saves at least one tap row, and the
-    remainder modulo Phi_n is unique, so the result is unchanged.
+    A buffer longer than n is first folded modulo x^n - 1, each exponent e
+    onto e mod n; then each modulus P_j of ``_chain`` in turn clears the
+    degrees at or above its own, down to phi(n).  Every modulus is a
+    multiple of Phi_n, the monic minimal polynomial of zeta_n: zeta_n is a
+    root of x^n - 1, and of P_j as zeta_n^(n/r) is a primitive r-th root of
+    unity.  So no step changes the residue, and the remainder of degree
+    below phi(n) is unique.
     """
-    d, taps = _taps(n)
+    d, chain = _chain(n)
     size = len(vals)
     if size <= d:
         return tuple(vals) + (0,) * (d - size)
@@ -191,12 +209,15 @@ def _reduce(vals: list[int], n: int) -> tuple[int, ...]:
         for e in range(size - 1, n - 1, -1):  # descending: e - n may fold again
             vals[e - n] += vals[e]
         size = n
-    for i in range(size - 1, d - 1, -1):
-        c = vals[i]
-        if c:
-            base = i - d
-            for j, t in taps:
-                vals[base + j] += c * t
+    for degree, taps in chain:
+        if size > degree:
+            for i in range(size - 1, degree - 1, -1):
+                c = vals[i]
+                if c:
+                    base = i - degree
+                    for j, t in taps:
+                        vals[base + j] += c * t
+            size = degree
     del vals[d:]
     return tuple(vals)
 

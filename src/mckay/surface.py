@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 from .algebra import GradedAlgebra
 from .catalog import ade_bundle
-from .correspondence import (
-    CheckResult,
-    CorrespondenceMap,
-    VerificationReport,
-    verify_correspondence,
-)
+from .correspondence import CheckResult, CorrespondenceMap, VerificationReport, _checks
 from .groups import GroupError, parse_ade_label
 
 __all__ = [
@@ -167,13 +162,11 @@ def _add_block(ring, local_labels, global_label, pid, labels, products) -> tuple
     each of their products on the global point class; returns the new labels."""
     rename = {lbl: global_label(pid, int(lbl[1:])) for lbl in local_labels}
     labels.extend(rename.values())
-    ones = ring.degree_one
-    for a, ia in enumerate(ones):
-        for ib in ones[a:]:
-            terms = ring.product(ia, ib)
-            if terms:
-                key = (rename[ring.labels[ia]], rename[ring.labels[ib]])
-                products[key] = [("[pt]", c) for _, c in terms]
+    local = ring.labels
+    # in key order, the pairs i <= j come as a double loop over degree_one meets them
+    for (i, j), terms in ring.degree_one_products.items():
+        if i <= j and terms:
+            products[rename[local[i]], rename[local[j]]] = [("[pt]", c) for _, c in terms]
     return tuple(rename.values())
 
 
@@ -235,18 +228,6 @@ def _side(ring: GradedAlgebra, terms) -> dict:
     return {ring.labels[k]: c.to_json() for k, c in _summed(terms).items()}
 
 
-def _same_product(left, right) -> bool:
-    """Two term lists give one product: the same terms in order (assembly
-    copies each coefficient object), or equal sums by value."""
-    if len(left) == len(right):
-        for (k, c), (l, d) in zip(left, right):
-            if k != l or c is not d:
-                break
-        else:
-            return True
-    return _summed(left) == _summed(right)
-
-
 def _walk(name: str, ring: GradedAlgebra, parts) -> tuple:
     """One walk of ``ring``'s structure constants against the model, linear
     in them and in the local rings' constants.  ``parts`` lists the smooth
@@ -281,36 +262,71 @@ def _walk(name: str, ring: GradedAlgebra, parts) -> tuple:
       singular, which fails that point's ``additive-rank`` in the same
       report, or if a ring is not commutative, which ``build`` and
       ``replaced_product`` never make.
+
+    One pass over ``ring.structure`` decides every key it holds, a key in a
+    group compared in place with the local ring's cached degree-one entry;
+    a renamed term list is built only where that misses.  The expected keys
+    the structure lacks are visited after, if the pass met fewer local
+    entries than there are.  A witness is the least key of its list, so the
+    visiting order cannot change it.  A local term outside the renaming
+    (unit, point class, the part's labels) raises ``KeyError``, as every
+    local entry is visited.
     """
-    index = {lbl: i for i, lbl in enumerate(ring.labels)}
+    index = ring.positions
     point = ring.point
-    graded = ring.degrees[ring.unit] == 0 and point is not None
+    degrees = ring.degrees
+    graded = degrees[ring.unit] == 0 and point is not None
     group = [None] * ring.dim
-    expected = {}
+    back = [None] * ring.dim  # a group class's local index
+    renamed = []  # per part: its renaming into ring and its local products
+    expected = 0
     for g, (_, local, local_labels, labels) in enumerate(parts):
         at = [index.get(lbl) for lbl in labels]
-        if point is None or not all(k is not None and ring.degrees[k] == 1 for k in at):
+        if point is None or not all(k is not None and degrees[k] == 1 for k in at):
             graded = False
+            renamed.append(None)
             continue
-        for k in at:
-            group[k] = g
         rename = {local.unit: ring.unit, local.point: point}
-        rename.update(zip(map(local.index, local_labels), at))
-        for (i, j), terms in local.structure.items():
-            if local.degrees[i] == local.degrees[j] == 1:
-                expected[rename[i], rename[j]] = [(rename[k], c) for k, c in terms]
+        positions = local.positions
+        for lbl, k in zip(local_labels, at):
+            li = positions[lbl]
+            rename[li] = k
+            group[k] = g
+            back[k] = li
+        renamed.append((rename, local.degree_one_products))
+        expected += len(local.degree_one_products)
     structure = ring.structure
     crossing, smooth, failing = [], [], []
-    for key in structure.keys() | expected.keys():
-        gi, gj = group[key[0]], group[key[1]]
-        if gi is None or gj is None:
-            continue
-        terms = structure.get(key, ())
-        if gi != gj:
-            if _summed(terms):
+    met = 0
+    for key, terms in structure.items():
+        i, j = key
+        g = group[i]
+        if g != group[j]:
+            if g is not None and group[j] is not None and _summed(terms):
                 crossing.append(key)
-        elif not _same_product(expected.get(key, ()), terms):
-            (failing if gi else smooth).append(key)
+            continue
+        if g is None:
+            continue
+        rename, products = renamed[g]
+        want = products.get((back[i], back[j]))
+        if want is None:
+            want = ()
+        else:
+            met += 1
+        if len(want) == len(terms):
+            for (k, c), (l, d) in zip(want, terms):
+                if rename[k] != l or c is not d:
+                    break
+            else:
+                continue
+        if _summed([(rename[k], c) for k, c in want]) != _summed(terms):
+            (failing if g else smooth).append(key)
+    if met < expected:  # some expected key is missing from the structure
+        for rename, products in filter(None, renamed):
+            for (li, lj), want in products.items():
+                key = rename[li], rename[lj]
+                if key not in structure and _summed([(rename[k], c) for k, c in want]):
+                    (failing if group[key[0]] else smooth).append(key)
     cross = block = None
     if crossing:
         i, j = min(crossing)
@@ -322,13 +338,15 @@ def _walk(name: str, ring: GradedAlgebra, parts) -> tuple:
         }
     if failing:
         i, j = min(failing)
+        rename, products = renamed[group[i]]
+        want = products.get((back[i], back[j]), ())
         block = {
             "ring": name,
             "point": parts[group[i]][0],
             "left": ring.labels[i],
             "right": ring.labels[j],
             "global_side": _side(ring, structure.get((i, j), ())),
-            "local_side": _side(ring, expected.get((i, j), ())),
+            "local_side": _side(ring, [(rename[k], c) for k, c in want]),
         }
     return graded, index, smooth, cross, block
 
@@ -349,13 +367,19 @@ def verify_assembly(assembly: GlobalAssembly) -> VerificationReport:
             detail={"dimension": assembly.expected_dim},
         )
     ]
-    # the smooth part as a ring: declared·[pt] on each divisor pair
+    # the smooth part as a ring: declared·[pt] on each divisor pair, a zero
+    # left out as the global rings leave it out
     q = model.intersection
     divisors = [divisor_label(i) for i in range(len(q))]
     smooth_ring = GradedAlgebra.build(
         ["1", *divisors, "[pt]"],
         [0, *[1] * len(q), 2],
-        {(a, b): [("[pt]", v)] for a, row in zip(divisors, q) for b, v in zip(divisors, row)},
+        {
+            (a, b): [("[pt]", v)]
+            for a, row in zip(divisors, q)
+            for b, v in zip(divisors, row)
+            if v
+        },
     )
     sides = (
         ("resolution", a_y, lambda b: (b.point.id, b.cmap.source, b.cmap.col_labels, b.y_labels)),
@@ -387,7 +411,7 @@ def verify_assembly(assembly: GlobalAssembly) -> VerificationReport:
 
     # points of one type share one cached map, whose checks are decided once
     for blk in assembly.blocks:
-        for c in verify_correspondence(blk.cmap).checks:
+        for c in _checks(blk.cmap):
             checks.append(
                 CheckResult(
                     f"point[{blk.point.id}]:{c.name}",

@@ -491,6 +491,38 @@ def test_reduce_matches_the_tap_only_loop(n, data):
     assert cyclo._reduce(list(vals), n) == tap_only_reduce(vals, n)
 
 
+@pytest.mark.parametrize("n", [201, 402, 404, 792, 796])
+def test_reduce_matches_the_tap_only_loop_along_a_strided_sweep(n):
+    # two and three primes, where the chain runs several moduli; a stride
+    # keeps the oracle's dense tap rows to about a second in all
+    rng = random.Random(n)
+    d = euler_phi(n)
+    sizes = set(range(0, 2 * n + 2, n // 40)) | {d - 1, d, d + 1, 2 * d - 1, n - 1, n, n + 1}
+    for size in sorted(sizes):
+        vals = [rng.randint(-9, 9) for _ in range(size)]
+        assert cyclo._reduce(list(vals), n) == tap_only_reduce(vals, n), size
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 1600), st.data())
+def test_reduce_matches_the_tap_only_loop_up_to_1600(n, data):
+    # 2E at D400 is 1592; lengths near phi(n) and n bound the oracle's rows
+    d = euler_phi(n)
+    size = data.draw(st.integers(0, d + 64) | st.integers(max(0, n - 8), n + 64), label="size")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    vals = [rng.randint(-9, 9) for _ in range(size)]
+    assert cyclo._reduce(list(vals), n) == tap_only_reduce(vals, n)
+
+
+def test_reduce_chain_falls_to_phi_n():
+    assert cyclo._chain(1) == (1, ())
+    for n in (2, 12, 201, 796, 840):
+        d, chain = cyclo._chain(n)
+        degrees = [degree for degree, _ in chain]
+        assert degrees == sorted(set(degrees), reverse=True)
+        assert chain[-1] == cyclo._taps(n) and d == degrees[-1]
+
+
 def test_from_json_rejects_conductor_above_bound():
     start = time.perf_counter()
     with pytest.raises(ValueError, match=str(MAX_CONDUCTOR)):

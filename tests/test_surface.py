@@ -1,8 +1,10 @@
 """Global surface models: parsing, assembly, blockwise verification."""
 
+import collections
 import dataclasses
 import functools
 import itertools
+import random
 
 import pytest
 
@@ -582,40 +584,49 @@ A2_BLOCK = {
 }
 
 
-@pytest.mark.parametrize(
-    "labels, degrees, products, failing",
-    [
-        pytest.param(
-            ["1", "D1", "E(p,1)", "[pt]"],
-            [0, 1, 1, 2],
-            {("D1", "D1"): [("[pt]", 1)], ("E(p,1)", "E(p,1)"): [("[pt]", -2)]},
-            {"dimensions", "unit-grading"},
-            id="block-label-missing",
-        ),
-        pytest.param(
-            ["1", "E(p,1)", "E(p,2)", "[pt]"],
-            [0, 1, 1, 2],
-            A2_BLOCK,
-            {"dimensions", "unit-grading"},
-            id="divisor-missing",
-        ),
-        # the dimension is right, so unit-grading alone catches it
-        pytest.param(
-            ["1", "D1", "E(p,1)", "X", "[pt]"],
-            [0, 1, 1, 1, 2],
-            {("D1", "D1"): [("[pt]", 1)], ("E(p,1)", "E(p,1)"): [("[pt]", -2)]},
-            {"unit-grading"},
-            id="block-label-renamed",
-        ),
-        pytest.param(
-            ["1", "D1", "E(p,1)", "E(p,2)"],
-            [0, 1, 1, 1],
-            {},
-            {"dimensions", "unit-grading"},
-            id="no-point-class",
-        ),
-    ],
-)
+# (labels, degrees, products, the checks that fail) of an A_Y off ONE_POINT
+OFF_MODEL = [
+    pytest.param(
+        ["1", "D1", "E(p,1)", "[pt]"],
+        [0, 1, 1, 2],
+        {("D1", "D1"): [("[pt]", 1)], ("E(p,1)", "E(p,1)"): [("[pt]", -2)]},
+        {"dimensions", "unit-grading"},
+        id="block-label-missing",
+    ),
+    pytest.param(
+        ["1", "E(p,1)", "E(p,2)", "[pt]"],
+        [0, 1, 1, 2],
+        A2_BLOCK,
+        {"dimensions", "unit-grading"},
+        id="divisor-missing",
+    ),
+    # the dimension is right, so unit-grading alone catches it
+    pytest.param(
+        ["1", "D1", "E(p,1)", "X", "[pt]"],
+        [0, 1, 1, 1, 2],
+        {("D1", "D1"): [("[pt]", 1)], ("E(p,1)", "E(p,1)"): [("[pt]", -2)]},
+        {"unit-grading"},
+        id="block-label-renamed",
+    ),
+    pytest.param(
+        ["1", "D1", "E(p,1)", "E(p,2)"],
+        [0, 1, 1, 1],
+        {},
+        {"dimensions", "unit-grading"},
+        id="no-point-class",
+    ),
+    # E(p,1) * E(p,2) left out: an expected key the structure lacks
+    pytest.param(
+        ["1", "D1", "E(p,1)", "E(p,2)", "[pt]"],
+        [0, 1, 1, 1, 2],
+        {("D1", "D1"): [("[pt]", 1)], **{k: v for k, v in A2_BLOCK.items() if k[0] == k[1]}},
+        {"block-products"},
+        id="block-product-missing",
+    ),
+]
+
+
+@pytest.mark.parametrize("labels, degrees, products, failing", OFF_MODEL)
 def test_a_ring_off_the_model_fails_as_data(labels, degrees, products, failing):
     # reported as data, never raised: the walk skips each group with a label
     # that is not a degree-one class of the ring
@@ -700,14 +711,254 @@ BOTH_WITNESSES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BOTH_TAMPERS))
-def test_one_report_fails_cross_and_block_products(name):
+def both_tampered(name):
     asm = assemble_global(three_point_model())
     for ring, left, right, terms in BOTH_TAMPERS[name]:
         bad = getattr(asm, ring).replaced_product(left, right, terms)
         asm = dataclasses.replace(asm, **{ring: bad})
+    return asm
+
+
+@pytest.mark.parametrize("name", sorted(BOTH_TAMPERS))
+def test_one_report_fails_cross_and_block_products(name):
+    asm = both_tampered(name)
     report = verify_assembly(asm)
     assert {c.name for c in report.checks if not c.passed} == {"cross-products", "block-products"}
     witnesses = (report.check("cross-products").witness, report.check("block-products").witness)
     assert witnesses == BOTH_WITNESSES[name]
     assert not cross_products_oracle(asm) and not block_products_oracle(asm)
+
+
+# -- the one-pass walk against the union walk --------------------------------------
+
+
+def _same_product(left, right) -> bool:
+    if len(left) == len(right):
+        for (k, c), (l, d) in zip(left, right):
+            if k != l or c is not d:
+                break
+        else:
+            return True
+    return surface._summed(left) == surface._summed(right)
+
+
+def walk_oracle(name, ring, parts) -> tuple:
+    """The walk over the union of the structure's keys and the expected keys,
+    each expected entry renamed into a list first: ``surface._walk`` before
+    it compared in place in one pass over the structure."""
+    index = {lbl: i for i, lbl in enumerate(ring.labels)}
+    point = ring.point
+    graded = ring.degrees[ring.unit] == 0 and point is not None
+    group = [None] * ring.dim
+    expected = {}
+    for g, (_, local, local_labels, labels) in enumerate(parts):
+        at = [index.get(lbl) for lbl in labels]
+        if point is None or not all(k is not None and ring.degrees[k] == 1 for k in at):
+            graded = False
+            continue
+        for k in at:
+            group[k] = g
+        rename = {local.unit: ring.unit, local.point: point}
+        rename.update(zip((local.labels.index(lbl) for lbl in local_labels), at))
+        for (i, j), terms in local.structure.items():
+            if local.degrees[i] == local.degrees[j] == 1:
+                expected[rename[i], rename[j]] = [(rename[k], c) for k, c in terms]
+    structure = ring.structure
+    crossing, smooth, failing = [], [], []
+    for key in structure.keys() | expected.keys():
+        gi, gj = group[key[0]], group[key[1]]
+        if gi is None or gj is None:
+            continue
+        terms = structure.get(key, ())
+        if gi != gj:
+            if surface._summed(terms):
+                crossing.append(key)
+        elif not _same_product(expected.get(key, ()), terms):
+            (failing if gi else smooth).append(key)
+    cross = block = None
+    if crossing:
+        i, j = min(crossing)
+        cross = {
+            "ring": name,
+            "left": ring.labels[i],
+            "right": ring.labels[j],
+            "terms": [[ring.labels[k], c.to_json()] for k, c in structure[i, j]],
+        }
+    if failing:
+        i, j = min(failing)
+        block = {
+            "ring": name,
+            "point": parts[group[i]][0],
+            "left": ring.labels[i],
+            "right": ring.labels[j],
+            "global_side": surface._side(ring, structure.get((i, j), ())),
+            "local_side": surface._side(ring, expected.get((i, j), ())),
+        }
+    return graded, index, smooth, cross, block
+
+
+def seeded_surface(seed: int) -> dict:
+    """A surface as the benchmark's global workload lays one out: 8-24 points
+    of the repeating type cycle in shuffled order, on a random lattice."""
+    rng = random.Random(f"walk/{seed}")
+    types = ("A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "E6", "E7")
+    size, rank = rng.randint(8, 24), 1 + seed % 4
+    kinds = [types[k % len(types)] for k in range(size)]
+    rng.shuffle(kinds)
+    matrix = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i, rank):
+            matrix[i][j] = matrix[j][i] = rng.randint(-3, 3) if i == j else rng.randint(-2, 2)
+    points = [{"id": f"p{k}", "type": t} for k, t in enumerate(kinds)]
+    return {"picard_rank": rank, "intersection_matrix": matrix, "points": points}
+
+
+def randomly_tampered(seed: int):
+    """The seeded surface with one product of one ring dropped from its
+    structure (one time in three), or replaced by random terms, on a pair
+    inside one group (the divisors or a point's block) or on any pair."""
+    rng = random.Random(f"tamper/{seed}")
+    asm = assemble_global(parse_surface(seeded_surface(seed)))
+    field = rng.choice(["a_y", "a_orb"])
+    ring = getattr(asm, field)
+    if seed % 3 == 0:
+        i, j = rng.choice(sorted(ring.degree_one_products))
+        structure = {k: v for k, v in ring.structure.items() if k not in {(i, j), (j, i)}}
+        return dataclasses.replace(asm, **{field: dataclasses.replace(ring, structure=structure)})
+    if seed % 3 == 1:
+        divisors = tuple(f"D{i + 1}" for i in range(asm.model.picard_rank))
+        blocks = [b.y_labels if field == "a_y" else b.orb_labels for b in asm.blocks]
+        group = rng.choice([divisors, *blocks])
+        left, right = rng.choice(group), rng.choice(group)
+    else:
+        left, right = (ring.labels[k] for k in rng.sample(ring.degree_one, 2))
+    terms = [(rng.choice(["[pt]", left]), rng.randint(-2, 2)) for _ in range(rng.randint(1, 2))]
+    return dataclasses.replace(asm, **{field: ring.replaced_product(left, right, terms)})
+
+
+def _off_model(labels, degrees, products):
+    asm = assemble_global(parse_surface(ONE_POINT))
+    return dataclasses.replace(asm, a_y=GradedAlgebra.build(labels, degrees, products))
+
+
+def zero_sum_absent():
+    """TWO_POINT with E1 * E2 of p's local A2 ring given as [pt] - [pt] and
+    E(p,1) * E(p,2) left out of A_Y: an expected key the structure lacks,
+    whose local terms sum to zero."""
+    asm = assemble_global(parse_surface(TWO_POINT))
+    blocks = []
+    for blk in asm.blocks:
+        if blk.point.id == "p":
+            source = blk.cmap.source.replaced_product("E1", "E2", [("[pt]", 1), ("[pt]", -1)])
+            blk = dataclasses.replace(blk, cmap=dataclasses.replace(blk.cmap, source=source))
+        blocks.append(blk)
+    i, j = asm.a_y.index("E(p,1)"), asm.a_y.index("E(p,2)")
+    structure = {k: v for k, v in asm.a_y.structure.items() if k not in {(i, j), (j, i)}}
+    return dataclasses.replace(
+        asm, a_y=dataclasses.replace(asm.a_y, structure=structure), blocks=tuple(blocks)
+    )
+
+
+def test_an_absent_key_whose_local_terms_sum_to_zero_passes():
+    report = verify_assembly(zero_sum_absent())
+    assert report.check("block-products").passed
+    assert not report.check("point[p]:multiplicativity").passed
+
+
+def _seeded(seed):
+    return assemble_global(parse_surface(seeded_surface(seed)))
+
+
+# name -> a thunk giving the assembly: every config and tamper family above,
+# and seeded surfaces untouched and with one random tamper
+WALK_FAMILIES = {
+    "two-point": lambda: assemble_global(parse_surface(TWO_POINT)),
+    "three-point": lambda: assemble_global(three_point_model()),
+    "repeated": lambda: assemble_global(parse_surface(REPEATED)),
+    **{name: functools.partial(tampered, name) for name in TAMPERS},
+    **{f"block:{name}": functools.partial(block_tampered, name) for name in BLOCK_TAMPERS},
+    **{name: functools.partial(lifted, name) for name in LIFTED},
+    **{name: functools.partial(both_tampered, name) for name in BOTH_TAMPERS},
+    **{p.id: functools.partial(_off_model, *p.values[:3]) for p in OFF_MODEL},
+    "zero-sum-absent": zero_sum_absent,
+    **{f"seed-{seed}": functools.partial(_seeded, seed) for seed in range(1, 6)},
+    **{f"seed-{seed}-tampered": functools.partial(randomly_tampered, seed) for seed in range(1, 16)},
+}
+
+
+@pytest.mark.parametrize("name", list(WALK_FAMILIES))
+def test_walk_matches_the_union_walk_oracle(name, monkeypatch):
+    walks = []
+    real = surface._walk
+
+    def both(ring_name, ring, parts):
+        got = real(ring_name, ring, parts)
+        walks.append((got, walk_oracle(ring_name, ring, parts)))
+        return got
+
+    monkeypatch.setattr(surface, "_walk", both)
+    verify_assembly(WALK_FAMILIES[name]())
+    assert len(walks) == 2
+    for (graded, index, smooth, cross, block), want in walks:
+        assert (graded, index, sorted(smooth), cross, block) == (
+            want[0], want[1], sorted(want[2]), want[3], want[4]
+        )
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_seeded_surfaces_pass(seed):
+    assert verify_assembly(_seeded(seed)).passed
+
+
+def test_local_ring_views_are_built_once_per_ring_object(monkeypatch):
+    fresh = functools.cache(lambda label: Bundle(build_binary_polyhedral(label)))
+    monkeypatch.setattr(surface, "ade_bundle", fresh)
+    built = collections.Counter()
+    for view in ("positions", "degree_one_products"):
+        original = vars(GradedAlgebra)[view].func
+
+        def counted(ring, original=original, view=view):
+            built[view, id(ring)] += 1
+            return original(ring)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(GradedAlgebra, view)
+        monkeypatch.setattr(GradedAlgebra, view, prop)
+    model = parse_surface(REPEATED)
+    assert verify_global(model).passed and verify_global(model).passed
+    assert set(built.values()) == {1}
+    for label in {p["type"] for p in REPEATED["points"]}:
+        for ring in (fresh(label).cmap.source, fresh(label).cmap.target):
+            assert built["positions", id(ring)] == built["degree_one_products", id(ring)] == 1
+    # a replaced_product copy builds its own views from its own structure
+    ring = fresh("A2").cmap.source
+    copy = ring.replaced_product("E1", "E1", [("[pt]", 5)])
+    e1 = ring.index("E1")
+    assert copy.degree_one_products[e1, e1] == ((ring.point, rational(5)),)
+    assert ring.degree_one_products[e1, e1] == ((ring.point, rational(-2)),)
+    assert built["degree_one_products", id(copy)] == 1
+
+
+def double_loop_add_block(ring, local_labels, global_label, pid, labels, products):
+    """``surface._add_block`` as a double loop over ``degree_one`` pairs a <= b."""
+    rename = {lbl: global_label(pid, int(lbl[1:])) for lbl in local_labels}
+    labels.extend(rename.values())
+    ones = ring.degree_one
+    for a, ia in enumerate(ones):
+        for ib in ones[a:]:
+            terms = ring.product(ia, ib)
+            if terms:
+                key = (rename[ring.labels[ia]], rename[ring.labels[ib]])
+                products[key] = [("[pt]", c) for _, c in terms]
+    return tuple(rename.values())
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_assembly_keeps_the_double_loop_order(seed, monkeypatch):
+    model = parse_surface(seeded_surface(seed))
+    asm = assemble_global(model)
+    monkeypatch.setattr(surface, "_add_block", double_loop_add_block)
+    want = assemble_global(model)
+    for ring, other in ((asm.a_y, want.a_y), (asm.a_orb, want.a_orb)):
+        assert ring.labels == other.labels
+        assert list(ring.structure.items()) == list(other.structure.items())
