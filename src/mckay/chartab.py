@@ -477,19 +477,6 @@ def _common_eigenvectors(group: FiniteGroup, p):
 # -- character recovery -------------------------------------------------------
 
 
-def _power_map(group: FiniteGroup, conj: ConjugacyStructure):
-    pm = []
-    for rep in conj.representatives:
-        d = group.element_order[rep]
-        row = []
-        x = 0
-        for _ in range(d):
-            row.append(conj.class_of[x])
-            x = group.cayley[x][rep]
-        pm.append(row)
-    return pm
-
-
 def _inverse_dft(d, z, exponent, p):
     """Rows [zeta_d^(-t*u) for u < d] for t < d, with zeta_d = z^(exponent/d)
     of order d in F_p, and 1/d mod p: the inverse Fourier transform that
@@ -704,7 +691,7 @@ def _certify(table: CharacterTable) -> Certificate:
         )
     # steps 2 and 3, each value object tested and conjugated once; each
     # conjugate is still compared for every (row, class, l), in this order
-    pm = _power_map(group, conj)
+    pm = group.power_map
     steps = [g for g, _ in _galois_steps(exponent)]
     conjugates = {}  # id(value) -> [sigma_l(value) for l in steps]
     distinct = {}  # id(value) -> value
@@ -790,7 +777,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     p = _dixon_prime(order, exponent)
     z = pow(_primitive_root(p), (p - 1) // exponent, p)
     vectors = _common_eigenvectors(group, p)
-    pm = _power_map(group, conj)
+    pm = group.power_map
     class_orders = [group.element_order[rep] for rep in conj.representatives]
     dft = {d: _inverse_dft(d, z, exponent, p) for d in set(class_orders)}
     roots = {d: _roots_of_unity(d, z, exponent, p) for d in set(class_orders)}

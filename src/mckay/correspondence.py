@@ -24,7 +24,6 @@ from .chartab import (
     CharacterTable,
     McKayGraph,
     _once_per_object,
-    _power_map,
     character_table,
     mckay_graph,
     natural_pairings,
@@ -318,7 +317,7 @@ def char_minor_determinant(table: CharacterTable) -> CycNum:
     if m == 1:
         return rational(1)
     rows = table.rows[1:]
-    pm = _power_map(table.group, table.conj)
+    pm = table.group.power_map
     reps, element_order = table.conj.representatives, table.group.element_order
     z = [[None] * (m - 1) for _ in rows]
     vandermonde = rational(1)
@@ -588,44 +587,29 @@ def _conjugation_witness(group: FiniteGroup, keys) -> tuple[int, int, int] | Non
     return next((h, g, c) for h, g, c in triples if keys[c] != keys[g])
 
 
-def _float_sums(mc, support, conj) -> tuple[tuple, tuple]:
-    """The two sides of the float layer that do not read G_res.
-
-    ``transported[i][j]`` is sum_{(a, b, g) in support} M[a][i] g M[b][j],
+def _float_sums(mc, support) -> tuple:
+    """``transported[i][j]`` = sum_{(a, b, g) in support} M[a][i] g M[b][j],
     over the exactly nonzero entries g of G_orb in (a, b) order: a skipped
-    term is an exact (signed) zero, so the sum is the dense O(m^4) one.
-    ``class_sums[i][j - i]``, j >= i, is sum_c |C_c| M[c][i] M[c*][j], with
-    c* the class of g_c^-1: it reads the class sizes and inverses and no
-    structure constant.  Each sum is a left fold from 0j (``reduce``, in C)
-    over columns formed once, with the terms (M[a][i] g) M[b][j] and
-    (M[c][i] M[c*][j]) |C_c| of an explicit loop, so the floats are the
-    loop's; ``sum()`` compensates float sums from Python 3.12 on.
+    term is an exact (signed) zero, so the sum is the dense O(m^4) one.  Each
+    sum is a left fold from 0j (``reduce``, in C) over columns formed once,
+    with the terms (M[a][i] g) M[b][j] of an explicit loop, so the floats are
+    the loop's; ``sum()`` compensates float sums from Python 3.12 on.
     """
     n = len(mc)
     gram = [g for _, _, g in support]
     left = [list(map(mul, [mc[a][i] for a, _, _ in support], gram)) for i in range(n)]
     right = [[mc[b][j] for _, b, _ in support] for j in range(n)]
-    transported = tuple(tuple(reduce(add, map(mul, li, rj), 0j) for rj in right) for li in left)
-    cols = list(zip(*mc))  # cols[i][c] = M[c][i]
-    stars = [conj.class_inverse[c] - 1 for c in range(1, n + 1)]
-    starred = [[col[d] for d in stars] for col in cols]  # starred[j][c] = M[c*][j]
-    sizes = conj.sizes[1 : n + 1]
-    class_sums = tuple(
-        tuple(reduce(add, map(mul, map(mul, cols[i], starred[j]), sizes), 0j) for j in range(i, n))
-        for i in range(n)
-    )
-    return transported, class_sums
+    return tuple(tuple(reduce(add, map(mul, li, rj), 0j) for rj in right) for li in left)
 
 
 def _check_float(cmap: CorrespondenceMap, target_gram, source_gram) -> CheckResult:
     """Re-evaluate the degree-one identity M^T G_orb M = |G| G_res at machine
-    precision, twice: once through the target's Gram matrix G_orb, and once,
-    over i <= j, as sum_c |C_c| M[c][i] M[c*][j] with c* the class of
-    g_c^-1.  The second sum reads the table's class sizes and inverses and no
-    structure constant; the two agree when G_orb is the class-size monomial
-    matrix.  Both sums are formed from the map's own M and G_orb, and each
-    value object is embedded once per call.
-    """
+    precision through the map's own M and G_orb, each value object embedded
+    once per call.  One fold serves: a class-size fold sum_c |C_c| M[c][i]
+    M[c*][j] (c* the class of g_c^-1) would catch rings that pass the exact
+    checks with wrong pairings, but ``pairings`` fails those exactly, and
+    when it passes G_orb is |C_c| at (c, c*) and 0 elsewhere, so this fold
+    adds that fold's terms and fails where it would, up to rounding."""
     n = len(cmap.matrix)
     embedded = {}  # id(v) -> v.complex_value(); every v outlives the call
 
@@ -642,16 +626,13 @@ def _check_float(cmap: CorrespondenceMap, target_gram, source_gram) -> CheckResu
         for b, v in enumerate(row)
         if not v.is_zero()
     ]
-    transported, class_sums = _float_sums(mc, support, cmap.table.conj)
+    transported = _float_sums(mc, support)
     sg = [[embed(v) for v in row] for row in source_gram]
     scale = cmap.scale
     max_err = 0.0
     for i in range(n):
         for j in range(n):
             max_err = max(max_err, abs(transported[i][j] - scale * sg[i][j]))
-    for i in range(n):
-        for j in range(i, n):
-            max_err = max(max_err, abs(class_sums[i][j - i] - sg[i][j] * scale))
     ok = max_err <= FLOAT_TOLERANCE
     return CheckResult(
         "float-sanity",
@@ -662,18 +643,69 @@ def _check_float(cmap: CorrespondenceMap, target_gram, source_gram) -> CheckResu
     )
 
 
-def _certified_pairing(table: CharacterTable) -> tuple[tuple[int, ...], ...] | None:
-    """P[a-1][b-1] = S(chi_nat chi_a, chi_b) - 2|G| delta_ab over the
-    nontrivial rows a, b, from the table's certificate; None unless
-    chi_nat(id) = 2 and s(g_c) s(g_c^-1) = chi_nat(g_c) - 2 on every
-    nonidentity class c, checked exactly (see ``verify_correspondence``)."""
+def _scaled_is(v: CycNum, scale: int, k: int) -> bool:
+    """v * scale = k, read off the stored form: the power basis starts with 1."""
+    return not any(v.num[1:]) and v.num[0] * scale == k * v.den
+
+
+def _gram_witness(ring: str, algebra: GradedAlgebra, gram, expected, scale: int) -> dict | None:
+    """The first entry, row by row, with gram[a][b] * scale != expected[a][b]
+    (rows of rational integers, one per row of gram), or None."""
+    labels = [algebra.labels[k] for k in algebra.degree_one]
+    for a, (row, want) in enumerate(zip(gram, expected)):
+        for b, (v, k) in enumerate(zip(row, want)):
+            if not _scaled_is(v, scale, k):
+                return {
+                    "ring": ring,
+                    "left": labels[a],
+                    "right": labels[b],
+                    "pairing": v.to_json(),
+                    "expected": (rational(k) / scale).to_json(),
+                }
+    return None
+
+
+def _pairings_witness(cmap: CorrespondenceMap, target_gram, source_gram) -> dict | None:
+    """The first place where the rings' degree-one pairings are not the ones
+    the table fixes, or None.  In order, each in stored form:
+
+    - G_orb is the class-size monomial matrix: |C_c| at (c, c*), c* the
+      class of g_c^-1, and 0 elsewhere over the nonidentity classes;
+    - the natural character is the branch roots': chi_nat(id) = 2 and
+      chi_nat(c) = s(g_c) s(g_c*) + 2 on every nonidentity class c;
+    - |G| G_res is the certified pairing P (``_certified_pairing``), which
+      is |G| times -Cartan of the McKay graph.
+
+    A Gram matrix of the wrong size is named by its ring and size.
+    """
+    table = cmap.table
+    n = table.size - 1
+    sizes, inverse = table.conj.sizes, table.conj.class_inverse
+    for ring, gram in (("orbifold", target_gram), ("resolution", source_gram)):
+        if len(gram) != n:
+            return {"ring": ring, "size": len(gram), "expected_size": n}
+    monomial = (
+        [sizes[c] if d == inverse[c] else 0 for d in range(1, n + 1)] for c in range(1, n + 1)
+    )
+    witness = _gram_witness("orbifold", cmap.target, target_gram, monomial, 1)
+    if witness is not None:
+        return witness
     natural = table.natural_character
-    if natural is None or natural[0] != 2:
-        return None
-    inverse = table.conj.class_inverse
-    for c in range(1, table.size):
-        if branch_sqrt(table, c) * branch_sqrt(table, inverse[c]) != natural[c] - 2:
-            return None
+    for c in range(n + 1):
+        root = branch_sqrt(table, c) * branch_sqrt(table, inverse[c]) if c else rational(0)
+        if natural is None or (natural[c] - 2 != root if c else natural[c] != 2):
+            return {
+                "class": c,
+                "natural_character": None if natural is None else natural[c].to_json(),
+                "expected": (root + 2).to_json(),
+            }
+    certified = _certified_pairing(table)
+    return _gram_witness("resolution", cmap.source, source_gram, certified, cmap.scale)
+
+
+def _certified_pairing(table: CharacterTable) -> tuple[tuple[int, ...], ...]:
+    """P[a-1][b-1] = S(chi_nat chi_a, chi_b) - 2|G| delta_ab over the
+    nontrivial rows a, b, from the table's certificate."""
     pairings = natural_pairings(table)
     twice_order = 2 * table.group.order
     return tuple(
@@ -682,56 +714,26 @@ def _certified_pairing(table: CharacterTable) -> tuple[tuple[int, ...], ...] | N
     )
 
 
-def _scaled_is(v: CycNum, scale: int, k: int) -> bool:
-    """v * scale = k, read off the stored form: the power basis starts with 1."""
-    return not any(v.num[1:]) and v.num[0] * scale == k * v.den
-
-
-def _is_class_size_monomial(table: CharacterTable, gram) -> bool:
-    """gram is the class-size monomial matrix in stored form: |C_c| at
-    (c, c*) for c* the class of g_c^-1, and 0 elsewhere, over the
-    nonidentity classes."""
-    n = table.size - 1
-    sizes, inverse = table.conj.sizes, table.conj.class_inverse
-    return len(gram) == n and all(
-        len(row) == n
-        and all(_scaled_is(v, 1, sizes[c] if d == inverse[c] else 0) for d, v in enumerate(row, 1))
-        for c, row in enumerate(gram, 1)
-    )
-
-
-def _certified_identity(cmap: CorrespondenceMap, source_gram) -> bool:
-    """True when the certified pairing equals |G|·G_res at every entry; that
-    M = diag(s)·Y^T and that G_orb is the class-size monomial matrix are
-    checked by the caller."""
-    pairing = _certified_pairing(cmap.table)
-    if pairing is None or len(source_gram) != len(pairing):
-        return False
-    return all(
-        len(row) == len(pairing) and all(_scaled_is(v, cmap.scale, x) for v, x in zip(row, prow))
-        for row, prow in zip(source_gram, pairing)
-    )
-
-
 def verify_correspondence(cmap: CorrespondenceMap) -> VerificationReport:
     """Run the exact theorem checks on a built correspondence.
 
-    Both Gram matrices are formed once.  In degree one, multiplicativity and
-    isometry are the one identity M^T G_orb M = |G| G_res (see
-    ``_check_multiplicativity``), reported under both names.
+    Both Gram matrices are formed once.  ``pairings`` checks that they are
+    the rings the table fixes (see ``_pairings_witness``).  In degree one,
+    multiplicativity and isometry are the one identity M^T G_orb M = |G| G_res
+    (see ``_check_multiplicativity``), reported under both names.
 
     It is decided from the table's certificate, with no cyclotomic product,
     when M = diag(s)·Y^T in stored form (M[c][a] = s(g_c) chi_a(g_c)) and
-    G_orb is the class-size monomial matrix: G_orb[c][d] = |C_c| if d is the
-    class of g_c^-1 (written c*) and 0 otherwise.  Then, c running over the
-    nonidentity classes,
+    ``pairings`` passes.  Then G_orb[c][d] = |C_c| if d is the class of
+    g_c^-1 (written c*) and 0 otherwise, so, c running over the nonidentity
+    classes,
 
         (M^T G_orb M)[a][b] = sum_c |C_c| s(g_c) s(g_c*) chi_a(c) chi_b(c*).
 
-    ``_certified_pairing`` checks s(g_c) s(g_c*) = chi_nat(c) - 2 exactly on
-    every nonidentity class (s(g^-1) = s(g) and s(g)^2 = zeta_r^k +
-    zeta_r^-k - 2 by the branch choice) and chi_nat(id) = 2, so the identity
-    class may join the sum, adding 0, and over all classes c
+    ``pairings`` checks s(g_c) s(g_c*) = chi_nat(c) - 2 exactly on every
+    nonidentity class (s(g^-1) = s(g) and s(g)^2 = zeta_r^k + zeta_r^-k - 2
+    by the branch choice) and chi_nat(id) = 2, so the identity class may
+    join the sum, adding 0, and over all classes c
 
         (M^T G_orb M)[a][b] = sum_c |C_c| (chi_nat(c) - 2) chi_a(c) chi_b(c*)
                             = S(chi_nat chi_a, chi_b) - 2 S(chi_a, chi_b).
@@ -740,10 +742,10 @@ def verify_correspondence(cmap: CorrespondenceMap) -> VerificationReport:
     that S(chi_nat chi_a, chi_b) is a rational integer decided by its
     symmetric residue at the certificate prime (the row x natural x row
     pairing its height bound covers, which ``mckay_graph`` also reads), and
-    S(chi_a, chi_b) = |G| delta_ab.  Each entry of this integer matrix is
-    compared with |G| G_res exactly.  If either precondition fails, or any
-    entry differs, M^T (G_orb M) is formed exactly and both checks compare
-    it entry by entry, so a failing report carries the product's own values.
+    S(chi_a, chi_b) = |G| delta_ab; ``pairings`` compares this integer matrix
+    with |G| G_res entry by entry.  Otherwise M^T (G_orb M) is formed exactly
+    and both checks compare it entry by entry, so a failing report carries
+    the product's own values.
 
     Failures are reported with witnesses, never raised, so tampered inputs
     produce a failing report that pinpoints the first broken identity.  The
@@ -775,7 +777,9 @@ def verify_correspondence(cmap: CorrespondenceMap) -> VerificationReport:
 
 @_once_per_object
 def _checks(cmap: CorrespondenceMap) -> tuple[CheckResult, ...]:
-    """The five checks of ``verify_correspondence``, decided once per map.
+    """The six checks of ``verify_correspondence``, decided once per map:
+    multiplicativity, additive-rank, isometry, equivariance, pairings and the
+    diagnostic float-sanity.
 
     The verdict is a function of the map object alone.  Every input the
     checks read is immutable: the map and its table (with the certificate
@@ -792,9 +796,9 @@ def _checks(cmap: CorrespondenceMap) -> tuple[CheckResult, ...]:
     _, target_gram = cmap.target.gram()
     _, source_gram = cmap.source.gram()
     is_scaled_minor = _stored_form(cmap.matrix) == _stored_form(_scaled_minor(cmap.table))
-    monomial = is_scaled_minor and _is_class_size_monomial(cmap.table, target_gram)
+    witness = _pairings_witness(cmap, target_gram, source_gram)
     exact = None
-    if not (monomial and _certified_identity(cmap, source_gram)):
+    if not (is_scaled_minor and witness is None):
         matrix = [list(row) for row in cmap.matrix]
         exact = (
             linalg.matmul(linalg.transpose(matrix), linalg.matmul(target_gram, matrix)),
@@ -805,6 +809,7 @@ def _checks(cmap: CorrespondenceMap) -> tuple[CheckResult, ...]:
         _check_additive(cmap, is_scaled_minor),
         _check_isometry(cmap, exact),
         _check_equivariance(cmap),
+        CheckResult("pairings", witness is None, witness=witness),
         _check_float(cmap, target_gram, source_gram),
     )
 

@@ -141,22 +141,12 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _taps(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(phi(n), the pairs (j, -c_j) for the nonzero low coefficients of Phi_n).
-
-    x^d = -sum_j c_j x^j modulo Phi_n, so reducing a term c*x^i adds
-    c * (-c_j) at i - d + j for each tap.
-    """
-    phi = cyclotomic_polynomial(n)
-    d = len(phi) - 1
-    return d, tuple((j, -c) for j, c in enumerate(phi[:d]) if c)
-
-
-@lru_cache(maxsize=None)
 def _chain(n: int) -> tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]:
-    """(phi(n), the moduli P_j(x) = Phi_r(x^(n/r)) as (degree, taps) in the
-    form of ``_taps``), r the product of the j least primes of n.  The last
-    P_j is Phi_n, and each has the few taps of Phi_r spread n/r apart."""
+    """(phi(n), the moduli P_j(x) = Phi_r(x^(n/r)) as (degree, taps)), r the
+    product of the j least primes of n.  A tap (j, -c_j) stands for a nonzero
+    low coefficient c_j of P_j: x^degree = -sum_j c_j x^j modulo P_j, so
+    reducing a term c*x^i adds c * (-c_j) at i - degree + j.  The last P_j
+    is Phi_n, and each has the few taps of Phi_r spread n/r apart."""
     steps = []
     r = 1
     for p in prime_factors(n):
@@ -165,7 +155,7 @@ def _chain(n: int) -> tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], 
         phi = cyclotomic_polynomial(r)
         taps = tuple((j * step, -c) for j, c in enumerate(phi[:-1]) if c)
         steps.append(((len(phi) - 1) * step, taps))
-    return _taps(n)[0], tuple(steps)
+    return euler_phi(n), tuple(steps)
 
 
 @lru_cache(maxsize=None)
@@ -258,7 +248,7 @@ def _conjugate_product(c: tuple[int, ...], g: int, t: int, n: int) -> tuple[int,
 def _roots(n: int) -> tuple[complex, ...]:
     """zeta_n^i in the complex plane for i < phi(n), the power basis that
     ``complex_value`` reads."""
-    return tuple(cmath.exp(2j * cmath.pi * i / n) for i in range(_taps(n)[0]))
+    return tuple(cmath.exp(2j * cmath.pi * i / n) for i in range(euler_phi(n)))
 
 
 def _new(conductor: int, num: tuple[int, ...], den: int) -> "CycNum":

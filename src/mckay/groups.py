@@ -189,6 +189,20 @@ class FiniteGroup:
             exponent=exponent,
         )
 
+    @cached_property
+    def power_map(self) -> tuple[tuple[int, ...], ...]:
+        """``power_map[c][l]`` is the class of g_c^l for l below the order of
+        the representative g_c of class c, walked once per group."""
+        conj = self.conjugacy
+        rows = []
+        for rep in conj.representatives:
+            row, x = [], 0
+            for _ in range(self.element_order[rep]):
+                row.append(conj.class_of[x])
+                x = self.cayley[x][rep]
+            rows.append(tuple(row))
+        return tuple(rows)
+
     def trace(self, i: int) -> CycNum:
         if self.matrix_rep is None:
             raise GroupError("group carries no matrix representation")

@@ -605,7 +605,7 @@ def test_lift_matches_the_inverse_dft(monkeypatch, name):
     lift = chartab._lift_row
     group = LIFT_GROUPS[name]()
     conj = group.conjugacy
-    pm = chartab._power_map(group, conj)
+    pm = group.power_map
     degrees = []
 
     def checked(chi_mod, degree, reader, dft, roots, p, memo):
@@ -665,7 +665,7 @@ def test_residue_off_every_root_sum_is_rejected(monkeypatch, label, degree):
     lift = chartab._lift_row
     group = build_binary_polyhedral(label)
     conj = group.conjugacy
-    pm = chartab._power_map(group, conj)
+    pm = group.power_map
     tampered = []
 
     def tamper(chi_mod, n, reader, dft, roots, p, memo):
@@ -809,7 +809,7 @@ def _tamper_height(table):
 def _tamper_galois(table):
     """Swap the values of row 1 at a class c and at c^l, for a generator l of
     (Z/E)^* whose orbit through c has more than two classes."""
-    pm = chartab._power_map(table.group, table.conj)
+    pm = table.group.power_map
     g = _galois_steps(table.conj.exponent)[0][0]
 
     def power(c, k):
@@ -1006,7 +1006,7 @@ def _entrywise_galois_witness(table, rows):
     table's natural character, each value tested and conjugated where it
     stands: the witness of the first failure, or None."""
     exponent = table.conj.exponent
-    pm = chartab._power_map(table.group, table.conj)
+    pm = table.group.power_map
     steps = [g for g, _ in _galois_steps(exponent)]
     functions = list(enumerate(rows))
     if table.natural_character is not None:

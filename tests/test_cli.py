@@ -43,7 +43,7 @@ def test_verify_local_pass(capsys):
     report = payload["report"]
     assert report["pass"] is True
     exact = [c for c in report["checks"] if not c.get("diagnostic")]
-    assert len(exact) == 4
+    assert len(exact) == 5
     assert all(c["pass"] for c in report["checks"])
     assert payload["phi"]["scale"] == 4
 
@@ -53,7 +53,7 @@ def test_verify_local_e8(capsys):
     assert code == 0
     report = json.loads(out)["report"]
     exact = [c for c in report["checks"] if not c.get("diagnostic")]
-    assert len(exact) == 4 and all(c["pass"] for c in exact)
+    assert len(exact) == 5 and all(c["pass"] for c in exact)
     # the certificate prime is recorded next to the Dixon prime, and differs
     info = report["info"]
     assert info["certificate_prime"] == ade_bundle("E8").table.certificate.prime

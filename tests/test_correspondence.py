@@ -197,6 +197,7 @@ def test_verify_local_passes(label):
         "additive-rank",
         "isometry",
         "equivariance",
+        "pairings",
         "float-sanity",
     ]
 
@@ -580,6 +581,7 @@ def test_duplicate_point_terms_pass_every_check():
         ("additive-rank", True),
         ("isometry", True),
         ("equivariance", True),
+        ("pairings", True),
         ("float-sanity", True),
     ]
     assert report.check("float-sanity").detail == verify_correspondence(cmap).check(
@@ -782,17 +784,6 @@ def float_oracle(cmap) -> float:
                 for b in range(n):
                     acc += mc[a][i] * pg[a][b] * mc[b][j]
             max_err = max(max_err, abs(acc - scale * sg[i][j]))
-    inv_class = cmap.table.conj.class_inverse
-    sizes = cmap.table.conj.sizes
-    for i in range(n):
-        for j in range(i, n):
-            acc = 0j
-            for c in range(n):
-                cstar = inv_class[c + 1] - 1
-                acc += mc[c][i] * mc[cstar][j] * sizes[c + 1]
-            src = dict(cmap.source.product(cmap.source.degree_one[i], cmap.source.degree_one[j]))
-            rhs = src.get(cmap.source.point, rational(0)).complex_value() * scale
-            max_err = max(max_err, abs(acc - rhs))
     return max_err
 
 
@@ -803,9 +794,9 @@ def test_float_transport_matches_the_dense_loop(label):
     assert detail == {"max_error": float_oracle(cmap), "tolerance": FLOAT_TOLERANCE}
 
 
-def float_sums_oracle(mc, support, conj):
+def float_sums_oracle(mc, support):
     """``_float_sums`` as explicit loops: each sum accumulated from 0j, term
-    by term, as (M[a][i] g) M[b][j] and (M[c][i] M[c*][j]) |C_c|."""
+    by term, as (M[a][i] g) M[b][j]."""
     n = len(mc)
     transported = []
     for i in range(n):
@@ -816,21 +807,11 @@ def float_sums_oracle(mc, support, conj):
                 acc += mc[a][i] * g * mc[b][j]
             row.append(acc)
         transported.append(tuple(row))
-    class_sums = []
-    for i in range(n):
-        row = []
-        for j in range(i, n):
-            acc = 0j
-            for c in range(n):
-                cstar = conj.class_inverse[c + 1] - 1
-                acc += mc[c][i] * mc[cstar][j] * conj.sizes[c + 1]
-            row.append(acc)
-        class_sums.append(tuple(row))
-    return tuple(transported), tuple(class_sums)
+    return tuple(transported)
 
 
 def _float_bits(sums):
-    return [[(z.real.hex(), z.imag.hex()) for z in row] for part in sums for row in part]
+    return [[(z.real.hex(), z.imag.hex()) for z in row] for row in sums]
 
 
 @pytest.mark.parametrize("label", ADE_SUITE + SCALING + ("A40", "D40"))
@@ -846,8 +827,8 @@ def test_float_sums_match_the_explicit_loops_bit_for_bit(label):
         for b, v in enumerate(row)
         if not v.is_zero()
     ]
-    got = correspondence._float_sums(mc, support, cmap.table.conj)
-    assert _float_bits(got) == _float_bits(float_sums_oracle(mc, support, cmap.table.conj))
+    got = correspondence._float_sums(mc, support)
+    assert _float_bits(got) == _float_bits(float_sums_oracle(mc, support))
 
 
 def scaled_minor_oracle(table):
@@ -954,9 +935,15 @@ def test_non_monomial_target_gram_takes_the_float_loop(float_sums_calls):
     tampered = dataclasses.replace(
         bundle.cmap, target=bundle.invariant.replaced_product("f1", "f1", [("[pt]", 5)])
     )
-    _, target_gram = tampered.target.gram()
-    assert not correspondence._is_class_size_monomial(tampered.table, target_gram)
-    check = verify_correspondence(tampered).check("float-sanity")
+    report = verify_correspondence(tampered)
+    assert report.check("pairings").witness == {
+        "ring": "orbifold",
+        "left": "f1",
+        "right": "f1",
+        "pairing": {"conductor": 1, "coeffs": {"0": "5"}},
+        "expected": {"conductor": 1, "coeffs": {}},
+    }
+    check = report.check("float-sanity")
     assert len(float_sums_calls) == 1
     assert check.detail == {"max_error": 9.999999999999998, "tolerance": FLOAT_TOLERANCE}
     assert check.detail["max_error"] == float_oracle(tampered)
@@ -1006,11 +993,45 @@ def _degree_one_witnesses(pulled_back, scaled_source, max_error):
     }
 
 
+def _ring_witness(ring, label, pairing, expected):
+    """The pairings witness of a D5 copy whose ``label`` squared is off."""
+    return {
+        "pairings": {
+            "ring": ring,
+            "left": label,
+            "right": label,
+            "pairing": {"conductor": 1, "coeffs": {"0": str(pairing)}},
+            "expected": {"conductor": 1, "coeffs": {"0": str(expected)}},
+        }
+    }
+
+
 STALE_TAMPERS = {
     "doubled-corner": ("D5", _doubled_corner, _degree_one_witnesses(-30, -24, 6.0)),
-    "target-f1f1": ("D5", _d5_target, _degree_one_witnesses(-27, -24, 3.0000000000000013)),
-    "source-E1E1": ("D5", _d5_source, _degree_one_witnesses(-24, -36, 12.0)),
-    "two-trivial": ("D5", _two_trivial, {}),
+    "target-f1f1": (
+        "D5",
+        _d5_target,
+        {
+            **_degree_one_witnesses(-27, -24, 3.0000000000000013),
+            **_ring_witness("orbifold", "f1", 5, 2),
+        },
+    ),
+    "source-E1E1": (
+        "D5",
+        _d5_source,
+        {**_degree_one_witnesses(-24, -36, 12.0), **_ring_witness("resolution", "E1", -3, -2)},
+    ),
+    "two-trivial": (
+        "D5",
+        _two_trivial,
+        {
+            "pairings": {
+                "class": 1,
+                "natural_character": {"conductor": 1, "coeffs": {"0": "2"}},
+                "expected": {"conductor": 12, "coeffs": {"0": "1"}},
+            }
+        },
+    ),
     "d7-group": (
         "D7",
         d7_tamper,
@@ -1146,7 +1167,7 @@ def test_a_vanishing_period_is_passed_over():
     element of Q(zeta_9)^H = Q(zeta_3) is eta_3 = 3 zeta_3."""
     table = _oracle_table("Z9xZ3")
     group, conj = table.group, table.conj
-    pm = chartab._power_map(group, conj)
+    pm = group.power_map
     c = conj.class_of[1]
     assert group.element_order[conj.representatives[c]] == 9
     assert [l for l in range(1, 9) if l % 3 and pm[c][l] == c] == [1, 4, 7]
@@ -1179,15 +1200,90 @@ def test_untampered_verification_forms_no_product(matmul_calls, label):
 
 def test_natural_character_off_the_branch_roots_takes_the_product(matmul_calls):
     # 2·trivial passes the certificate but is not s(g) s(g^-1) + 2 on A2, so
-    # the certified pairing is withheld and the true product decides
+    # pairings fails at the first nonidentity class and the true product
+    # decides the other checks as on the untampered map
     cmap = ade_bundle("A2").cmap
     table = dataclasses.replace(cmap.table, natural_character=(rational(2),) * cmap.table.size)
-    assert correspondence._certified_pairing(table) is None
     report = verify_correspondence(dataclasses.replace(cmap, table=table))
     assert len(matmul_calls) == 2
-    assert [c.to_dict() for c in report.checks] == [
-        c.to_dict() for c in verify_correspondence(cmap).checks
+    pairings = report.check("pairings")
+    assert not pairings.passed
+    witness = pairings.witness
+    assert (witness["class"], witness["natural_character"]) == (1, rational(2).to_json())
+    assert [c.to_dict() for c in report.checks if c.name != "pairings"] == [
+        c.to_dict() for c in verify_correspondence(cmap).checks if c.name != "pairings"
     ]
+
+
+# -- pairings: the rings' degree-one pairings against the table --------------------
+
+
+def _scaled_degree_one(ring, k):
+    """A copy of ``ring`` with every product of two degree-one classes times k."""
+    labels = ring.labels
+    for (i, j), terms in ring.degree_one_products.items():
+        if i <= j:
+            scaled = [(labels[t], c * k) for t, c in terms]
+            ring = ring.replaced_product(labels[i], labels[j], scaled)
+    return ring
+
+
+@pytest.mark.parametrize("k", [2, -1, 3])
+@pytest.mark.parametrize("label", ["A1", "A4", "D5", "E8"])
+def test_scaled_rings_fail_pairings_only(label, k):
+    """Both rings' degree-one products times k keep M^T G_orb M = |G| G_res,
+    so the exact checks and the float fold pass; pairings names the first
+    entry of G_orb, |C_1| at (1, 1*)."""
+    cmap = ade_bundle(label).cmap
+    tampered = dataclasses.replace(
+        cmap, source=_scaled_degree_one(cmap.source, k), target=_scaled_degree_one(cmap.target, k)
+    )
+    report = verify_correspondence(tampered)
+    assert not report.passed
+    assert [c.name for c in report.checks if not c.passed] == ["pairings"]
+    pairings = report.check("pairings")
+    assert not pairings.diagnostic
+    size = cmap.table.conj.sizes[1]
+    assert pairings.witness == {
+        "ring": "orbifold",
+        "left": "f1",
+        "right": f"f{cmap.table.conj.class_inverse[1]}",
+        "pairing": rational(k * size).to_json(),
+        "expected": rational(size).to_json(),
+    }
+
+
+def _entry_tampers(cmap):
+    """(ring, copy, left, right, value): every pair a <= b of degree-one
+    classes of each ring with its pairing moved by +1 and by -1."""
+    for ring, field in (("orbifold", "target"), ("resolution", "source")):
+        algebra = getattr(cmap, field)
+        _, gram = algebra.gram()
+        labels = [algebra.labels[k] for k in algebra.degree_one]
+        for a, b in ((a, b) for a in range(len(labels)) for b in range(a, len(labels))):
+            for step in (1, -1):
+                value = gram[a][b] + step
+                copy = algebra.replaced_product(labels[a], labels[b], [("[pt]", value)])
+                yield ring, dataclasses.replace(cmap, **{field: copy}), labels[a], labels[b], value
+
+
+@pytest.mark.parametrize("label", ["D5", "E6"])
+def test_each_moved_pairing_fails_pairings_at_its_pair(label):
+    cmap = ade_bundle(label).cmap
+    count = 0
+    for ring, tampered, left, right, value in _entry_tampers(cmap):
+        witness = verify_correspondence(tampered).check("pairings").witness
+        assert (witness["ring"], witness["left"], witness["right"]) == (ring, left, right)
+        assert witness["pairing"] == value.to_json()
+        count += 1
+    m = cmap.table.size
+    assert count == 2 * (m - 1) * m
+
+
+@pytest.mark.parametrize("label", ADE_SUITE)
+def test_untampered_rings_pass_pairings(label):
+    check = verify_correspondence(ade_bundle(label).cmap).check("pairings")
+    assert check.to_dict() == {"name": "pairings", "pass": True}
 
 
 def test_scaled_minor_built_once_per_table():

@@ -450,10 +450,18 @@ def test_cyclotomic_polynomial_matches_division_of_x_n_minus_1():
         assert tuple(poly) == cyclotomic_polynomial(n)
 
 
+def phi_taps(n: int) -> tuple:
+    """(phi(n), the pairs (j, -c_j) for the nonzero low coefficients c_j of
+    Phi_n), read off ``cyclotomic_polynomial``."""
+    phi = cyclotomic_polynomial(n)
+    d = len(phi) - 1
+    return d, tuple((j, -c) for j, c in enumerate(phi[:d]) if c)
+
+
 def tap_only_reduce(vals: list, n: int) -> tuple:
     """The oracle, ``_reduce`` before the fold: every coefficient at degree
     phi(n) or above is cleared by the taps of Phi_n, from the top down."""
-    d, taps = cyclo._taps(n)
+    d, taps = phi_taps(n)
     vals = list(vals) + [0] * (d - len(vals))
     for i in range(len(vals) - 1, d - 1, -1):
         c = vals[i]
@@ -520,7 +528,7 @@ def test_reduce_chain_falls_to_phi_n():
         d, chain = cyclo._chain(n)
         degrees = [degree for degree, _ in chain]
         assert degrees == sorted(set(degrees), reverse=True)
-        assert chain[-1] == cyclo._taps(n) and d == degrees[-1]
+        assert chain[-1] == phi_taps(n) and d == degrees[-1]
 
 
 def test_from_json_rejects_conductor_above_bound():

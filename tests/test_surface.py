@@ -275,6 +275,7 @@ def test_tampered_block_verified_on_its_own(matmul_calls):
         "block-products",
         "point[r]:multiplicativity",
         "point[r]:isometry",
+        "point[r]:pairings",
         "point[r]:float-sanity",
     }
     witness = report.check("block-products").witness
@@ -914,11 +915,13 @@ def test_local_ring_views_are_built_once_per_ring_object(monkeypatch):
     fresh = functools.cache(lambda label: Bundle(build_binary_polyhedral(label)))
     monkeypatch.setattr(surface, "ade_bundle", fresh)
     built = collections.Counter()
+    seen = []  # each counted ring stays alive, so no later ring reuses its id
     for view in ("positions", "degree_one_products"):
         original = vars(GradedAlgebra)[view].func
 
         def counted(ring, original=original, view=view):
             built[view, id(ring)] += 1
+            seen.append(ring)
             return original(ring)
 
         prop = functools.cached_property(counted)
