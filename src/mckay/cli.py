@@ -132,11 +132,21 @@ def _dump(payload: dict, out_path: str | None) -> None:
     _emit(_json_text(payload, "\n") + "\n", out_path)
 
 
+class _IntLiterals(dict):
+    """Integer literal -> its int, made on first sight: a decoded Cayley table
+    holds one int object per distinct literal, not one per entry.  ``int``
+    applies the decoder's own digit limit, with its message."""
+
+    def __missing__(self, literal: str) -> int:
+        value = self[literal] = int(literal)
+        return value
+
+
 def _load_group_file(path: str) -> FiniteGroup:
     """Load a group file; every rejection of its content names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=_IntLiterals().__getitem__)
         return _parse_group_file(data, str(path))
     except ValueError as exc:  # a GroupError, or undecodable text or JSON
         raise GroupError(f"{path}: {exc}") from exc

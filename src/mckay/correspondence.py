@@ -409,6 +409,9 @@ def _check_multiplicativity(cmap: CorrespondenceMap, exact) -> CheckResult:
     """
     target = cmap.target
     labels = cmap.col_labels
+    missing = next((lbl for lbl in cmap.row_labels if lbl not in target.positions), None)
+    if missing is not None:
+        return CheckResult("multiplicativity", False, witness={"missing_label": missing})
     if exact is not None:
         pulled_back, expected = exact
         for a in range(len(labels)):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
 from math import gcd, lcm
-from operator import add, eq, itemgetter
+from operator import add, countOf, eq, itemgetter
 
 from .cyclo import CycNum, _mul_num, _new, rational, zeta
 from .linalg import parity
@@ -669,8 +669,8 @@ def _is_identity(table, e: int, n: int) -> bool:
 def _group_rows(table, n: int):
     """The table relabeled with its identity at 0 if it is a group, else None.
 
-    Every row gets its shape check, the type scan and min(row) >= 0; an
-    entry >= n raises in the relabeling.  Only row 0 (to find the identity)
+    Every row gets its shape check and the type scan; an entry outside
+    range(n) raises in the relabeling.  Only row 0 (to find the identity)
     and the rows of the look-ahead generators (:func:`_greedy_generators`
     at width ``_LOOKAHEAD``) are checked as permutations, each generator
     before Light's test runs on it.  When every generator passes, their
@@ -682,8 +682,7 @@ def _group_rows(table, n: int):
         if not (
             isinstance(row, (list, tuple))
             and len(row) == n
-            and set(map(type, row)) == {int}
-            and min(row) >= 0
+            and countOf(map(type, row), int) == n
         ):
             return None
     if set(table[0]) != set(range(n)):
@@ -697,16 +696,17 @@ def _group_rows(table, n: int):
     # relabel by sigma = (0 e), or the identity permutation when e = 0:
     # new[i][j] = sigma(old[sigma i][sigma j]).  Every entry is then one of
     # the n int objects in sigma, so Light's row comparisons meet equal
-    # entries as identical objects.
+    # entries as identical objects.  A dict: a list index would read -1 as n - 1.
     sigma = list(range(n))
     sigma[0], sigma[e] = e, 0
+    relabel = dict(enumerate(sigma))
     rows = []
     try:
         for s in sigma:
             row = list(table[s])
             row[0], row[e] = row[e], row[0]
-            rows.append(itemgetter(*row)(sigma))
-    except IndexError:  # an entry >= n
+            rows.append(itemgetter(*row)(relabel))
+    except KeyError:  # an entry outside range(n)
         return None
     # relabeling is an isomorphism: the verdict is the table's own
     for b in _greedy_generators(rows, 0, _LOOKAHEAD):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -551,6 +552,101 @@ def test_latin_square_rejection_names_its_position(tmp_path, capsys, body, posit
     code, _, err = run(capsys, "minor", "--group", str(path))
     assert code == 2
     assert err.startswith(f"error: {path}: {position}")
+
+
+def _relabeled_file(path, table, seed):
+    """Write ``table`` relabeled by a seeded permutation as a Cayley group file."""
+    n = len(table)
+    sigma = list(range(n))
+    random.Random(seed).shuffle(sigma)
+    relabeled = [[0] * n for _ in range(n)]
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            relabeled[sigma[i]][sigma[j]] = sigma[v]
+    path.write_text(json.dumps({"cayley": relabeled}))
+    return path
+
+
+def _product_table(a, b):
+    m = len(b)
+    return [
+        [a[i][k] * m + b[j][l] for k in range(len(a)) for l in range(m)]
+        for i in range(len(a))
+        for j in range(m)
+    ]
+
+
+S4_TABLE = groups.symmetric_group(4).cayley
+PARITY_TABLES = {
+    "S4": S4_TABLE,
+    "S4xZ3": _product_table(S4_TABLE, groups.cyclic_group(3).cayley),
+    "S4xS4": _product_table(S4_TABLE, S4_TABLE),
+}
+# Z4 with row 2's entry 0 (outside row 0 and the generator row 1) replaced
+Z4_WITH = '{"cayley": [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, %s, 1], [3, 0, 1, 2]]}'
+MALFORMED_GROUP_FILES = {
+    "float": Z4_WITH % "0.0",
+    "true": Z4_WITH % "true",
+    "null": Z4_WITH % "null",
+    "negative": Z4_WITH % "-1",
+    "minus-n": Z4_WITH % "-4",
+    "n": Z4_WITH % "4",
+    "5000-digits": Z4_WITH % ("1" + "0" * 4999),
+    "truncated": (Z4_WITH % "0")[:-2],
+    "not-utf-8": b'{"cayley": \xff\xfe}',
+    "deep-list": "[" * 100_000 + "]" * 100_000,
+    "deep-int": '{"cayley": ' + "[" * 100_000 + "0" + "]" * 100_000 + "}",
+}
+
+
+def _file_outcomes(capsys, path):
+    """Exit code, stderr and report minus seed and timings of ``group`` and
+    ``minor`` on a group file."""
+    outcomes = []
+    for command in ("group", "minor"):
+        code, out, err = run(capsys, command, "--group", str(path))
+        outcomes.append((code, err, strip_volatile(json.loads(out)) if out else out))
+    return outcomes
+
+
+def _use_the_plain_decoder(monkeypatch):
+    """The oracle: ``json.load`` without the int-literal hook."""
+    load = json.load
+    monkeypatch.setattr(cli.json, "load", lambda fh, **_: load(fh))
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_TABLES))
+def test_group_file_decode_matches_the_plain_decoder(tmp_path, capsys, monkeypatch, name):
+    path = _relabeled_file(tmp_path / f"{name}.json", PARITY_TABLES[name], len(name))
+    decoded = []
+    parse = cli._parse_group_file
+
+    def recorded(data, file_name):
+        decoded.append(data["cayley"])
+        return parse(data, file_name)
+
+    monkeypatch.setattr(cli, "_parse_group_file", recorded)
+    hooked = _file_outcomes(capsys, path)
+    _use_the_plain_decoder(monkeypatch)
+    assert _file_outcomes(capsys, path) == hooked
+    assert [code for code, _, _ in hooked] == [0, 0]
+    # one object per distinct value with the hook; the plain decoder makes
+    # one per entry above the interpreter's small-int cache
+    n = len(PARITY_TABLES[name])
+    objects = [len({id(v) for row in table for v in row}) for table in decoded]
+    assert objects[:2] == [n, n]
+    assert (objects[2] > n) == (n > 257)
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_GROUP_FILES))
+def test_malformed_group_file_matches_the_plain_decoder(tmp_path, capsys, monkeypatch, name):
+    body = MALFORMED_GROUP_FILES[name]
+    path = tmp_path / "malformed.json"
+    path.write_bytes(body if isinstance(body, bytes) else body.encode())
+    hooked = _file_outcomes(capsys, path)
+    _use_the_plain_decoder(monkeypatch)
+    assert _file_outcomes(capsys, path) == hooked
+    assert all(code == 2 and err.startswith(f"error: {path}: ") and out == "" for code, err, out in hooked)
 
 
 def test_unsplittable_eigenspaces_exit_3(monkeypatch, tmp_path, capsys):

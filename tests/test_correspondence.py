@@ -680,6 +680,25 @@ def test_unit_row_with_a_zero_term_passes_through_the_products(monkeypatch):
     assert unit_point_oracle(cmap) is None
 
 
+def test_target_missing_a_row_label_fails_as_data(monkeypatch):
+    """A3's map onto A2's orbifold ring, which has no f3: the report names
+    the missing label under multiplicativity, with no product formed, and
+    pairings keeps its size witness."""
+    cmap = dataclasses.replace(ade_bundle("A3").cmap, target=ade_bundle("A2").cmap.target)
+
+    def no_products(self, u, v):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(GradedAlgebra, "mult_vec", no_products)
+    report = verify_correspondence(cmap)
+    assert report.check("multiplicativity").to_dict() == {
+        "name": "multiplicativity",
+        "pass": False,
+        "witness": {"missing_label": "f3"},
+    }
+    assert report.check("pairings").witness == {"ring": "orbifold", "size": 2, "expected_size": 3}
+
+
 def _gram_oracle(algebra):
     """The Gram matrix with a rational(0) accumulator per entry."""
     matrix = []

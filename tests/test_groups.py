@@ -907,11 +907,15 @@ Z4_MOVED = [[3, 2, 0, 1], [2, 3, 1, 0], [0, 1, 2, 3], [1, 0, 3, 2]]
         (Z4_MOVED, (3, 1), True, ("entry", 3, 1)),
         (Z4_MOVED, (3, 3), -1, ("entry", 3, 3)),
         (Z4_MOVED, (3, 0), 4, ("entry", 3, 0)),
+        # -n in place of 0: a list index would alias it to label 0
+        (Z4, (2, 2), -4, ("entry", 2, 2)),
+        (Z4_MOVED, (3, 1), -4, ("entry", 3, 1)),
+        (Z4, (2, 1), 4, ("entry", 2, 1)),
     ],
 )
 def test_cayley_faults_outside_the_generator_rows_keep_their_witness(base, cell, value, witness):
-    """A repeated value, True, -1 or n in a row that the fast decision does
-    not check as a permutation is named as the row checks name it."""
+    """A repeated value, True, -1, -n or n in a row that the fast decision
+    does not check as a permutation is named as the row checks name it."""
     i, j = cell
     assert i not in _generator_rows(base)
     table = [list(row) for row in base]
