@@ -11,6 +11,7 @@ across runs and seeds up to the recorded seed and timings.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -143,7 +144,13 @@ class _IntLiterals(dict):
 
 
 def _load_group_file(path: str) -> FiniteGroup:
-    """Load a group file; every rejection of its content names the file."""
+    """Load a group file; every rejection of its content names the file.
+
+    The cyclic collector pauses while the file is decoded and validated: a
+    Cayley table is about n^2 pointers in young lists and rows, which hold
+    no cycles, and every gen0 and gen1 collection would walk them."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh, parse_int=_IntLiterals().__getitem__)
@@ -152,6 +159,9 @@ def _load_group_file(path: str) -> FiniteGroup:
         raise GroupError(f"{path}: {exc}") from exc
     except RecursionError as exc:  # JSON nested deeper than the parser recurses
         raise GroupError(f"{path}: JSON nested too deeply") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _parse_group_file(data, name: str) -> FiniteGroup:

@@ -384,7 +384,7 @@ def _vec_json(algebra: GradedAlgebra, vec: dict) -> dict:
     return {algebra.labels[k]: v.to_json() for k, v in sorted(vec.items())}
 
 
-def _check_multiplicativity(cmap: CorrespondenceMap, exact) -> CheckResult:
+def _check_multiplicativity(cmap: CorrespondenceMap, exact, shape) -> CheckResult:
     """Images multiply as their sources do, in every degree.
 
     ``GradedAlgebra.build`` puts every product of two degree-1 classes on the
@@ -394,7 +394,9 @@ def _check_multiplicativity(cmap: CorrespondenceMap, exact) -> CheckResult:
     The degree-1 law is read off that pulled-back pairing over a <= b; the
     product of images is formed only for a failing pair's witness.  ``exact``
     is (M^T G_orb M, |G| G_res), or None when the certificate has proven them
-    equal (see ``verify_correspondence``).
+    equal (see ``verify_correspondence``) or when M's shape does not fit
+    the Gram matrices; then ``shape`` names the misfit
+    (``_shape_witness``) and the check fails with it.
 
     The unit and point laws are read off the structure constants.  Let K be
     the union of the images' supports and v = sum_{k in K} v_k f_k an image.
@@ -412,6 +414,8 @@ def _check_multiplicativity(cmap: CorrespondenceMap, exact) -> CheckResult:
     missing = next((lbl for lbl in cmap.row_labels if lbl not in target.positions), None)
     if missing is not None:
         return CheckResult("multiplicativity", False, witness={"missing_label": missing})
+    if shape is not None:
+        return CheckResult("multiplicativity", False, witness=shape)
     if exact is not None:
         pulled_back, expected = exact
         for a in range(len(labels)):
@@ -512,9 +516,11 @@ def _check_additive(cmap: CorrespondenceMap, is_scaled_minor: bool) -> CheckResu
     )
 
 
-def _check_isometry(cmap: CorrespondenceMap, exact) -> CheckResult:
-    """M^T G_orb M = |G| G_res over all pairs; ``exact`` as in
+def _check_isometry(cmap: CorrespondenceMap, exact, shape) -> CheckResult:
+    """M^T G_orb M = |G| G_res over all pairs; ``exact`` and ``shape`` as in
     ``_check_multiplicativity``."""
+    if shape is not None:
+        return CheckResult("isometry", False, witness=shape)
     if exact is not None:
         pulled_back, expected = exact
         n = len(pulled_back)
@@ -605,14 +611,17 @@ def _float_sums(mc, support) -> tuple:
     return tuple(tuple(reduce(add, map(mul, li, rj), 0j) for rj in right) for li in left)
 
 
-def _check_float(cmap: CorrespondenceMap, target_gram, source_gram) -> CheckResult:
+def _check_float(cmap: CorrespondenceMap, target_gram, source_gram, shape) -> CheckResult:
     """Re-evaluate the degree-one identity M^T G_orb M = |G| G_res at machine
     precision through the map's own M and G_orb, each value object embedded
     once per call.  One fold serves: a class-size fold sum_c |C_c| M[c][i]
     M[c*][j] (c* the class of g_c^-1) would catch rings that pass the exact
     checks with wrong pairings, but ``pairings`` fails those exactly, and
     when it passes G_orb is |C_c| at (c, c*) and 0 elsewhere, so this fold
-    adds that fold's terms and fails where it would, up to rounding."""
+    adds that fold's terms and fails where it would, up to rounding.  When
+    M's shape does not fit the Gram matrices, it fails with ``shape``."""
+    if shape is not None:
+        return CheckResult("float-sanity", False, witness=shape, diagnostic=True)
     n = len(cmap.matrix)
     embedded = {}  # id(v) -> v.complex_value(); every v outlives the call
 
@@ -704,6 +713,18 @@ def _pairings_witness(cmap: CorrespondenceMap, target_gram, source_gram) -> dict
             }
     certified = _certified_pairing(table)
     return _gram_witness("resolution", cmap.source, source_gram, certified, cmap.scale)
+
+
+def _shape_witness(matrix, target_gram, source_gram) -> dict | None:
+    """Where M^T G_orb M and |G| G_res would not be defined, or None: G_orb
+    must be as tall as M, and G_res as tall as each row of M is long.  Named
+    as ``_pairings_witness`` names a Gram matrix of the wrong size."""
+    if len(target_gram) != len(matrix):
+        return {"ring": "orbifold", "size": len(target_gram), "expected_size": len(matrix)}
+    for row in matrix:
+        if len(source_gram) != len(row):
+            return {"ring": "resolution", "size": len(source_gram), "expected_size": len(row)}
+    return None
 
 
 def _certified_pairing(table: CharacterTable) -> tuple[tuple[int, ...], ...]:
@@ -800,20 +821,21 @@ def _checks(cmap: CorrespondenceMap) -> tuple[CheckResult, ...]:
     _, source_gram = cmap.source.gram()
     is_scaled_minor = _stored_form(cmap.matrix) == _stored_form(_scaled_minor(cmap.table))
     witness = _pairings_witness(cmap, target_gram, source_gram)
+    shape = _shape_witness(cmap.matrix, target_gram, source_gram)
     exact = None
-    if not (is_scaled_minor and witness is None):
+    if shape is None and not (is_scaled_minor and witness is None):
         matrix = [list(row) for row in cmap.matrix]
         exact = (
             linalg.matmul(linalg.transpose(matrix), linalg.matmul(target_gram, matrix)),
             [[v * cmap.scale for v in row] for row in source_gram],
         )
     return (
-        _check_multiplicativity(cmap, exact),
+        _check_multiplicativity(cmap, exact, shape),
         _check_additive(cmap, is_scaled_minor),
-        _check_isometry(cmap, exact),
+        _check_isometry(cmap, exact, shape),
         _check_equivariance(cmap),
         CheckResult("pairings", witness is None, witness=witness),
-        _check_float(cmap, target_gram, source_gram),
+        _check_float(cmap, target_gram, source_gram, shape),
     )
 
 

@@ -580,7 +580,9 @@ def _light_witness(rows, b: int):
 
     b passes when row(ab) = row(a) o row(b) for every a (Clifford & Preston,
     The Algebraic Theory of Semigroups I, 1961, section 1.2).  ``rows`` are
-    tuples with entries in range(n), n >= 2."""
+    n >= 2 tuples and row b is a permutation of range(n); an entry of
+    another row outside range(n) raises IndexError or wraps where it is read
+    as a row index (see :func:`_group_rows`)."""
     # n >= 2, so the getter returns tuples
     compose_b = itemgetter(*rows[b])
     for a, row_a in enumerate(rows):
@@ -669,13 +671,39 @@ def _is_identity(table, e: int, n: int) -> bool:
 def _group_rows(table, n: int):
     """The table relabeled with its identity at 0 if it is a group, else None.
 
-    Every row gets its shape check and the type scan; an entry outside
-    range(n) raises in the relabeling.  Only row 0 (to find the identity)
-    and the rows of the look-ahead generators (:func:`_greedy_generators`
-    at width ``_LOOKAHEAD``) are checked as permutations, each generator
-    before Light's test runs on it.  When every generator passes, their
-    closure is the whole table, so the table is a group (see
-    :func:`_associativity_witness`).
+    Every row gets its shape check and the type scan.  Only row 0 (to find
+    the identity) and the rows of the look-ahead generators
+    (:func:`_greedy_generators` at width ``_LOOKAHEAD``) are checked as
+    permutations of range(n), each generator before Light's test runs on
+    it.  When every generator passes, their closure is the whole table, so
+    the table is a group (see :func:`_associativity_witness`).
+
+    The relabeling by sigma = (0 e), new[i][j] = sigma(old[sigma i][sigma j]),
+    touches two labels: row sigma(i) is copied, its positions 0 and e are
+    swapped, and then its values 0 and e, where ``row.index`` finds them.  A
+    row that lacks either is not a permutation.  No other entry is read, so
+    no scan checks that the others lie in range(n); Light's closure does:
+
+    - Both swaps move entries within a row, so each new row holds the
+      multiset of its old row, and on an old row that is a permutation the
+      value swap is sigma exactly.  The new identity row is range(n).
+    - By induction from the identity, every element x of the closure has a
+      row that is a composition of verified generator rows, so a
+      permutation of range(n).  For a generator g, which passed Light's
+      test, y = xg = row_x[g] lies in range(n), so ``rows[y]`` is the row of
+      y and Light's test at a = x reads row_y = row_x o row_g; the elements
+      a generator adds join the closure only after it passes.
+    - When the closure is the whole table, every new row is therefore a
+      permutation of range(n), hence so is every old row, the value swap was
+      sigma on each, and the rows returned are the relabeled table.
+    - An entry outside range(n) can sit only in a row outside the closure so
+      far: one >= n raises IndexError where it is read as a row index, in
+      Light's test or in the look-ahead's count for a candidate, and that is
+      a failed decision.  A negative one wraps as a list index, which can
+      make Light's comparison at that row, or a candidate's count, come out
+      either way.  Neither is read by the argument above, so a wrap can make
+      the decision fail, or pick another generator, but it cannot make a
+      non-group pass, nor change the rows returned.
     """
     for row in table:
         # type first: 0.0 and True compare equal to 0 and 1
@@ -685,7 +713,8 @@ def _group_rows(table, n: int):
             and countOf(map(type, row), int) == n
         ):
             return None
-    if set(table[0]) != set(range(n)):
+    full = set(range(n))
+    if set(table[0]) != full:
         return None
     # row 0 is a permutation, so a right identity e is the one column with 0 * e = 0
     e = table[0].index(0)
@@ -693,25 +722,24 @@ def _group_rows(table, n: int):
         return None
     if n == 1:
         return table
-    # relabel by sigma = (0 e), or the identity permutation when e = 0:
-    # new[i][j] = sigma(old[sigma i][sigma j]).  Every entry is then one of
-    # the n int objects in sigma, so Light's row comparisons meet equal
-    # entries as identical objects.  A dict: a list index would read -1 as n - 1.
-    sigma = list(range(n))
-    sigma[0], sigma[e] = e, 0
-    relabel = dict(enumerate(sigma))
     rows = []
     try:
-        for s in sigma:
-            row = list(table[s])
+        for row in table:
+            row = list(row)
             row[0], row[e] = row[e], row[0]
-            rows.append(itemgetter(*row)(relabel))
-    except KeyError:  # an entry outside range(n)
+            i, j = row.index(0), row.index(e)
+            row[i], row[j] = e, 0
+            rows.append(tuple(row))
+    except ValueError:  # a row without 0 or e
         return None
+    rows[0], rows[e] = rows[e], rows[0]
     # relabeling is an isomorphism: the verdict is the table's own
-    for b in _greedy_generators(rows, 0, _LOOKAHEAD):
-        if len(set(rows[b])) != n or _light_witness(rows, b) is not None:
-            return None
+    try:
+        for b in _greedy_generators(rows, 0, _LOOKAHEAD):
+            if set(rows[b]) != full or _light_witness(rows, b) is not None:
+                return None
+    except IndexError:  # an entry >= n read as a row index
+        return None
     return rows
 
 

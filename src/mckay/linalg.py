@@ -21,7 +21,11 @@ def transpose(m):
 
 def matmul(a, b):
     """The product a·b: each entry sums x·y from rational(0) over the pairs
-    whose two factors are both nonzero."""
+    whose two factors are both nonzero.  Raises ValueError when a row of a
+    is not as long as b is tall."""
+    width = next((len(row) for row in a if len(row) != len(b)), None)
+    if width is not None:
+        raise ValueError(f"inner dimensions differ: a row of {width} against {len(b)} rows")
     cols = list(zip(*b))
     out = [[rational(0)] * len(cols) for _ in a]
     for i, row in enumerate(a):

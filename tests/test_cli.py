@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, formats, determinism."""
 
+import gc
 import json
 import os
 import random
@@ -647,6 +648,48 @@ def test_malformed_group_file_matches_the_plain_decoder(tmp_path, capsys, monkey
     _use_the_plain_decoder(monkeypatch)
     assert _file_outcomes(capsys, path) == hooked
     assert all(code == 2 and err.startswith(f"error: {path}: ") and out == "" for code, err, out in hooked)
+
+
+GC_STATE_FILES = dict(
+    MALFORMED_GROUP_FILES,
+    valid=json.dumps({"cayley": S4_TABLE}),
+    generators='{"generators": [[[{"conductor": 1, "coeffs": {"0": "2"}}]]]}',
+    **{"not-an-object": "[]", "no-table": "{}"},
+)
+
+
+@pytest.mark.parametrize("enabled", (True, False))
+@pytest.mark.parametrize("name", sorted(GC_STATE_FILES))
+def test_group_file_load_restores_the_callers_collector_state(tmp_path, monkeypatch, name, enabled):
+    """Decode and validation run with the cyclic collector paused; on
+    success, on every rejection (decode errors, bad tables, bad generators,
+    JSON nested too deeply) and with the collector already off, the
+    caller's state comes back."""
+    body = GC_STATE_FILES[name]
+    path = tmp_path / "group.json"
+    path.write_bytes(body if isinstance(body, bytes) else body.encode())
+    during = []
+    parse = cli._parse_group_file
+
+    def recorded(data, file_name):
+        during.append(gc.isenabled())
+        return parse(data, file_name)
+
+    monkeypatch.setattr(cli, "_parse_group_file", recorded)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            group = cli._load_group_file(str(path))
+        except GroupError as exc:
+            assert name != "valid", exc
+        else:
+            assert name == "valid" and group.order == 24
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert not any(during)
+    assert during or name in ("truncated", "not-utf-8", "5000-digits", "deep-list", "deep-int")
 
 
 def test_unsplittable_eigenspaces_exit_3(monkeypatch, tmp_path, capsys):

@@ -26,15 +26,26 @@ Run as a script for larger types, e.g.
     PYTHONPATH=src python tests/test_closed_forms.py A200 D200
 """
 
+import random
 import sys
 import time
 from collections import Counter
 
 import pytest
 
+from mckay.catalog import EXTRA_GROUPS, ade_bundle, extra_bundle
 from mckay.chartab import character_table
+from mckay.correspondence import char_minor_determinant
 from mckay.cyclo import rational, zeta
-from mckay.groups import build_binary_polyhedral, parse_ade_label
+from mckay.groups import (
+    ADE_SUITE,
+    alternating_group,
+    build_binary_polyhedral,
+    cyclic_group,
+    group_from_cayley,
+    parse_ade_label,
+    symmetric_group,
+)
 
 
 def _lifted(value, exponent):
@@ -113,6 +124,87 @@ def test_a_changed_value_fails_the_closed_form(label):
     assert _multiset(character_table(group).rows, exponent) == _multiset(rows, exponent)
     rows[-1][-1] = rows[-1][-1] + 1
     assert _multiset(character_table(group).rows, exponent) != _multiset(rows, exponent)
+
+
+def _relabeled_product(a, b, seed):
+    """The direct product of two Cayley tables, relabeled by a seeded
+    permutation, as a group."""
+    m = len(b)
+    table = [
+        [a[i][k] * m + b[j][l] for k in range(len(a)) for l in range(m)]
+        for i in range(len(a))
+        for j in range(m)
+    ]
+    n = len(table)
+    sigma = list(range(n))
+    random.Random(seed).shuffle(sigma)
+    relabeled = [[0] * n for _ in range(n)]
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            relabeled[sigma[i]][sigma[j]] = sigma[v]
+    return group_from_cayley(relabeled)
+
+
+# the relabeled Cayley groups of 360-720 elements that ``minor --group``
+# ingests; S6 is its product with the trivial group
+INGEST_GROUPS = {
+    "A5xS3": lambda: _relabeled_product(alternating_group(5).cayley, symmetric_group(3).cayley, 1),
+    "S5xZ4": lambda: _relabeled_product(symmetric_group(5).cayley, cyclic_group(4).cayley, 2),
+    "S4xS4": lambda: _relabeled_product(symmetric_group(4).cayley, symmetric_group(4).cayley, 3),
+    "S6": lambda: _relabeled_product(symmetric_group(6).cayley, [[0]], 4),
+}
+
+
+def _table(name):
+    """The character table of an ADE type, a stock group or an ingest group."""
+    if name in INGEST_GROUPS:
+        return character_table(INGEST_GROUPS[name]())
+    if name in EXTRA_GROUPS:
+        return extra_bundle(name).table
+    return ade_bundle(name).table
+
+
+def minor_determinant_square(table):
+    """(|G| det Y)^2 = sgn(iota) prod_c |G| / |C_c|, iota the class inversion.
+
+    Column orthogonality gives X^T conj(X) = diag(|G| / |C_c|) for the full
+    table X, and conj(X) is X with its columns permuted by iota, so
+    det(X)^2 sgn(iota) = prod_c |G| / |C_c|.  Replacing the trivial row by
+    sum_chi chi(1) chi, the regular character (|G|, 0, ..., 0), scales
+    det X by the trivial row's coefficient 1, so det X = |G| det Y."""
+    order = table.group.order
+    inverse = table.conj.class_inverse
+    # an involution: one transposition per pair of mutually inverse classes
+    transpositions = sum(1 for c, d in enumerate(inverse) if c != d) // 2
+    value = (-1) ** transpositions
+    for size in table.conj.sizes:
+        value *= order // size
+    return value
+
+
+def _scaled_determinant_square(table):
+    scaled = rational(table.group.order) * char_minor_determinant(table)
+    return scaled * scaled
+
+
+@pytest.mark.parametrize(
+    "name",
+    ADE_SUITE + ("A15", "D16", "A20", "D20", "D40") + EXTRA_GROUPS + tuple(INGEST_GROUPS),
+)
+def test_minor_determinant_matches_the_orthogonality_closed_form(name):
+    table = _table(name)
+    assert _scaled_determinant_square(table) == rational(minor_determinant_square(table))
+
+
+def test_the_minor_determinant_closed_form_sees_the_sign_and_the_sizes():
+    """Negative controls: on A4, whose two classes of 3-cycles are inverse
+    to each other, the square fails without sgn(iota), and it fails against
+    S4's class data."""
+    square = _scaled_determinant_square(extra_bundle("A4").table)
+    expected = minor_determinant_square(extra_bundle("A4").table)
+    assert expected < 0 and square == rational(expected)
+    assert square != rational(-expected)
+    assert square != rational(minor_determinant_square(extra_bundle("S4").table))
 
 
 def main(labels):

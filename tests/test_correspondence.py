@@ -629,7 +629,7 @@ def _with_rows(cmap, rows):
 def test_unit_and_point_laws_match_the_product_oracle(label):
     cmap = ade_bundle(label).cmap
     assert unit_point_oracle(cmap) is None
-    assert correspondence._check_multiplicativity(cmap, None).passed
+    assert correspondence._check_multiplicativity(cmap, None, None).passed
 
 
 UNIT_POINT_TAMPERS = {
@@ -697,6 +697,58 @@ def test_target_missing_a_row_label_fails_as_data(monkeypatch):
         "witness": {"missing_label": "f3"},
     }
     assert report.check("pairings").witness == {"ring": "orbifold", "size": 2, "expected_size": 3}
+
+
+def test_a_map_of_the_wrong_shape_is_named_not_multiplied(matmul_calls):
+    """A3's 3 x 3 map onto A2's orbifold ring, whose Gram matrix is 2 x 2:
+    no product is formed, and isometry and float-sanity name the size as
+    pairings does, where they used to report values read off truncated
+    products."""
+    cmap = dataclasses.replace(ade_bundle("A3").cmap, target=ade_bundle("A2").cmap.target)
+    size = {"ring": "orbifold", "size": 2, "expected_size": 3}
+    checks = [c.to_dict() for c in verify_correspondence(cmap).checks]
+    assert matmul_calls == []
+    assert checks == [
+        {"name": "multiplicativity", "pass": False, "witness": {"missing_label": "f3"}},
+        {
+            "name": "additive-rank",
+            "pass": True,
+            "detail": {"determinant": {"conductor": 8, "coeffs": {"0": "-16"}}, "rank": 3},
+        },
+        {"name": "isometry", "pass": False, "witness": size},
+        {"name": "equivariance", "pass": True},
+        {"name": "pairings", "pass": False, "witness": size},
+        {"name": "float-sanity", "pass": False, "witness": size, "diagnostic": True},
+    ]
+
+
+@pytest.mark.parametrize(
+    "misfit, size",
+    [
+        # every row label of A2's map is in A3's orbifold ring
+        (
+            lambda: dataclasses.replace(ade_bundle("A2").cmap, target=ade_bundle("A3").cmap.target),
+            {"ring": "orbifold", "size": 3, "expected_size": 2},
+        ),
+        # A3's map with its last column dropped
+        (
+            lambda: dataclasses.replace(
+                ade_bundle("A3").cmap,
+                matrix=tuple(row[:-1] for row in ade_bundle("A3").cmap.matrix),
+            ),
+            {"ring": "resolution", "size": 3, "expected_size": 2},
+        ),
+    ],
+)
+def test_a_shape_misfit_with_every_label_present_is_named(matmul_calls, misfit, size):
+    """Every row label is in the target, but M^T G_orb M and |G| G_res are
+    not defined together: each check of the degree-one identity names the
+    size, with no product or float fold formed (both raised IndexError
+    from the fold before)."""
+    report = verify_correspondence(misfit())
+    assert matmul_calls == []
+    for name in ("multiplicativity", "isometry", "float-sanity"):
+        assert report.check(name).to_dict()["witness"] == size, name
 
 
 def _gram_oracle(algebra):

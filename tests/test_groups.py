@@ -926,6 +926,97 @@ def test_cayley_faults_outside_the_generator_rows_keep_their_witness(base, cell,
     assert _outcome(group_from_cayley, table) == _outcome(_cayley_oracle, table)
 
 
+# S4 with its identity at index 20; its generator rows are 0, 1 and 6
+S4_MOVED = _relabeled(symmetric_group(4).cayley, 1)
+# a row outside the generator rows, and not the identity's
+SPARE_ROW = 3
+
+
+def _s4_moved_with(cells):
+    table = [list(row) for row in S4_MOVED]
+    e = table[0].index(0)
+    assert e != 0 and SPARE_ROW not in _generator_rows(table) | {e}
+    for (i, j), value in cells.items():
+        table[i][j] = value
+    return table
+
+
+@pytest.mark.parametrize("value", (-1, -2, -24, -25, 24, 48))
+@pytest.mark.parametrize("held", ("0", "identity", "other"))
+def test_an_entry_outside_range_n_in_a_spare_row_matches_the_oracle(value, held):
+    """-1, -2, -n, -n - 1, n or 2n in place of the label 0, of the identity
+    or of another label, in a row that the fast decision neither scans for
+    range nor checks as a permutation: Light's closure rejects the table,
+    and the witness is the oracle's."""
+    row = S4_MOVED[SPARE_ROW]
+    e = S4_MOVED[0].index(0)
+    j = row.index({"0": 0, "identity": e, "other": 5}[held])
+    assert held != "other" or row[j] not in (0, e)
+    table = _s4_moved_with({(SPARE_ROW, j): value})
+    assert groups._group_rows(table, len(table)) is None
+    outcome = _outcome(group_from_cayley, table)
+    assert outcome == _outcome(_cayley_oracle, table)
+    assert outcome[2] == ("entry", SPARE_ROW, j)
+
+
+@pytest.mark.parametrize("replaced", ("0", "other"))
+def test_a_spare_row_without_0_or_with_0_twice_matches_the_oracle(replaced):
+    """A spare row whose 0 is replaced by its neighbour (no 0), or whose
+    label other than 0 and the identity is replaced by 0 (0 twice, the
+    identity once, which the value swap keeps as a multiset)."""
+    row = S4_MOVED[SPARE_ROW]
+    e = S4_MOVED[0].index(0)
+    if replaced == "0":
+        j = row.index(0)
+        value = row[(j + 1) % len(row)]
+    else:
+        j = next(j for j, v in enumerate(row) if v not in (0, e))
+        value = 0
+    table = _s4_moved_with({(SPARE_ROW, j): value})
+    assert groups._group_rows(table, len(table)) is None
+    outcome = _outcome(group_from_cayley, table)
+    assert outcome == _outcome(_cayley_oracle, table)
+    assert outcome[2] == ("row", SPARE_ROW)
+
+
+def test_a_look_ahead_candidate_holding_n_fails_before_light_runs(monkeypatch):
+    """A first-round candidate c other than the chosen generator, with
+    c * c = n: counting what c adds reads row n, the IndexError is a failed
+    decision before Light's test runs, and the witness is the oracle's."""
+    n, e = len(S4_MOVED), S4_MOVED[0].index(0)
+    rows = groups._group_rows(S4_MOVED, n)
+    chosen = next(groups._greedy_generators(rows, 0, groups._LOOKAHEAD))
+    # rows[c][c] not 0 or e, so the file's entry is neither, and row c keeps both
+    c = next(
+        c
+        for c in range(1, 1 + groups._LOOKAHEAD)
+        if c not in (chosen, e) and rows[c][c] not in (0, e)
+    )
+    table = _s4_moved_with({(c, c): n})
+    raised, tested = [], []
+    grown, light = groups._grown, groups._light_witness
+
+    def spied_grown(rows, closure, members, generators, candidate):
+        try:
+            return grown(rows, closure, members, generators, candidate)
+        except IndexError:
+            raised.append(candidate)
+            raise
+
+    def spied_light(rows, b):
+        tested.append(b)
+        return light(rows, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groups, "_grown", spied_grown)
+        patch.setattr(groups, "_light_witness", spied_light)
+        assert groups._group_rows(table, n) is None
+    assert raised == [c] and tested == []
+    outcome = _outcome(group_from_cayley, table)
+    assert outcome == _outcome(_cayley_oracle, table)
+    assert outcome[2] == ("entry", c, c)
+
+
 def _twisted_double():
     """A loop on (Z3 x Z3) x {0, 1}: (a, 1)(b, 1) = (-(a + b), 0), and
     (a, s)(b, t) = (a + b, s + t) otherwise.  Exactly the elements of

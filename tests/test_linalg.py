@@ -172,3 +172,17 @@ def test_a_cyclotomic_entry_takes_the_elimination(monkeypatch, entry):
     assert calls == [None]
     assert det.conductor == 3
     assert det == rational(Fraction(2, 3)) - entry
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([[rational(1), rational(2)]], [[rational(1)]]),
+        ([[rational(1)]], [[rational(1)], [rational(2)]]),
+        ([[rational(1), rational(2)], [rational(3)]], [[rational(1)], [rational(2)]]),
+    ],
+)
+def test_matmul_rejects_inner_dimensions_that_differ(a, b):
+    """zip would truncate the longer of a row and a column without a word."""
+    with pytest.raises(ValueError, match="inner dimensions differ"):
+        linalg.matmul(a, b)
