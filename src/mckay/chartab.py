@@ -5,11 +5,12 @@ multiplication matrices are simultaneously diagonalised over a prime field
 F_p with p = 1 (mod exponent) and p > 2*sqrt(|G|), splitting eigenspaces by
 the class matrices themselves, those of the generator classes first and each
 built when first read, at the roots of each restricted operator's
-characteristic polynomial, so the computation is deterministic.  Each value chi(g) is then lifted to an exact cyclotomic
-integer from the multiset of g's eigenvalues, d-th roots of unity for d the
-order of g: read from the n = chi(1) power sums chi(g^k) by Newton's
-identities where n < d (one lookup at n = 1), and by the inverse discrete
-Fourier transform of the power map where n >= d (:func:`_lift_row`).
+characteristic polynomial, so the computation is deterministic.  Each value
+chi(g) is then lifted to an exact cyclotomic integer from the multiset of g's
+eigenvalues, d-th roots of unity for d the order of g, read from the
+n = chi(1) power sums chi(g^k), k = 1..n, by Newton's identities (one lookup
+at n = 1; :func:`_lift_row`).  The table and its certificate reach F_p by
+one map, zeta_E -> z for E the exponent (:func:`_evaluation`).
 
 Every table is proven before it exists (:func:`_certify`): its values are
 checked to be algebraic integers, and Galois equivariance
@@ -173,24 +174,19 @@ def _prime_above(bound: int, exponent: int) -> int:
         k += 1
 
 
-def _dixon_prime(order: int, exponent: int) -> int:
-    return _prime_above(2 * isqrt(order), exponent)
-
-
-def _primitive_root(p: int) -> int:
+def _evaluation(p: int, exponent: int) -> list[int]:
+    """[z^k mod p for k < exponent], z = w^((p - 1)/exponent) for w the least
+    primitive root mod p: the images of the zeta_E^k under the ring map
+    Z[zeta_E] -> F_p, zeta_E -> z, for a prime p = 1 (mod E).  z has order
+    E, so the images of the d-th roots of unity, d | E, are the d distinct
+    residues ``powers[::E // d]``."""
     factors = prime_factors(p - 1)
-    for w in range(2, p):
-        if all(pow(w, (p - 1) // q, p) != 1 for q in factors):
-            return w
-    raise CharacterTableError("no primitive root found")  # unreachable for prime p
-
-
-def _sqrt_mod(a: int, p: int) -> int | None:
-    a %= p
-    for s in range(p):
-        if s * s % p == a:
-            return s
-    return None
+    w = next(w for w in range(2, p) if all(pow(w, (p - 1) // q, p) != 1 for q in factors))
+    z = pow(w, (p - 1) // exponent, p)
+    powers = [1] * exponent
+    for k in range(1, exponent):
+        powers[k] = powers[k - 1] * z % p
+    return powers
 
 
 def _apply(rows, vec, p):
@@ -477,32 +473,11 @@ def _common_eigenvectors(group: FiniteGroup, p):
 # -- character recovery -------------------------------------------------------
 
 
-def _inverse_dft(d, z, exponent, p):
-    """Rows [zeta_d^(-t*u) for u < d] for t < d, with zeta_d = z^(exponent/d)
-    of order d in F_p, and 1/d mod p: the inverse Fourier transform that
-    reads eigenvalue multiplicities off the power map."""
-    zd_inv = pow(pow(z, exponent // d, p), p - 2, p)
-    inv_powers = [1] * d
-    for k in range(1, d):
-        inv_powers[k] = inv_powers[k - 1] * zd_inv % p
-    rows = tuple(tuple(inv_powers[t * u % d] for u in range(d)) for t in range(d))
-    return rows, pow(d, p - 2, p)
-
-
-def _roots_of_unity(d, z, exponent, p):
-    """The residue of zeta_d^t for each t < d, with zeta_d = z^(exponent/d),
-    and the map from each residue back to its t."""
-    zd = pow(z, exponent // d, p)
-    powers = [1] * d
-    for t in range(1, d):
-        powers[t] = powers[t - 1] * zd % p
-    return powers, {w: t for t, w in enumerate(powers)}
-
-
 def _newton_roots(power_sums, roots, p):
     """The multiplicities {t: m_t} of the d-th roots of unity zeta_d^t whose
     multiset has the power sums ``power_sums`` = (P_1, ..., P_n) mod p;
-    ``roots`` is the order's ``_roots_of_unity``.  If no multiset of n of
+    ``roots`` holds the residue of zeta_d^t for each t < d and the map from
+    each residue back to its t.  n may exceed d.  If no multiset of n of
     them has these power sums, the multiplicities found add up to less
     than n.
 
@@ -547,31 +522,26 @@ def _newton_roots(power_sums, roots, p):
     return mults
 
 
-def _lift_row(chi_mod, degree, reader, dft, roots, p, memo):
+def _lift_row(chi_mod, degree, reader, roots, p, memo):
     """The exact values of one character from its residues.
 
     ``reader`` holds, per class, its element order d and the indices of
-    the classes whose residues the lift reads, g^k for the k below, from
-    the power map; it is shared by every row of this degree.  ``dft`` maps
-    each element order d to its ``_inverse_dft`` and ``roots`` to its
-    ``_roots_of_unity``, shared by every row.  At a class of order d,
-    chi(g) is a sum of n = chi(1) d-th roots of unity, the eigenvalues of
-    g, and the multiset of their exponents t is read from the residues:
+    the classes of g^k, k = 1..n, read from the power map modulo d; it is
+    shared by every row of degree n = chi(1).  ``roots`` maps each element
+    order d to the residues of the d-th roots of unity and back
+    (:func:`_evaluation`), shared by every row.  At a class of order d,
+    chi(g) is a sum of n d-th roots of unity, the eigenvalues of g, and the
+    multiset of their exponents t is read from the n power sums chi(g^k)
+    by Newton's identities (:func:`_newton_roots`), whether n < d or not;
+    at n = 1, chi(g) is one root, found by one lookup of its residue.
 
-    * n < d: from the n power sums chi(g^k), k <= n, by Newton's
-      identities (:func:`_newton_roots`); at n = 1, chi(g) is one root,
-      found by one lookup of its residue;
-    * n >= d: by the inverse DFT m_t = (1/d) sum_u chi(g^u) zeta_d^(-tu)
-      of the power map, cheaper there than Newton's O(d n).
-
-    Both give the same multiset.  p = 1 (mod E) and z has order E, so
-    the images zeta_d^t of the d-th roots are distinct in F_p.  If the
-    eigenvalues are w_1..w_n, their images have the power sums chi(g^k) mod
-    p, so the DFT's m_t counts the w_i with image zeta_d^t (m_t <= n < p,
-    so the residue is the count); and f(x) = prod_i (x - w_i) mod p has
-    the e_k of Newton's identities as coefficients, and F_p[x] factors
-    uniquely, so its roots with multiplicity are the same multiset.  Every
-    path is checked to give n roots summing to chi(g) mod p, or raises
+    p = 1 (mod E) and z has order E, so the images zeta_d^t of the d-th
+    roots are distinct in F_p.  If the eigenvalues are w_1..w_n, their
+    images have the power sums chi(g^k) mod p, and f(x) = prod_i (x - w_i)
+    mod p has the e_k of Newton's identities as coefficients (k <= n <=
+    sqrt|G| < p/2, so every k is invertible); F_p[x] factors uniquely, so
+    the roots of f with multiplicity are the images of that multiset.  The
+    result is checked to be n roots summing to chi(g) mod p, or raises
     TableConsistencyError.
 
     ``memo``, shared by every row of one table, makes each distinct value
@@ -587,17 +557,7 @@ def _lift_row(chi_mod, degree, reader, dft, roots, p, memo):
         key = (d, degree, residues)
         value = memo.get(key)
         if value is None:
-            if degree < d:
-                mults = _newton_roots(residues, roots[d], p)
-            else:
-                rows, d_inv = dft[d]
-                mults = {}
-                for t, row in enumerate(rows):
-                    m_t = sum(map(mul, residues, row)) * d_inv % p
-                    if m_t > degree:
-                        raise TableConsistencyError("eigenvalue multiplicity out of range")
-                    if m_t:
-                        mults[t] = m_t
+            mults = _newton_roots(residues, roots[d], p)
             if sum(mults.values()) != degree:
                 raise TableConsistencyError("eigenvalue multiplicities do not sum to degree")
             # consistency: the lifted value must reproduce chi mod p
@@ -652,7 +612,8 @@ def _certify(table: CharacterTable) -> Certificate:
        sum_c |C_c| A_c^2 max(1, A_c, N_c).  B is recomputed from the values
        given, so a tampered entry cannot hide behind a congruence.
     6. The certificate prime is the least p = 1 (mod E) with p > 2B, with
-       zeta_E -> z, z of order E in F_p (a ring map Z[zeta_E] -> F_p).  S is
+       zeta_E -> z, z of order E in F_p (a ring map Z[zeta_E] -> F_p,
+       :func:`_evaluation`).  S is
        then the symmetric residue of its image mod p, and that image is
        sum_c |C_c| f(c) g(c^-1) on the images, by step 3.
     7. Row orthogonality, S(chi_i, chi_j) = |G| delta_ij, is decided so.
@@ -729,10 +690,7 @@ def _certify(table: CharacterTable) -> Certificate:
         n = norms[id(natural[c])] if natural is not None else 0
         bound += sizes[c] * a * a * max(1, a, n)
     p = _prime_above(2 * bound, exponent)
-    z = pow(_primitive_root(p), (p - 1) // exponent, p)
-    powers = [1] * exponent
-    for k in range(1, exponent):
-        powers[k] = powers[k - 1] * z % p
+    powers = _evaluation(p, exponent)
 
     def image(v: CycNum) -> int:
         step = exponent // v.conductor
@@ -764,7 +722,7 @@ def _certify(table: CharacterTable) -> Certificate:
 def character_table(group: FiniteGroup) -> CharacterTable:
     """The exact character table of a finite group.
 
-    Deterministic: the prime, its primitive root and the eigenspace split
+    Deterministic: the prime, its evaluation map and the eigenspace split
     (by the class matrices of the generator classes first, then the rest in
     class order, each built only when the split reads it) are fixed by the
     group, and the rows come out in canonical order, which no read order
@@ -774,13 +732,16 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     m = len(conj.classes)
     order = group.order
     exponent = conj.exponent
-    p = _dixon_prime(order, exponent)
-    z = pow(_primitive_root(p), (p - 1) // exponent, p)
+    max_degree = isqrt(order)
+    p = _prime_above(2 * max_degree, exponent)
     vectors = _common_eigenvectors(group, p)
     pm = group.power_map
     class_orders = [group.element_order[rep] for rep in conj.representatives]
-    dft = {d: _inverse_dft(d, z, exponent, p) for d in set(class_orders)}
-    roots = {d: _roots_of_unity(d, z, exponent, p) for d in set(class_orders)}
+    powers = _evaluation(p, exponent)
+    roots = {}  # element order d -> the residues of zeta_d^t, t < d, and back
+    for d in set(class_orders):
+        residues = powers[:: exponent // d]
+        roots[d] = residues, {w: t for t, w in enumerate(residues)}
     readers = {}  # degree n -> per class (d, the power-map indices the lift reads)
     memo = {}  # one object per distinct value of this table (see _lift_row)
     rows = []
@@ -799,18 +760,20 @@ def character_table(group: FiniteGroup) -> CharacterTable:
         s = sum(map(mul, conj.sizes, map(mul, v, v_star))) % p
         if s == 0:
             raise TableConsistencyError("degenerate norm sum in degree recovery")
+        # chi(1)^2 = |G| / s, and chi(1) <= sqrt|G|: the one n there with
+        # n^2 = |G| / s mod p, as n^2 = n'^2 puts p | (n - n')(n + n') with
+        # 0 < n + n' <= 2 sqrt|G| < p
         d2 = order * pow(s, p - 2, p) % p
-        root = _sqrt_mod(d2, p)
-        if root is None:
-            raise TableConsistencyError("degree square has no modular root")
-        degree = min(root, p - root)
+        degree = next((n for n in range(1, max_degree + 1) if n * n % p == d2), None)
+        if degree is None:
+            raise TableConsistencyError("degree square has no root up to sqrt|G|")
         chi_mod = [degree * x % p for x in v_star]
         reader = readers.get(degree)
-        if reader is None:  # k = 1..n where n < d, else k = 0..d-1
+        if reader is None:  # g^k for k = 1..n, through the power map mod d
             reader = readers[degree] = [
-                (d, row[1 : degree + 1] if degree < d else row) for d, row in zip(class_orders, pm)
+                (d, [row[k % d] for k in range(1, degree + 1)]) for d, row in zip(class_orders, pm)
             ]
-        rows.append(_lift_row(chi_mod, degree, reader, dft, roots, p, memo))
+        rows.append(_lift_row(chi_mod, degree, reader, roots, p, memo))
         degrees.append(degree)
     if sum(d * d for d in degrees) != order:
         raise TableConsistencyError("degrees do not satisfy the order sum rule")

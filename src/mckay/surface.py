@@ -109,11 +109,11 @@ def parse_surface(data: dict, name: str = "surface") -> SurfaceModel:
 
 def load_surface(path) -> SurfaceModel:
     """Read and parse a surface configuration; a file that is not UTF-8 JSON
-    is rejected with its path."""
+    the decoder accepts is rejected with its path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # undecodable text or JSON, or an over-long int literal
             raise SurfaceConfigError(str(path), str(exc)) from exc
         except RecursionError as exc:  # JSON nested deeper than the parser recurses
             raise SurfaceConfigError(str(path), "JSON nested too deeply") from exc

@@ -554,27 +554,32 @@ def test_unsplittable_class_matrices_raise(monkeypatch):
 # -- the character lift ----------------------------------------------------------
 
 
-def _lift_row_oracle(chi_mod, degree, group, conj, pm, dft, p):
+def _inverse_dft(power_sums, powers, p):
+    """The multiplicities {t: m_t} of the d-th roots of unity zeta_d^t read
+    off all d power sums P_u = sum_i w_i^u, u < d, by the inverse DFT
+    m_t = (1/d) sum_u P_u zeta_d^(-tu); ``powers`` holds the residues of the
+    zeta_d^t.  The residue m_t is the count when m_t < p."""
+    d = len(powers)
+    d_inv = pow(d, p - 2, p)
+    mults = {}
+    for t in range(d):
+        m_t = sum(x * powers[-t * u % d] for u, x in enumerate(power_sums)) * d_inv % p
+        if m_t:
+            mults[t] = m_t
+    return mults
+
+
+def _lift_row_oracle(chi_mod, degree, group, conj, pm, p):
     """The exact values of one character by the inverse DFT of the power map
-    at every class: m_t = (1/d) sum_u chi(g^u) zeta_d^(-tu)."""
+    at every class, on the evaluation map zeta_E -> z of the Dixon prime."""
+    powers = chartab._evaluation(p, conj.exponent)
     values = []
     for j, rep in enumerate(conj.representatives):
         d = group.element_order[rep]
-        rows, d_inv = dft[d]
-        chi_powers = [chi_mod[pm[j][u]] for u in range(d)]
-        mults = {}
-        for t, row in enumerate(rows):
-            m_t = sum(x * y for x, y in zip(chi_powers, row)) * d_inv % p
-            if m_t > degree:
-                raise TableConsistencyError("eigenvalue multiplicity out of range")
-            if m_t:
-                mults[t] = m_t
-        if sum(mults.values()) != degree:
-            raise TableConsistencyError("eigenvalue multiplicities do not sum to degree")
-        inv_powers = rows[1 % d]
-        check = sum(m * inv_powers[-t % d] for t, m in mults.items()) % p
-        if check != chi_mod[j] % p:
-            raise TableConsistencyError("lifted character does not match modular data")
+        roots = powers[:: conj.exponent // d]
+        mults = _inverse_dft([chi_mod[pm[j][u]] for u in range(d)], roots, p)
+        assert sum(mults.values()) == degree
+        assert sum(m * roots[t] for t, m in mults.items()) % p == chi_mod[j] % p
         values.append(CycNum(d, mults))
     return tuple(values)
 
@@ -600,17 +605,17 @@ LIFT_GROUPS = {
 @pytest.mark.parametrize("name", LIFT_GROUPS)
 def test_lift_matches_the_inverse_dft(monkeypatch, name):
     """Every row lifts to the values of the inverse DFT at every class, in
-    stored form, whether it is read by lookup, by Newton's identities or by
-    the DFT itself."""
+    stored form, whether it is read by one lookup or by Newton's identities,
+    at orders d above the degree n and at d <= n."""
     lift = chartab._lift_row
     group = LIFT_GROUPS[name]()
     conj = group.conjugacy
     pm = group.power_map
     degrees = []
 
-    def checked(chi_mod, degree, reader, dft, roots, p, memo):
-        out = lift(chi_mod, degree, reader, dft, roots, p, memo)
-        assert _stored(out) == _stored(_lift_row_oracle(chi_mod, degree, group, conj, pm, dft, p))
+    def checked(chi_mod, degree, reader, roots, p, memo):
+        out = lift(chi_mod, degree, reader, roots, p, memo)
+        assert _stored(out) == _stored(_lift_row_oracle(chi_mod, degree, group, conj, pm, p))
         degrees.append(degree)
         return out
 
@@ -622,8 +627,8 @@ def test_lift_matches_the_inverse_dft(monkeypatch, name):
 @st.composite
 def _root_multisets(draw):
     d = draw(st.integers(2, 40))
-    p = chartab._prime_above(draw(st.integers(d, 2000)), d)
-    n = draw(st.integers(1, d - 1))
+    n = draw(st.integers(1, 3 * d))
+    p = chartab._prime_above(draw(st.integers(n, 2000)), d)
     ts = draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
     return d, p, ts
 
@@ -631,20 +636,18 @@ def _root_multisets(draw):
 @settings(max_examples=150, deadline=None)
 @given(_root_multisets())
 def test_newton_roots_match_the_inverse_dft(case):
-    """n < d roots of unity zeta_d^t mod a prime p = 1 (mod d): the n power
-    sums give the multiset by Newton's identities, as all d give it by the
-    inverse DFT."""
+    """n <= 3d roots of unity zeta_d^t mod a prime p = 1 (mod d), p > n: the
+    n power sums give the multiset by Newton's identities, as all d give it
+    by the inverse DFT, on both sides of n = d."""
     d, p, ts = case
-    z = pow(chartab._primitive_root(p), (p - 1) // d, p)
-    roots = chartab._roots_of_unity(d, z, d, p)
-    powers, index = roots
+    n = len(ts)
+    powers = chartab._evaluation(p, d)
+    index = {w: t for t, w in enumerate(powers)}
     assert len(index) == d
-    power_sums = [sum(powers[t * k % d] for t in ts) % p for k in range(d)]
+    power_sums = [sum(powers[t * k % d] for t in ts) % p for k in range(max(d, n + 1))]
     expected = {t: ts.count(t) for t in set(ts)}
-    assert chartab._newton_roots(power_sums[1 : len(ts) + 1], roots, p) == expected
-    rows, d_inv = chartab._inverse_dft(d, z, d, p)
-    dft = {t: sum(x * y for x, y in zip(power_sums, row)) * d_inv % p for t, row in enumerate(rows)}
-    assert {t: m for t, m in dft.items() if m} == expected
+    assert chartab._newton_roots(power_sums[1 : n + 1], (powers, index), p) == expected
+    assert _inverse_dft(power_sums[:d], powers, p) == expected
 
 
 def _unread_class(group, conj, pm, degree):
@@ -653,30 +656,48 @@ def _unread_class(group, conj, pm, degree):
     read = set()
     for j, rep in enumerate(conj.representatives):
         d = group.element_order[rep]
-        read.update(pm[j][k] for k in (range(1, degree + 1) if degree < d else range(d)) if pm[j][k] != j)
+        read.update(pm[j][k % d] for k in range(1, degree + 1) if pm[j][k % d] != j)
     orders = {j: group.element_order[rep] for j, rep in enumerate(conj.representatives)}
     return min((d, j) for j, d in orders.items() if d > degree and j not in read)[1]
 
 
-@pytest.mark.parametrize("label, degree", [("A5", 1), ("D10", 2), ("E8", 2), ("E8", 3)])
-def test_residue_off_every_root_sum_is_rejected(monkeypatch, label, degree):
+@pytest.mark.parametrize(
+    "label, degree, order",
+    [
+        pytest.param(label, degree, None, id=f"{label}-{degree}")
+        for label, degree in [("A5", 1), ("D10", 2), ("E8", 2), ("E8", 3)]
+    ]
+    + [
+        pytest.param(label, degree, order, id=f"{label}-{degree}-order-{order}")
+        for label, degree, order in [("E6", 3, 3), ("E8", 4, 4), ("E8", 6, 2), ("E8", 6, 3)]
+    ],
+)
+def test_residue_off_every_root_sum_is_rejected(monkeypatch, label, degree, order):
     """Negative control: one residue of a degree-n row moved off every sum
-    of n d-th roots of unity fails the lift with the pinned message."""
+    of n d-th roots of unity fails the lift with the pinned message.  The
+    class is one no other class reads (of order d > n), or the first class
+    of order ``order`` <= n, whose residue is first read at a class of order
+    <= n (itself, or E8's order-6 class): Newton's identities at n >= d."""
     lift = chartab._lift_row
     group = build_binary_polyhedral(label)
     conj = group.conjugacy
     pm = group.power_map
     tampered = []
 
-    def tamper(chi_mod, n, reader, dft, roots, p, memo):
+    def tamper(chi_mod, n, reader, roots, p, memo):
         if n == degree and not tampered:
-            j = _unread_class(group, conj, pm, n)
+            if order is None:
+                j = _unread_class(group, conj, pm, n)
+            else:
+                j = next(c for c, (d, _) in enumerate(reader) if d == order)
+                first = min(c for c, (_, reads) in enumerate(reader) if j in reads)
+                assert reader[first][0] <= n
             powers, _ = roots[group.element_order[conj.representatives[j]]]
             sums = {sum(c) % p for c in product(powers, repeat=n)}
             chi_mod = list(chi_mod)
             chi_mod[j] = next(r for r in range(p) if r not in sums)
             tampered.append(j)
-        return lift(chi_mod, n, reader, dft, roots, p, memo)
+        return lift(chi_mod, n, reader, roots, p, memo)
 
     monkeypatch.setattr(chartab, "_lift_row", tamper)
     with pytest.raises(TableConsistencyError, match="^eigenvalue multiplicities do not sum to degree$"):

@@ -459,8 +459,10 @@ def test_deeply_nested_json_exits_2_naming_the_file(tmp_path, capsys, command):
     [
         (b'{"picard_rank": 1, "intersection_matrix": [[1]], ', "Expecting property name"),
         (b"\xff\xfe", "'utf-8' codec can't decode"),
+        # the decoder's ValueError for an integer literal past 4,300 digits
+        (b'{"picard_rank": 1' + b"0" * 5000 + b"}", "Exceeds the limit (4300"),
     ],
-    ids=["truncated", "not-utf-8"],
+    ids=["truncated", "not-utf-8", "5000-digits"],
 )
 def test_undecodable_surface_config_exits_2_naming_the_file(tmp_path, capsys, content, message):
     path = tmp_path / "surface.json"

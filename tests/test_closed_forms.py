@@ -21,6 +21,16 @@ four linear characters, so the multiset of rows does not depend on the
 choice.  The rows are compared as a multiset, each value lifted to the
 exponent.
 
+Two objects built from the table are checked on the rows so matched, each
+table row read as the closed-form row with its values:
+
+* the McKay graph against the affine diagram of the closed forms' tensor
+  rule with the natural character (chi_1 + chi_-1 for A_n, psi_1 for D_n);
+* the scaled map M of ``Bundle.cmap`` against diag(s)·Y^T formed from the
+  closed forms, with s(g) = zeta_2N^k - zeta_2N^-k for g = a^k, 0 < k <= N/2
+  up to the sign of k, N the order of a, and s(g) = zeta_8 - zeta_8^-1 for
+  g = b a^k, whose eigenvalues are +-i.
+
 Run as a script for larger types, e.g.
 
     PYTHONPATH=src python tests/test_closed_forms.py A200 D200
@@ -30,12 +40,14 @@ import random
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from mckay.catalog import EXTRA_GROUPS, ade_bundle, extra_bundle
 from mckay.chartab import character_table
-from mckay.correspondence import char_minor_determinant
+from mckay.correspondence import Bundle, char_minor_determinant
 from mckay.cyclo import rational, zeta
 from mckay.groups import (
     ADE_SUITE,
@@ -99,6 +111,56 @@ def closed_form_rows(label, group):
     return rows
 
 
+def closed_form_diagram(label):
+    """The McKay graph of A_n or D_n on the rows of :func:`closed_form_rows`.
+
+    A_n: chi_j (chi_1 + chi_-1) = chi_(j+1) + chi_(j-1), indices mod n + 1,
+    a cycle (a double edge at n = 1).  D_n, m = n - 2: psi_h psi_1 =
+    psi_(h+1) + psi_(h-1), where psi_0 is the sum of the two linear
+    characters with e = 1 and psi_m that of the two with e = -1 (psi_0 is 2
+    and psi_m is 2(-1)^k on a^k, both are 0 on b a^k); a linear character
+    times psi_1 is psi_1 for e = 1 and psi_(m-1) for e = -1.  That is
+    affine D_n."""
+    kind, n = parse_ade_label(label)
+    if kind == "A":
+        size = n + 1
+        return [
+            [int((k - j) % size == 1) + int((j - k) % size == 1) for k in range(size)]
+            for j in range(size)
+        ]
+    m = n - 2
+    adjacency = [[0] * (m + 3) for _ in range(m + 3)]
+    # rows 0..m-2 are psi_1..psi_(m-1), then e = 1 twice, then e = -1 twice
+    edges = [(h, h + 1) for h in range(m - 2)]
+    edges += [(m - 1, 0), (m, 0), (m + 1, m - 2), (m + 2, m - 2)]
+    for v, w in edges:
+        adjacency[v][w] = adjacency[w][v] = 1
+    return adjacency
+
+
+def closed_form_branch(label, group):
+    """s(g_c) for every nonidentity class c, from each representative's
+    matrix (see the module docstring)."""
+    kind, n = parse_ade_label(label)
+    order = n + 1 if kind == "A" else 2 * (n - 2)
+    branches = []
+    for c, k in _columns(group, order)[1:]:
+        if c == "b":
+            branches.append(zeta(8) - zeta(8, 7))
+        else:
+            k = min(k, order - k)
+            branches.append(zeta(2 * order, k) - zeta(2 * order, 2 * order - k))
+    return branches
+
+
+def _matching(table, expected):
+    """Per table row, the index of the closed-form row with its values."""
+    exponent = table.conj.exponent
+    index = {tuple(_lifted(v, exponent) for v in row): i for i, row in enumerate(expected)}
+    assert len(index) == len(expected) == table.size
+    return [index[tuple(_lifted(v, exponent) for v in row)] for row in table.rows]
+
+
 def check(label):
     """Assert that the table of ``label`` has the closed form's rows."""
     group = build_binary_polyhedral(label)
@@ -110,9 +172,45 @@ def check(label):
     return table.size
 
 
+def check_graph(label, bundle):
+    """Assert that the McKay graph of ``bundle`` is the closed forms' affine
+    diagram on the matched rows."""
+    table = bundle.table
+    match = _matching(table, closed_form_rows(label, table.group))
+    diagram = closed_form_diagram(label)
+    expected = tuple(tuple(diagram[i][j] for j in match) for i in match)
+    assert bundle.graph.adjacency == expected, label
+
+
+def check_map(label, bundle):
+    """Assert that the scaled map of ``bundle`` is diag(s)·Y^T formed from
+    the closed forms, on the matched rows, entry by entry at 2·exponent."""
+    table = bundle.table
+    group = table.group
+    expected = closed_form_rows(label, group)
+    match = _matching(table, expected)
+    branches = closed_form_branch(label, group)
+    n = 2 * group.conjugacy.exponent
+    matrix = bundle.cmap.matrix
+    assert len(matrix) == table.size - 1
+    for c, (s, row) in enumerate(zip(branches, matrix), start=1):
+        scaled = [_lifted(s * expected[i][c], n) for i in match[1:]]
+        assert [_lifted(v, n) for v in row] == scaled, (label, c)
+
+
 @pytest.mark.parametrize("label", ["A15", "A20", "A40", "D16", "D20", "D40"])
 def test_table_matches_the_closed_form(label):
     check(label)
+
+
+@pytest.mark.parametrize("label", ["A15", "A20", "A40", "D16", "D20", "D40"])
+def test_mckay_graph_matches_the_affine_diagram(label):
+    check_graph(label, ade_bundle(label))
+
+
+@pytest.mark.parametrize("label", ["A15", "A20", "A40", "D16", "D20", "D40"])
+def test_scaled_map_matches_the_closed_form(label):
+    check_map(label, ade_bundle(label))
 
 
 @pytest.mark.parametrize("label", ["A3", "D4", "D5"])
@@ -124,6 +222,25 @@ def test_a_changed_value_fails_the_closed_form(label):
     assert _multiset(character_table(group).rows, exponent) == _multiset(rows, exponent)
     rows[-1][-1] = rows[-1][-1] + 1
     assert _multiset(character_table(group).rows, exponent) != _multiset(rows, exponent)
+
+
+@pytest.mark.parametrize("label", ["A1", "A3", "D4", "D5"])
+def test_a_changed_entry_fails_the_graph_and_map_oracles(label):
+    """Negative control: the graph and map checks pass on the bundle and see
+    one adjacency entry, or one entry of M, changed."""
+    bundle = ade_bundle(label)
+    check_graph(label, bundle)
+    check_map(label, bundle)
+    adjacency = [list(row) for row in bundle.graph.adjacency]
+    adjacency[0][1] += 1
+    graph = replace(bundle.graph, adjacency=tuple(map(tuple, adjacency)))
+    with pytest.raises(AssertionError):
+        check_graph(label, SimpleNamespace(table=bundle.table, graph=graph))
+    matrix = [list(row) for row in bundle.cmap.matrix]
+    matrix[-1][-1] = matrix[-1][-1] + 1
+    cmap = SimpleNamespace(matrix=tuple(map(tuple, matrix)))
+    with pytest.raises(AssertionError):
+        check_map(label, SimpleNamespace(table=bundle.table, cmap=cmap))
 
 
 def _relabeled_product(a, b, seed):
@@ -211,7 +328,13 @@ def main(labels):
     for label in labels:
         start = time.perf_counter()
         size = check(label)
-        print(f"{label}: {size} rows match the closed form ({time.perf_counter() - start:.1f} s)")
+        bundle = Bundle(build_binary_polyhedral(label))
+        check_graph(label, bundle)
+        check_map(label, bundle)
+        print(
+            f"{label}: {size} rows, the McKay graph and the scaled map match the closed forms "
+            f"({time.perf_counter() - start:.1f} s)"
+        )
 
 
 if __name__ == "__main__":
