@@ -10,10 +10,10 @@ cyclotomic arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .cyclo import CycNum, rational
+from .cyclo import CycNum, _frac_str, rational
 
 __all__ = ["GradedAlgebra", "AlgebraError"]
 
@@ -24,6 +24,15 @@ class AlgebraError(ValueError):
 
 def _coeff(value) -> CycNum:
     return value if isinstance(value, CycNum) else rational(value)
+
+
+def _summed(terms) -> dict:
+    """Terms summed per basis index in order with zeros dropped, as
+    ``mult_vec`` sums them."""
+    out: dict = {}
+    for k, c in terms:
+        out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if not c.is_zero()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,13 +234,7 @@ class GradedAlgebra:
         structure = dict(self.structure)
         structure[(i, j)] = cooked
         structure[(j, i)] = cooked
-        return GradedAlgebra(
-            labels=self.labels,
-            degrees=self.degrees,
-            structure=structure,
-            unit=self.unit,
-            point=self.point,
-        )
+        return replace(self, structure=structure)
 
     def structure_json(self) -> dict:
         """Nested label -> label -> label -> exact scalar map of nonzero constants."""
@@ -241,11 +244,7 @@ class GradedAlgebra:
                 if c.is_zero():
                     continue
                 q = c.as_rational()
-                rendered = (
-                    (str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}")
-                    if q is not None
-                    else c.to_json()
-                )
+                rendered = c.to_json() if q is None else _frac_str(q.numerator, q.denominator)
                 out.setdefault(self.labels[i], {}).setdefault(self.labels[j], {})[
                     self.labels[k]
                 ] = rendered

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from math import gcd, lcm, prod
 from operator import add, mul
@@ -28,7 +28,7 @@ from .chartab import (
     mckay_graph,
     natural_pairings,
 )
-from .cyclo import CycNum, _mul_num, _normal, ramanujan_sums, rational, zeta
+from .cyclo import CycNum, _normal, ramanujan_sums, rational, zeta
 from .groups import FiniteGroup
 from .orbifold import class_label, invariant_subalgebra, local_orbifold_algebra
 from .resolution import exceptional_label, local_resolution_algebra
@@ -169,11 +169,11 @@ def _branch_sqrts(table: CharacterTable) -> tuple[CycNum | None, ...]:
 def _scaled_minor(table: CharacterTable) -> tuple[tuple[CycNum, ...], ...]:
     """diag(s)·Y^T at conductor N = 2*exponent, for Y the character table
     without its trivial row and identity column: entry [c-1][r-1] is
-    s(g_c)·chi_r(g_c).  Built once per table: ``Bundle.cmap`` stores it as M
-    and ``verify_correspondence`` compares M with it.  Each value object of
-    the table is lifted to N once, s(g_c) once per class, and each entry is
-    one product at N per (class, value object): stored forms are canonical
-    per conductor, so it is ``(s * v).lift(N)``."""
+    s(g_c)·chi_r(g_c).  Built once per table: ``Bundle.cmap`` stores this
+    object as M, and ``verify_correspondence`` recognises M by identity.
+    Each value object of the table is lifted to N once, s(g_c) once per
+    class, and each entry is one product at N per (class, value object):
+    stored forms are canonical per conductor, so it is ``(s * v).lift(N)``."""
     m = table.size
     n = 2 * table.conj.exponent
     lifted = {}  # id(v) -> v.lift(n)
@@ -189,7 +189,7 @@ def _scaled_minor(table: CharacterTable) -> tuple[tuple[CycNum, ...], ...]:
                 w = lifted.get(id(v))
                 if w is None:
                     w = lifted[id(v)] = v.lift(n)
-                entry = scaled[id(v)] = _normal(n, _mul_num(s.num, w.num, n), s.den * w.den)
+                entry = scaled[id(v)] = s * w
             row.append(entry)
         rows.append(tuple(row))
     return tuple(rows)
@@ -476,17 +476,13 @@ def _unit_and_point_witness(cmap: CorrespondenceMap) -> dict | None:
     return None
 
 
-def _stored_form(matrix) -> list:
-    return [[(v.conductor, v.num, v.den) for v in row] for row in matrix]
-
-
 def _check_additive(cmap: CorrespondenceMap, is_scaled_minor: bool) -> CheckResult:
     """M is invertible: det M != 0 and rank M = m - 1.
 
     Proof from the character minor.  Let Y be the character table with the
     trivial row and identity column removed, and s(g_c) the branch root of
-    class c.  M is checked to equal diag(s)·Y^T entry by entry, in stored
-    form (conductor 2*exponent, numerators, denominator).  Then
+    class c.  M is the table's scaled-minor object, diag(s)·Y^T
+    (``_scaled_minor``).  Then
     det M = det diag(s) · det Y^T = prod_c s(g_c) · det Y.  Off the identity
     s(g) = zeta_2r^k - zeta_2r^-k = 2i·sin(pi k / r) with 0 < k <= r/2, so
     s(g) != 0, and det Y != 0 gives det M != 0; an invertible M has rank
@@ -497,8 +493,9 @@ def _check_additive(cmap: CorrespondenceMap, is_scaled_minor: bool) -> CheckResu
     one stored form per conductor, so the reported determinant is the one
     elimination returns.
 
-    On a mismatch or det Y = 0, M itself is eliminated, so a failing report
-    carries M's own determinant and rank as its witness.
+    For any other matrix, an equal copy included, or det Y = 0, M itself is
+    eliminated, so a failing report carries M's own determinant and rank as
+    its witness.
     """
     n = len(cmap.matrix)
     table = cmap.table
@@ -747,10 +744,10 @@ def verify_correspondence(cmap: CorrespondenceMap) -> VerificationReport:
     (see ``_check_multiplicativity``), reported under both names.
 
     It is decided from the table's certificate, with no cyclotomic product,
-    when M = diag(s)·Y^T in stored form (M[c][a] = s(g_c) chi_a(g_c)) and
-    ``pairings`` passes.  Then G_orb[c][d] = |C_c| if d is the class of
-    g_c^-1 (written c*) and 0 otherwise, so, c running over the nonidentity
-    classes,
+    when M is the table's scaled-minor object, diag(s)·Y^T
+    (M[c][a] = s(g_c) chi_a(g_c)), and ``pairings`` passes.  Then
+    G_orb[c][d] = |C_c| if d is the class of g_c^-1 (written c*) and 0
+    otherwise, so, c running over the nonidentity classes,
 
         (M^T G_orb M)[a][b] = sum_c |C_c| s(g_c) s(g_c*) chi_a(c) chi_b(c*).
 
@@ -819,7 +816,7 @@ def _checks(cmap: CorrespondenceMap) -> tuple[CheckResult, ...]:
     """
     _, target_gram = cmap.target.gram()
     _, source_gram = cmap.source.gram()
-    is_scaled_minor = _stored_form(cmap.matrix) == _stored_form(_scaled_minor(cmap.table))
+    is_scaled_minor = cmap.matrix is _scaled_minor(cmap.table)
     witness = _pairings_witness(cmap, target_gram, source_gram)
     shape = _shape_witness(cmap.matrix, target_gram, source_gram)
     exact = None
@@ -845,11 +842,7 @@ def verify_local(group: FiniteGroup) -> VerificationReport:
     cmap = phi_local(group)
     build = time.perf_counter() - t0
     report = verify_correspondence(cmap)
-    timings = dict(report.timings)
-    timings["build_s"] = build
-    return VerificationReport(
-        subject=report.subject, checks=report.checks, info=report.info, timings=timings
-    )
+    return replace(report, timings={**report.timings, "build_s": build})
 
 
 def minor_report(table: CharacterTable) -> VerificationReport:

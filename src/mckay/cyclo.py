@@ -484,15 +484,9 @@ class CycNum:
     __hash__ = None  # mathematical equality crosses conductors
 
     def key(self) -> tuple:
-        """Hashable key for the stored (conductor-specific) representation."""
-        den = self.den
-        if den == 1:
-            return (self.conductor, tuple((x, 1) for x in self.num))
-        pairs = []
-        for x in self.num:
-            g = gcd(x, den)
-            pairs.append((x // g, den // g))
-        return (self.conductor, tuple(pairs))
+        """Hashable key for the stored (conductor-specific) representation:
+        ``(conductor, num, den)``, canonical since ``gcd(den, *num) == 1``."""
+        return (self.conductor, self.num, self.den)
 
     # -- output -------------------------------------------------------------
 

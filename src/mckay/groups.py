@@ -424,11 +424,16 @@ def parse_ade_label(label: str) -> tuple[str, int]:
     """(kind, n) of an ADE label in any spelling (``a_3``, ``A 3``, ``A3``).
 
     A label whose group has more than CLOSURE_CAP elements is rejected from
-    its order, before any closure runs."""
+    its order, before any closure runs.  An n with more digits than
+    CLOSURE_CAP is rejected from its length, before ``int`` reads it (which
+    refuses more than 4,300 digits) and without echoing it."""
     m = _ADE_RE.match(label.strip().upper())
     if not m:
         raise GroupError(f"unknown ADE label {label!r}")
-    kind, n = m.group(1), int(m.group(2))
+    kind, digits = m.groups()
+    if len(digits.lstrip("0")) > len(str(CLOSURE_CAP)):
+        raise GroupError(f"{kind}_n with a {len(digits)}-digit n is above the limit {CLOSURE_CAP}")
+    n = int(digits)
     if kind == "A" and n < 1:
         raise GroupError("A_n requires n >= 1")
     if kind == "D" and n < 4:

@@ -72,7 +72,7 @@ def _eliminate(matrix):
     formed is a difference or product of entries, stored at the lcm of its
     operands' conductors, so every pivot, and the determinant formed from
     them, is stored at a divisor of the lcm L of all entries' conductors,
-    which ``_determinant_and_rank`` lifts it to.  When each column holds one
+    which ``determinant_and_rank`` lifts it to.  When each column holds one
     conductor, as in a character minor, each pivot is stored at a multiple
     of its column's, so the product already lands at L under any order.
     """
@@ -110,9 +110,10 @@ def _eliminate(matrix):
     return rows, r, sign
 
 
-def _determinant_and_rank(matrix) -> tuple[CycNum, int]:
-    """The determinant, lifted to the lcm of the entries' conductors
-    (``rational(0)`` when singular), and the rank.
+def determinant_and_rank(matrix) -> tuple[CycNum, int]:
+    """Determinant and rank of a square matrix from a single elimination:
+    the determinant lifted to the lcm of the entries' conductors
+    (``rational(0)`` when singular).
 
     Lifting makes the stored form independent of the pivot order: a value
     has one stored form per conductor, and the product of the pivots lies
@@ -128,11 +129,6 @@ def _determinant_and_rank(matrix) -> tuple[CycNum, int]:
     for r in range(n):
         det = det * rows[r][r]  # full rank: row r pivots in column r
     return det.lift(lcm(*(x.conductor for row in matrix for x in row))), pivots
-
-
-def determinant_and_rank(matrix) -> tuple[CycNum, int]:
-    """Determinant and rank of a square matrix from a single elimination."""
-    return _determinant_and_rank(matrix)
 
 
 def _integer_determinant(matrix) -> CycNum:
@@ -153,7 +149,7 @@ def _integer_determinant(matrix) -> CycNum:
     pivot is the determinant of B with its rows swapped.
 
     A rational value has one stored form at conductor 1, the lcm of the
-    entries' conductors, so this is the stored form ``_determinant_and_rank``
+    entries' conductors, so this is the stored form ``determinant_and_rank``
     returns.
     """
     rows, scale = [], 1
@@ -181,11 +177,9 @@ def determinant(matrix) -> CycNum:
     """The determinant, as ``determinant_and_rank`` returns it: by integer
     elimination when every entry is rational at conductor 1, else by
     ``_eliminate``."""
-    # shares the body instead of calling determinant_and_rank, so a call of
-    # one is never also a call of the other
     if all(x.conductor == 1 for row in matrix for x in row):
         return _integer_determinant(matrix)
-    return _determinant_and_rank(matrix)[0]
+    return determinant_and_rank(matrix)[0]
 
 
 def rank(matrix) -> int:

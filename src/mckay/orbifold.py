@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GradedAlgebra
+from .algebra import GradedAlgebra, _summed
 from .groups import FiniteGroup
 
 __all__ = [
@@ -111,7 +111,8 @@ def invariant_subalgebra(algebra: GradedAlgebra, group: FiniteGroup) -> GradedAl
     By bilinearity the product of the class sums f_c and f_d is the sum of
     the structure entries e_g e_h over g in C_c and h in C_d.  Every
     structure entry on a pair of sectors belongs to exactly one pair of
-    classes, so one pass over the entries, adding each into its (c, d),
+    classes, so one pass over the entries, collecting each entry's terms
+    under its (c, d) and summing them per basis class (``algebra._summed``),
     forms every product with the same terms as multiplying the sums term
     by term, in another order; exact addition does not depend on the
     order.  Pairs with no entry multiply to zero.  A product with a nonzero
@@ -133,19 +134,14 @@ def invariant_subalgebra(algebra: GradedAlgebra, group: FiniteGroup) -> GradedAl
     nclasses = len(conj.classes)
     labels = ["1"] + [class_label(c) for c in range(1, nclasses)] + ["[pt]"]
     degrees = [0] + [1] * (nclasses - 1) + [2]
-    sums: dict = {}
+    sums: dict = {}  # (c, d) -> its entries' terms, in structure order
     for (i, j), terms in algebra.structure.items():
         c, d = class_at[i], class_at[j]
-        if c is None or d is None or not terms:
-            continue
-        acc = sums.setdefault((c, d), {})
-        for k, coeff in terms:
-            prev = acc.get(k)
-            acc[k] = coeff if prev is None else prev + coeff
+        if c is not None and d is not None:
+            sums.setdefault((c, d), []).extend(terms)
     products = {}
     for c, d in sorted(sums):
-        vec = {k: v for k, v in sums[(c, d)].items() if not v.is_zero()}
-        coeff = algebra.point_coefficient(vec)
+        coeff = algebra.point_coefficient(_summed(sums[(c, d)]))
         if not coeff.is_zero():
             products[(class_label(c), class_label(d))] = [("[pt]", coeff)]
     return GradedAlgebra.build(labels, degrees, products)

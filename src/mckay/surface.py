@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .algebra import GradedAlgebra
+from .algebra import GradedAlgebra, _summed
 from .catalog import ade_bundle
 from .correspondence import CheckResult, CorrespondenceMap, VerificationReport, _checks
 from .groups import GroupError, parse_ade_label
@@ -215,14 +215,6 @@ def assemble_global(model: SurfaceModel) -> GlobalAssembly:
 # -- verification ----------------------------------------------------------------
 
 
-def _summed(terms) -> dict:
-    """Terms summed per basis index with zeros dropped, as ``mult_vec`` sums them."""
-    out: dict = {}
-    for k, c in terms:
-        out[k] = out[k] + c if k in out else c
-    return {k: c for k, c in out.items() if not c.is_zero()}
-
-
 def _side(ring: GradedAlgebra, terms) -> dict:
     """A product as a witness gives it: summed per label, zeros dropped."""
     return {ring.labels[k]: c.to_json() for k, c in _summed(terms).items()}
@@ -411,16 +403,7 @@ def verify_assembly(assembly: GlobalAssembly) -> VerificationReport:
 
     # points of one type share one cached map, whose checks are decided once
     for blk in assembly.blocks:
-        for c in _checks(blk.cmap):
-            checks.append(
-                CheckResult(
-                    f"point[{blk.point.id}]:{c.name}",
-                    c.passed,
-                    witness=c.witness,
-                    detail=c.detail,
-                    diagnostic=c.diagnostic,
-                )
-            )
+        checks += (replace(c, name=f"point[{blk.point.id}]:{c.name}") for c in _checks(blk.cmap))
     elapsed = time.perf_counter() - t0
     return VerificationReport(
         subject=model.name,
@@ -443,8 +426,4 @@ def verify_global(model: SurfaceModel) -> VerificationReport:
     assembly = assemble_global(model)
     build = time.perf_counter() - t0
     report = verify_assembly(assembly)
-    timings = dict(report.timings)
-    timings["build_s"] = build
-    return VerificationReport(
-        subject=report.subject, checks=report.checks, info=report.info, timings=timings
-    )
+    return replace(report, timings={**report.timings, "build_s": build})

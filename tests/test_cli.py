@@ -89,6 +89,20 @@ def test_label_above_the_closure_cap_exits_2_before_building(capsys, label, mess
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_label_past_the_int_digit_limit_exits_2_without_echoing_it(tmp_path, capsys):
+    label = "A" + "9" * 5000
+    message = "A_n with a 5000-digit n is above the limit 2000"
+    assert run(capsys, "verify", "local", "--type", label) == (2, "", f"error: {message}\n")
+    config = tmp_path / "surface.json"
+    config.write_text(
+        json.dumps(
+            {"picard_rank": 0, "intersection_matrix": [], "points": [{"id": "p", "type": label}]}
+        )
+    )
+    code, out, err = run(capsys, "verify", "global", "--config", str(config))
+    assert (code, out, err) == (2, "", f"error: points[0].type: {message}\n")
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["bogus"])

@@ -1145,6 +1145,28 @@ def test_factored_determinant_matches_elimination(label):
     assert check.detail == {"determinant": det.to_json(), "rank": rk}
 
 
+@pytest.mark.parametrize("label", ("A3", "D4", "E8", "D16"))
+def test_equal_copy_of_the_scaled_minor_takes_the_exact_path(label, matmul_calls, monkeypatch):
+    """Only the table's scaled-minor object is decided from the certificate;
+    an equal copy is multiplied out and eliminated, to the same report."""
+    cmap = ade_bundle(label).cmap
+    want = [c.to_dict() for c in verify_correspondence(cmap).checks]
+    assert matmul_calls == []
+    eliminations = []
+    original = linalg.determinant_and_rank
+
+    def counted(matrix):
+        eliminations.append(len(matrix))
+        return original(matrix)
+
+    monkeypatch.setattr(linalg, "determinant_and_rank", counted)
+    copy = dataclasses.replace(cmap, matrix=tuple(map(tuple, cmap.matrix)))
+    assert copy.matrix == cmap.matrix and copy.matrix is not cmap.matrix
+    report = verify_correspondence(copy)
+    assert (len(matmul_calls), len(eliminations)) == (2, 1)
+    assert [c.to_dict() for c in report.checks] == want
+
+
 def test_tampered_invertible_matrix_takes_the_fallback(matmul_calls):
     cmap = ade_bundle("D4").cmap
     rows = [list(row) for row in cmap.matrix]

@@ -5,10 +5,10 @@ import json
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mckay import cyclo
 from mckay.cyclo import (
@@ -309,7 +309,9 @@ def ref_conj(coeffs: tuple, n: int) -> tuple:
 
 
 def ref_key(n: int, coeffs: tuple) -> tuple:
-    return (n, tuple((c.numerator, c.denominator) for c in coeffs))
+    """(n, numerators over the lcm of the denominators, that lcm)."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return (n, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
 
 
 def ref_json(n: int, coeffs: tuple) -> dict:
@@ -370,6 +372,32 @@ def assert_matches(x: CycNum, n: int, coeffs: tuple):
     assert x.key() == ref_key(n, coeffs)
     assert x.to_json() == ref_json(n, coeffs)
     assert str(x) == ref_str(n, coeffs)
+
+
+@st.composite
+def same_conductor_pairs(draw):
+    """Two values at one conductor from a few small coefficients, so that
+    zeros, denominators and equal values of different spellings all occur."""
+    n = draw(st.sampled_from((1, 2, 3, 4, 6, 8, 12)))
+    coeff = st.sampled_from((Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(2, 3)))
+
+    def value():
+        return CycNum(n, draw(st.lists(coeff, max_size=n)))
+
+    return value(), value()
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_conductor_pairs())
+@example((CycNum(3, [0, 1, 1]), CycNum(3, [-1])))  # zeta + zeta^2 = -1
+@example((CycNum(4, [Fraction(1, 2), 0, Fraction(-1, 2)]), CycNum(4, [1])))
+@example((CycNum(6, [Fraction(2, 3)]) - Fraction(2, 3), CycNum(6, [])))
+def test_key_is_the_stored_form(pair):
+    a, b = pair
+    for x in pair:
+        assert x.key() == (x.conductor, x.num, x.den)
+        assert hash(x.key()) == hash((x.conductor, x.num, x.den))
+    assert (a.key() == b.key()) == (a == b)
 
 
 @settings(max_examples=80, deadline=None)

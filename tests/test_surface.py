@@ -79,6 +79,20 @@ def test_parse_rejects_bad_labels():
     assert "points[0].type" == err.value.path
 
 
+@pytest.mark.parametrize("kind", "ADE")
+def test_parse_rejects_an_n_past_the_int_digit_limit(kind):
+    """An n of 5,000 digits is above the closure cap: rejected from its
+    length under the point's path, before int() refuses it, and not echoed."""
+    label = kind + "7" * 5000
+    cfg = {"picard_rank": 0, "intersection_matrix": [], "points": [{"id": "p", "type": label}]}
+    with pytest.raises(SurfaceConfigError) as err:
+        parse_surface(cfg)
+    assert err.value.path == "points[0].type"
+    assert str(err.value) == (
+        f"points[0].type: {kind}_n with a 5000-digit n is above the limit 2000"
+    )
+
+
 def test_parse_rejects_bad_rank():
     with pytest.raises(SurfaceConfigError):
         parse_surface({"picard_rank": -1, "intersection_matrix": [], "points": []})
